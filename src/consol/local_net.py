@@ -224,10 +224,7 @@ def _forward_layers(structure: LocalStructure, weights: LocalWeights, X: np.ndar
                 op = structure.act_op(j)
                 v = X[:, structure.act_input(j)]
                 zarg = weights.inner[j] * v if op.has_inner_weight else v
-                if op.domain_lower is not None and zarg.min() < op.domain_lower:
-                    raise DomainError(
-                        f"{op.name} argument {zarg.min()} below {op.domain_lower} "
-                        f"(activation neuron {j})")
+                symbols.check_domain(op, zarg)
                 out[:, j] = symbols.op_value(op.name, zarg)
         elif kind == MULTIPLICATION:
             out = np.zeros((X.shape[0], n_next))
@@ -308,6 +305,8 @@ def gradients(structure: LocalStructure, weights: LocalWeights, batch):
 
 
 def _as_xy(batch):
+    """(X, Y) float arrays from an (X, Y) tuple or a Dataset; a single 1-D
+    sample becomes one row."""
     if isinstance(batch, tuple):
         X, Y = batch
     else:  # Dataset-like
@@ -329,8 +328,8 @@ def fit_trace(structure: LocalStructure, config: TrainConfig, data,
               start: LocalWeights | None = None):
     """Full-batch gradient descent from a constant initialization (or a
     warm start).  The step size halves (and the step is reverted) whenever
-    the loss would increase, and grows on accepted steps; the accepted-loss
-    sequence is therefore monotone non-increasing."""
+    the loss would increase or be NaN, and grows on accepted steps; the
+    accepted-loss sequence is therefore monotone non-increasing."""
     X, Y = _as_xy(data)
     w = init_weights(structure, config.init_value) if start is None else start.copy()
     loss, grad = gradients(structure, w, (X, Y))
@@ -344,11 +343,11 @@ def fit_trace(structure: LocalStructure, config: TrainConfig, data,
             lr *= 0.5
             losses.append(loss)
             continue
-        if cand_loss > loss:
-            lr *= 0.5
-        else:
+        if cand_loss <= loss:       # a NaN candidate is rejected too
             w, loss, grad = cand, cand_loss, cand_grad
             lr *= 2.0
+        else:
+            lr *= 0.5
         losses.append(loss)
     return w, losses
 

@@ -48,7 +48,6 @@ class QLearnConfig:
     q_epochs: int = 50
     r_epochs: int = 50
     retry_cap: int = 20
-    random_action_cap: int = 50
     icnn_widths: tuple[int, ...] = (16, 16)
     opt_restarts: int = 3
     opt_steps: int = 200
@@ -299,14 +298,9 @@ def rollout_episode(qnet: IcnnParams, cfg: QLearnConfig, space: SearchSpace,
 
 
 def _episode_data(data):
-    if isinstance(data, tuple):
-        X, Y = data
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        sigma_y = Y.std(axis=0) if Y.ndim > 1 else float(Y.std())
-    else:
-        X, Y, sigma_y = data.X, data.Y, data.sigma_y
-    return X, Y, sigma_y
+    """(X, Y, sigma_y): a Dataset's own sigma_y, else the std of Y."""
+    X, Y = local_net._as_xy(data)
+    return X, Y, (Y.std(axis=0) if isinstance(data, tuple) else data.sigma_y)
 
 
 def reward_net_update(rnet: IcnnParams, space: SearchSpace,

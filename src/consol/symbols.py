@@ -8,7 +8,8 @@ x and x^2 do not, their scale lives in the downstream summation weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -16,14 +17,27 @@ from .errors import DomainError
 
 LOG_DOMAIN_EPS = 1e-12
 
-# name -> (has_inner_weight, domain_lower)
+
+class _OpRow(NamedTuple):
+    has_inner_weight: bool
+    domain_lower: float | None
+    value: Callable      # phi(z)
+    d1: Callable         # phi'(z)
+    d2: Callable         # phi''(z), z already a float array
+
+
 _OP_TABLE = {
-    "id": (False, None),
-    "square": (False, None),
-    "sqrt": (True, 0.0),
-    "log": (True, LOG_DOMAIN_EPS),
-    "cos": (True, None),
-    "sin": (True, None),
+    "id": _OpRow(False, None, lambda z: z,
+                 lambda z: np.ones_like(np.asarray(z, dtype=float)),
+                 np.zeros_like),
+    "square": _OpRow(False, None, lambda z: z * z, lambda z: 2.0 * z,
+                     lambda z: 2.0 * np.ones_like(z)),
+    "sqrt": _OpRow(True, 0.0, np.sqrt, lambda z: 0.5 / np.sqrt(z),
+                   lambda z: -0.25 * z ** (-1.5)),
+    "log": _OpRow(True, LOG_DOMAIN_EPS, np.log, lambda z: 1.0 / z,
+                  lambda z: -1.0 / (z * z)),
+    "cos": _OpRow(True, None, np.cos, lambda z: -np.sin(z), lambda z: -np.cos(z)),
+    "sin": _OpRow(True, None, np.sin, np.cos, lambda z: -np.sin(z)),
 }
 
 
@@ -59,99 +73,30 @@ def make_library(names: list[str]) -> SymbolLibrary:
     for i, name in enumerate(names):
         if name not in _OP_TABLE:
             raise ValueError(f"unknown symbol {name!r}; known: {sorted(_OP_TABLE)}")
-        has_w, lower = _OP_TABLE[name]
-        ops.append(SymbolOp(id=i, name=name, has_inner_weight=has_w, domain_lower=lower))
+        row = _OP_TABLE[name]
+        ops.append(SymbolOp(id=i, name=name, has_inner_weight=row.has_inner_weight,
+                            domain_lower=row.domain_lower))
     return SymbolLibrary(ops=tuple(ops))
 
 
-def _check_domain(op: SymbolOp, z) -> None:
-    if op.domain_lower is not None and np.min(z) < op.domain_lower:
+def check_domain(op: SymbolOp, z) -> None:
+    """Raise DomainError unless every pre-activation z lies at or above the
+    op's lower bound; NaN never does."""
+    if op.domain_lower is not None and not np.all(z >= op.domain_lower):
         raise DomainError(
-            f"{op.name} argument {np.min(z)} below domain lower bound {op.domain_lower}"
-        )
+            f"{op.name} argument {np.min(z)} below domain lower bound {op.domain_lower}")
 
 
 def op_value(name: str, z):
     """phi(z) for scalar or ndarray z; no domain check."""
-    if name == "id":
-        return z
-    if name == "square":
-        return z * z
-    if name == "sqrt":
-        return np.sqrt(z)
-    if name == "log":
-        return np.log(z)
-    if name == "cos":
-        return np.cos(z)
-    if name == "sin":
-        return np.sin(z)
-    raise ValueError(name)
+    return _OP_TABLE[name].value(z)
 
 
 def op_d1(name: str, z):
     """phi'(z)."""
-    if name == "id":
-        return np.ones_like(np.asarray(z, dtype=float))
-    if name == "square":
-        return 2.0 * z
-    if name == "sqrt":
-        return 0.5 / np.sqrt(z)
-    if name == "log":
-        return 1.0 / z
-    if name == "cos":
-        return -np.sin(z)
-    if name == "sin":
-        return np.cos(z)
-    raise ValueError(name)
+    return _OP_TABLE[name].d1(z)
 
 
 def op_d2(name: str, z):
     """phi''(z)."""
-    z = np.asarray(z, dtype=float)
-    if name in ("id",):
-        return np.zeros_like(z)
-    if name == "square":
-        return 2.0 * np.ones_like(z)
-    if name == "sqrt":
-        return -0.25 * z ** (-1.5)
-    if name == "log":
-        return -1.0 / (z * z)
-    if name == "cos":
-        return -np.cos(z)
-    if name == "sin":
-        return -np.sin(z)
-    raise ValueError(name)
-
-
-def _pre_activation(op: SymbolOp, inner_weight: float | None, v):
-    if op.has_inner_weight:
-        if inner_weight is None:
-            raise ValueError(f"{op.name} requires an inner weight")
-        return inner_weight * np.asarray(v, dtype=float)
-    if inner_weight is not None:
-        raise ValueError(f"{op.name} takes no inner weight")
-    return np.asarray(v, dtype=float)
-
-
-def eval(op: SymbolOp, inner_weight: float | None, v: float) -> float:
-    """phi(w*v) for weighted ops, phi(v) otherwise."""
-    z = _pre_activation(op, inner_weight, v)
-    _check_domain(op, z)
-    return float(op_value(op.name, z))
-
-
-def eval_grads(op: SymbolOp, inner_weight: float | None, v: float):
-    """(d/dv, d/dw) of phi(w*v); d/dw is None for unweighted ops."""
-    z = _pre_activation(op, inner_weight, v)
-    _check_domain(op, z)
-    d1 = op_d1(op.name, z)
-    if op.has_inner_weight:
-        return float(inner_weight * d1), float(v * d1)
-    return float(d1), None
-
-
-def eval_second(op: SymbolOp, inner_weight: float | None, v: float) -> float:
-    """phi''(w*v), the second derivative in the pre-activation argument."""
-    z = _pre_activation(op, inner_weight, v)
-    _check_domain(op, z)
-    return float(op_d2(op.name, z))
+    return _OP_TABLE[name].d2(np.asarray(z, dtype=float))

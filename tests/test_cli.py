@@ -107,6 +107,23 @@ def test_search_command_end_to_end(tmp_path):
         assert (out / "weights.json").exists()
 
 
+def test_version1_config_naming_random_action_cap_still_runs(tmp_path):
+    # random_action_cap was a version-1 search key that nothing read
+    cfg = {
+        "version": 1,
+        "dataset": {"name": "syn1", "n_train": 60, "n_test": 30},
+        "search": {"max_episodes": 1, "minibatch_size": 4, "q_epochs": 2,
+                   "r_epochs": 2, "final_polish_epochs": 5,
+                   "promote_epochs": 0, "random_action_cap": 50},
+        "train": {"epochs": 3},
+        "out_dir": str(tmp_path / "run"),
+    }
+    path = write_json(tmp_path / "c.json", cfg)
+    assert "random_action_cap" not in load_config(path)["search"]
+    assert main(["search", "--config", path]) == 0
+    assert (tmp_path / "run" / "report.json").exists()
+
+
 def test_fit_command(tmp_path):
     lib = make_library(["id", "square", "cos"])
     z_mult = np.zeros((9, 1))

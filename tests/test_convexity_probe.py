@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from consol.convexity_probe import (RegionEstimate, analytic_directional_derivs,
                                     estimate_region, get_weight_vector,
@@ -7,7 +8,8 @@ from consol.convexity_probe import (RegionEstimate, analytic_directional_derivs,
                                     segment_convexity_test, set_weight_vector,
                                     weight_coords)
 from consol.errors import ConsistencyError, StructureError
-from consol.local_net import TrainConfig, fit, init_weights, three_layer_structure
+from consol.local_net import (TrainConfig, fit, forward, init_weights,
+                              three_layer_structure, trainable_inner_mask)
 from consol.symbols import make_library
 
 
@@ -105,6 +107,68 @@ def test_directional_derivs_match_finite_differences():
     assert worst < 1e-4
 
 
+FULL_LIB = make_library(["id", "square", "sqrt", "log", "cos", "sin"])
+
+
+@hst.composite
+def single_block_case(draw):
+    """A random activation/multiplication/summation network on the full
+    library, inner weights and inputs chosen so every factor stays inside
+    its domain and away from zero (w*x in [0.1, 0.9])."""
+    n_in = draw(hst.integers(1, 2))
+    n_mult = draw(hst.integers(1, 3))
+    n_out = draw(hst.integers(1, 2))
+    n_act = n_in * len(FULL_LIB)
+    z_mult = np.zeros((n_act, n_mult), dtype=int)
+    for j in range(n_mult):
+        for i in draw(hst.lists(hst.integers(0, n_act - 1), min_size=1,
+                                max_size=3, unique=True)):
+            z_mult[i, j] = 1
+    z_sum = np.zeros((n_mult, n_out), dtype=int)
+    for j in range(n_out):
+        for i in draw(hst.lists(hst.integers(0, n_mult - 1), min_size=1,
+                                max_size=n_mult, unique=True)):
+            z_sum[i, j] = 1
+    st = three_layer_structure(FULL_LIB, n_in, z_mult, z_sum)
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    w = init_weights(st, 1.0)
+    mask = trainable_inner_mask(st)
+    w.inner[mask] = rng.uniform(0.5, 1.5, mask.sum())
+    w.summations[2] = z_sum * rng.uniform(-2.0, 2.0, z_sum.shape)
+    X = rng.uniform(0.2, 0.6, (draw(hst.integers(1, 6)), n_in))
+    d = rng.normal(size=len(weight_coords(st)))
+    return st, w, X, d / np.linalg.norm(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(single_block_case())
+def test_batch_directional_derivs_match_rows_and_finite_differences(case):
+    st, w, X, d = case
+    y1, y2 = analytic_directional_derivs(st, w, X, d)
+    assert y1.shape == y2.shape == (X.shape[0], st.n_outputs)
+    rows = [analytic_directional_derivs(st, w, x, d) for x in X]
+    np.testing.assert_allclose(y1, [np.atleast_1d(r[0]) for r in rows],
+                               rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(y2, [np.atleast_1d(r[1]) for r in rows],
+                               rtol=1e-12, atol=1e-14)
+
+    vec = get_weight_vector(st, w)
+
+    def out(t):
+        return forward(st, set_weight_vector(st, w, vec + t * d), X)
+
+    h = 1e-5
+    fd1 = (out(h) - out(-h)) / (2 * h)
+
+    def d2(step):
+        return (out(step) - 2 * out(0.0) + out(-step)) / step ** 2
+
+    h2 = 1e-3
+    fd2 = (4.0 * d2(h2 / 2) - d2(h2)) / 3.0
+    np.testing.assert_allclose(y1, fd1, rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(y2, fd2, rtol=1e-4, atol=1e-4)
+
+
 def test_directional_derivs_require_single_block():
     from consol.local_net import (ACTIVATION, MULTIPLICATION, SUMMATION,
                                   fanout_indicator, make_structure)
@@ -150,6 +214,19 @@ def test_estimate_region_membership_at_optimum():
     assert est.membership
     assert est.eta > 0.0
     assert est.max_residual < 1e-8
+
+
+def test_estimate_region_matches_per_sample_loop():
+    st, w, X, Y, _ = toy_fit(n=40)
+    rng = np.random.default_rng(2)          # the directions estimate_region draws
+    dirs = [d / np.linalg.norm(d) for d in (rng.normal(size=2) for _ in range(5))]
+    per_sample = [[analytic_directional_derivs(st, w, x, d) for x in X]
+                  for d in dirs]
+    est = estimate_region(st, w, (X, Y), n_directions=5, seed=2)
+    assert est.eta == max(abs(y2) / abs(y1) for rows in per_sample
+                          for y1, y2 in rows if abs(y1) > 1e-10)
+    assert est.y_prime_abs.tolist() == [
+        min(abs(rows[i][0]) for rows in per_sample) for i in range(len(X))]
 
 
 def test_estimate_region_rejects_far_point():

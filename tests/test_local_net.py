@@ -116,6 +116,16 @@ def test_forward_domain_error_for_used_sqrt():
         forward(st, w, np.array([[-2.0, 1.0]]))
 
 
+def test_forward_domain_error_for_nan_argument():
+    lib = make_library(["id", "sqrt"])
+    z_mult = np.array([[0], [1], [0], [0]])
+    st = three_layer_structure(lib, 2, z_mult, np.array([[1]]))
+    w = init_weights(st, 1.0)
+    w.inner[1] = np.nan
+    with pytest.raises(DomainError):
+        forward(st, w, np.array([[2.0, 1.0]]))
+
+
 def test_loss_convention():
     st, w = toy_weights()
     X = np.array([[1.0, 1.0], [2.0, 0.5]])
@@ -179,6 +189,19 @@ def test_fit_trace_is_monotone_non_increasing():
     Y = (3.0 * X[:, 0] ** 2 * np.cos(2.5 * X[:, 1]))[:, None]
     _, losses = fit_trace(st, TrainConfig(learning_rate=1e-2, epochs=60), (X, Y))
     assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
+
+
+def test_fit_trace_rejects_nan_step():
+    # a step this long overflows the weights and cos(inf) is NaN; that
+    # candidate must be rejected like a loss increase
+    st = three_layer_structure(make_library(["cos"]), 1, np.array([[1]]),
+                               np.array([[1]]))
+    X = np.linspace(0.5, 1.5, 20)[:, None]
+    Y = 3.0 * np.cos(2.5 * X)
+    with np.errstate(all="ignore"):
+        _, losses = fit_trace(st, TrainConfig(learning_rate=1e308, epochs=5), (X, Y))
+    assert np.isfinite(losses).all()
+    assert all(b <= a for a, b in zip(losses, losses[1:]))
 
 
 def test_fit_recovers_toy_coefficients():

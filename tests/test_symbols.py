@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from consol.errors import DomainError
-from consol.symbols import (LOG_DOMAIN_EPS, SymbolOp, eval_grads, eval_second,
-                            make_library, op_d1, op_d2, op_value)
-from consol import symbols
+from consol.local_net import forward, init_weights, three_layer_structure
+from consol.symbols import (LOG_DOMAIN_EPS, check_domain, make_library, op_d1,
+                            op_d2, op_value)
 
 
 def test_make_library_order_and_flags():
@@ -54,41 +54,43 @@ def test_second_derivative_matches_finite_difference(name):
 
 
 def test_eval_applies_inner_weight():
-    op = make_library(["cos"]).ops[0]
-    assert symbols.eval(op, 2.5, 1.2) == pytest.approx(np.cos(2.5 * 1.2))
+    st = three_layer_structure(make_library(["cos"]), 1, np.array([[1]]),
+                               np.array([[1]]))
+    w = init_weights(st, 1.0)
+    w.inner[0] = 2.5
+    assert forward(st, w, np.array([1.2]))[0] == pytest.approx(np.cos(2.5 * 1.2))
 
 
-def test_eval_rejects_missing_or_extra_weight():
-    cos_op = make_library(["cos"]).ops[0]
-    id_op = make_library(["id"]).ops[0]
-    with pytest.raises(ValueError):
-        symbols.eval(cos_op, None, 1.0)
-    with pytest.raises(ValueError):
-        symbols.eval(id_op, 2.0, 1.0)
+def test_eval_ignores_weight_of_unweighted_op():
+    # the inner weight enters only ops that carry one: id stays x
+    st = three_layer_structure(make_library(["id", "cos"]), 1,
+                               np.array([[1], [0]]), np.array([[1]]))
+    w = init_weights(st, 1.0)
+    w.inner[0] = 7.0
+    assert forward(st, w, np.array([1.5]))[0] == 1.5
 
 
 def test_eval_domain_errors():
-    sqrt_op = make_library(["sqrt"]).ops[0]
-    log_op = make_library(["log"]).ops[0]
+    sqrt_op, log_op = make_library(["sqrt", "log"]).ops
     with pytest.raises(DomainError):
-        symbols.eval(sqrt_op, 1.0, -0.5)
+        check_domain(sqrt_op, np.array([-0.5]))
     with pytest.raises(DomainError):
-        symbols.eval(log_op, 1.0, 0.0)
+        check_domain(log_op, np.array([0.0]))
     # boundary itself is fine for sqrt
-    assert symbols.eval(sqrt_op, 1.0, 0.0) == 0.0
+    check_domain(sqrt_op, np.array([0.0]))
+    assert op_value("sqrt", np.array([0.0]))[0] == 0.0
 
 
 @given(st.floats(0.2, 3.0), st.floats(-3.0, 3.0))
 def test_eval_grads_match_finite_difference(v, w):
-    op = SymbolOp(id=0, name="sin", has_inner_weight=True, domain_lower=None)
-    dv, dw = eval_grads(op, w, v)
+    # chain rule for phi(w*v): d/dv = w*phi'(w*v), d/dw = v*phi'(w*v)
+    d1 = op_d1("sin", w * v)
     h = 1e-6
-    fd_v = (symbols.eval(op, w, v + h) - symbols.eval(op, w, v - h)) / (2 * h)
-    fd_w = (symbols.eval(op, w + h, v) - symbols.eval(op, w - h, v)) / (2 * h)
-    assert dv == pytest.approx(fd_v, rel=1e-5, abs=1e-6)
-    assert dw == pytest.approx(fd_w, rel=1e-5, abs=1e-6)
+    fd_v = (op_value("sin", w * (v + h)) - op_value("sin", w * (v - h))) / (2 * h)
+    fd_w = (op_value("sin", (w + h) * v) - op_value("sin", (w - h) * v)) / (2 * h)
+    assert w * d1 == pytest.approx(fd_v, rel=1e-5, abs=1e-6)
+    assert v * d1 == pytest.approx(fd_w, rel=1e-5, abs=1e-6)
 
 
 def test_eval_second_is_plain_second_derivative():
-    op = make_library(["cos"]).ops[0]
-    assert eval_second(op, 2.0, 1.5) == pytest.approx(-np.cos(3.0))
+    assert op_d2("cos", 2.0 * 1.5) == pytest.approx(-np.cos(3.0))
