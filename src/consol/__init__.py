@@ -13,7 +13,7 @@ from .local_net import (LocalStructure, LocalWeights, TrainConfig,
 from .metrics import e_c, nrmse
 from .q_learning import (QLearnConfig, ReplayBuffer, SearchSpace,
                          rollout_episode, run_search, three_layer_space)
-from .search_mdp import (ActionVec, ConstraintConfig, StateVec, Transition,
+from .search_mdp import (ActionVec, ConstraintConfig, StateVec,
                          check_constraints, discretize, transition)
 from .symbols import SymbolLibrary, make_library
 

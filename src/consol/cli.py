@@ -5,8 +5,9 @@ All outputs are CSV or JSON, written atomically (temp file + rename), and
 every command draws randomness from the three named seeds in the config
 (data, search, probe) so reruns are byte-identical.
 
-Exit codes: 0 ok, 2 usage, 3 config/data problems, 4 probe consistency
-failure.
+Exit codes: 0 ok, 2 usage, 3 a bad config, data or structure file, or any
+other consol error (domain, structure, shape, degenerate data, aborted
+episode), printed as one ``error:`` line, 4 probe consistency failure.
 """
 
 from __future__ import annotations
@@ -200,13 +201,13 @@ def _qlearn_config(cfg: dict) -> QLearnConfig:
 
 
 def episodes_csv(logs) -> str:
-    lines = ["t,reward,nrmse,rejections,aborted,seconds,actions"]
+    lines = ["t,reward,nrmse,rejections,aborted,actions"]
     for log in logs:
         bits = ";".join(
             f"{k}:" + "".join(str(int(v)) for v in dis)
             for k, _, dis in log.actions)
         lines.append(f"{log.t},{log.reward:.17g},{log.nrmse:.17g},"
-                     f"{log.rejections},{log.aborted},{log.seconds:.3f},{bits}")
+                     f"{log.rejections},{log.aborted},{bits}")
     return "\n".join(lines) + "\n"
 
 
@@ -427,7 +428,7 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, OSError, ValueError, KeyError) as exc:
+    except (ConsolError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

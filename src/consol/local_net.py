@@ -244,8 +244,16 @@ def _forward_layers(structure: LocalStructure, weights: LocalWeights, X: np.ndar
     return hs
 
 
+def _require_finite(weights: LocalWeights, *data) -> None:
+    """DomainError unless the weights and the data arrays are all finite."""
+    arrays = (weights.inner, *weights.summations.values(), *data)
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DomainError("non-finite input, target or weight")
+
+
 def forward(structure: LocalStructure, weights: LocalWeights, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
+    _require_finite(weights, x)
     single = x.ndim == 1
     hs = _forward_layers(structure, weights, x[None, :] if single else x)
     y = hs[-1]
@@ -329,9 +337,11 @@ def fit_trace(structure: LocalStructure, config: TrainConfig, data,
     """Full-batch gradient descent from a constant initialization (or a
     warm start).  The step size halves (and the step is reverted) whenever
     the loss would increase or be NaN, and grows on accepted steps; the
-    accepted-loss sequence is therefore monotone non-increasing."""
+    accepted-loss sequence is therefore monotone non-increasing.  Non-finite
+    data or start weights raise DomainError."""
     X, Y = _as_xy(data)
     w = init_weights(structure, config.init_value) if start is None else start.copy()
+    _require_finite(w, X, Y)
     loss, grad = gradients(structure, w, (X, Y))
     losses = [loss]
     lr = config.learning_rate

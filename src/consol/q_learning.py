@@ -10,7 +10,6 @@ target network.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,7 +22,7 @@ from .local_net import (ACTIVATION, MULTIPLICATION, SUMMATION, LocalStructure,
                         LocalWeights, TrainConfig, fanout_indicator,
                         make_structure)
 from .metrics import nrmse
-from .search_mdp import (ActionVec, ConstraintConfig, StateVec, Transition,
+from .search_mdp import (ActionVec, ConstraintConfig, StateVec,
                          action_from_array, action_from_indicator,
                          check_constraints, discretize, indicator_from_action,
                          initial_state, propose_random_action, stage_pins,
@@ -128,29 +127,44 @@ def three_layer_space(library: SymbolLibrary, n_inputs: int, n_outputs: int,
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring with seeded uniform sampling."""
+    """Fixed-capacity FIFO ring of transitions (u = s || a, s', stage', r),
+    one numpy row each, with seeded uniform sampling.  The rows grow on
+    demand up to the capacity, so memory follows what the ring holds."""
 
     def __init__(self, capacity: int, seed: int = 0):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._items: list[Transition] = []
-        self._next = 0
+        self._cols: tuple[np.ndarray, ...] = ()
+        self._pushed = 0
         self._rng = np.random.default_rng(seed)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return min(self._pushed, self.capacity)
 
-    def push(self, item: Transition) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-        else:
-            self._items[self._next] = item
-            self._next = (self._next + 1) % self.capacity
+    def push(self, u, s_next, stage_next, r) -> None:
+        """Append rows in order; once full, each overwrites the oldest."""
+        cols = [np.asarray(u, dtype=float), np.asarray(s_next, dtype=float),
+                np.asarray(stage_next, dtype=np.int64),
+                np.asarray(r, dtype=float)]
+        m = len(cols[-1])
+        need = min(self._pushed + m, self.capacity)
+        if not self._cols or len(self._cols[0]) < need:
+            rows = min(self.capacity, max(need, 2 * len(self)))
+            grown = [np.zeros((rows,) + c.shape[1:], dtype=c.dtype) for c in cols]
+            for new, old in zip(grown, self._cols):
+                new[:len(old)] = old
+            self._cols = tuple(grown)
+        keep = slice(max(0, m - self.capacity), m)
+        pos = (self._pushed + np.arange(m)[keep]) % self.capacity
+        for col, c in zip(self._cols, cols):
+            col[pos] = c[keep]
+        self._pushed += m
 
-    def sample(self, n: int) -> list[Transition]:
-        idx = self._rng.integers(0, len(self._items), size=n)
-        return [self._items[i] for i in idx]
+    def sample(self, n: int):
+        """(u, s', stage', r) rows drawn uniformly with replacement."""
+        idx = self._rng.integers(0, len(self), size=n)
+        return tuple(col[idx] for col in self._cols)
 
 
 @dataclass
@@ -158,36 +172,25 @@ class EpisodeLog:
     t: int
     reward: float
     nrmse: float
-    actions: list[tuple[int, tuple[float, ...], tuple[float, ...]]]
+    actions: list[tuple[int, np.ndarray, np.ndarray]]  # (stage, relaxed, discrete)
     rejections: int
     aborted: str = ""
-    seconds: float = 0.0
-
-    def to_json_obj(self):
-        return {
-            "t": self.t, "reward": self.reward, "nrmse": self.nrmse,
-            "rejections": self.rejections, "aborted": self.aborted,
-            "seconds": self.seconds,
-            "actions": [
-                {"stage": k, "relaxed": list(rel), "discrete": list(dis)}
-                for k, rel, dis in self.actions
-            ],
-        }
 
 
 @dataclass
 class EpisodeOutcome:
+    """One row per searched stage: the Q inputs s || a of the discrete and
+    of the relaxed action, and the next state with its stage."""
+
     structure: LocalStructure
     weights: LocalWeights
-    transitions: list[Transition]          # discrete, reward filled with R_t
-    relaxed_pairs: list[tuple[StateVec, ActionVec, StateVec]]
+    u: np.ndarray
+    u_relaxed: np.ndarray
+    s_next: np.ndarray
+    stage_next: np.ndarray
     reward: float
     nrmse: float
     log: EpisodeLog
-
-
-def _q_input(space: SearchSpace, s: StateVec, a: ActionVec) -> np.ndarray:
-    return np.concatenate([s.as_array(), a.as_array()])
 
 
 def greedy_action(qnet: IcnnParams, space: SearchSpace, s: StateVec,
@@ -197,7 +200,7 @@ def greedy_action(qnet: IcnnParams, space: SearchSpace, s: StateVec,
     constraint-frozen coordinates held at their pinned values."""
     n_k, n_k1 = space.stage_shape(stage)
     pins = stage_pins(constraints, stage, n_k, n_k1, space.n_a)
-    a, _ = minimize_over_box(qnet, s.as_array(), space.n_a, restarts=restarts,
+    a, _ = minimize_over_box(qnet, s.values, space.n_a, restarts=restarts,
                              steps=steps, rng=rng,
                              pins=pins if pins[0].any() else None)
     # padding beyond the stage's block is meaningless; zero it
@@ -208,11 +211,15 @@ def greedy_action(qnet: IcnnParams, space: SearchSpace, s: StateVec,
 
 def _fit_and_score(structure: LocalStructure, cfg: QLearnConfig, X, Y, sigma_y):
     """Short fit; candidates that already score well are promoted to a long
-    refit so near-perfect structures can actually reach the stop threshold."""
+    refit so near-perfect structures can actually reach the stop threshold.
+    A fit that leaves the symbol domains or scores a non-finite NRMSE gets
+    DOMAIN_FAILURE_NRMSE."""
     try:
         weights, _ = local_net.fit(structure, cfg.local_train, (X, Y))
         pred = local_net.forward(structure, weights, X)
         score = nrmse(pred, Y, sigma_y)
+        if not np.isfinite(score):
+            raise DomainError(f"non-finite NRMSE {score}")
     except DomainError:
         weights = local_net.init_weights(structure, cfg.local_train.init_value)
         return weights, DOMAIN_FAILURE_NRMSE
@@ -236,11 +243,9 @@ def rollout_episode(qnet: IcnnParams, cfg: QLearnConfig, space: SearchSpace,
     epsilon-greedy convex action, constraint-checked with retries; then the
     resulting network is trained and scored."""
     X, Y, sigma_y = _episode_data(data)
-    start = time.perf_counter()
     s = initial_state(space.layer_sizes[0], space.n_s)
     indicators = []
-    transitions: list[tuple[StateVec, ActionVec, StateVec]] = []
-    relaxed_pairs: list[tuple[StateVec, ActionVec, StateVec]] = []
+    u, u_relaxed, nexts = [], [], []        # one row per searched stage
     log_actions = []
     rejections = 0
     for k in range(space.n_stages):
@@ -277,8 +282,9 @@ def rollout_episode(qnet: IcnnParams, cfg: QLearnConfig, space: SearchSpace,
             raise EpisodeAborted(
                 f"stage {k}: no valid action within {cfg.retry_cap} retries")
         s_next = transition(s, chosen, n_k, n_k1)
-        transitions.append((s, chosen, s_next))
-        relaxed_pairs.append((s, relaxed, s_next))
+        u.append(np.concatenate([s.values, chosen.values]))
+        u_relaxed.append(np.concatenate([s.values, relaxed.values]))
+        nexts.append(s_next)
         log_actions.append((k, relaxed.values, chosen.values))
         indicators.append(indicator_from_action(chosen, n_k, n_k1))
         s = s_next
@@ -290,10 +296,13 @@ def rollout_episode(qnet: IcnnParams, cfg: QLearnConfig, space: SearchSpace,
     weights, score = _fit_and_score(structure, cfg, X, Y, sigma_y)
     reward = 1.0 / (1.0 + score)
     log = EpisodeLog(t=t, reward=reward, nrmse=score, actions=log_actions,
-                     rejections=rejections,
-                     seconds=time.perf_counter() - start)
-    discrete = [Transition(s0, a0, s1, reward) for s0, a0, s1 in transitions]
-    return EpisodeOutcome(structure, weights, discrete, relaxed_pairs,
+                     rejections=rejections)
+
+    d = space.q_input_dim
+    return EpisodeOutcome(structure, weights, np.reshape(u, (-1, d)),
+                          np.reshape(u_relaxed, (-1, d)),
+                          np.reshape([s1.values for s1 in nexts], (-1, space.n_s)),
+                          np.array([s1.stage for s1 in nexts], dtype=np.int64),
                           reward, score, log)
 
 
@@ -303,21 +312,18 @@ def _episode_data(data):
     return X, Y, (Y.std(axis=0) if isinstance(data, tuple) else data.sigma_y)
 
 
-def reward_net_update(rnet: IcnnParams, space: SearchSpace,
-                      transitions: list[Transition], r_t: float,
+def reward_net_update(rnet: IcnnParams, U: np.ndarray, r_t: float,
                       cfg: QLearnConfig) -> IcnnParams:
     """Full-batch regression of the negated reward network toward -R_t on the
-    episode's discrete state-action pairs."""
-    if not transitions:
+    episode's discrete state-action rows U (one s || a per row)."""
+    if len(U) == 0:
         return rnet
-    U = np.stack([_q_input(space, tr.s, tr.a) for tr in transitions])
-    targets = np.full(len(transitions), -r_t)
-    return icnn_fit(rnet, U, targets, cfg.r_lr, cfg.r_epochs, len(transitions))
+    return icnn_fit(rnet, U, np.full(len(U), -r_t), cfg.r_lr, cfg.r_epochs,
+                    len(U))
 
 
-def reward_of(rnet: IcnnParams, space: SearchSpace, s: StateVec,
-              a: ActionVec) -> float:
-    return -icnn_forward(rnet, _q_input(space, s, a))
+def reward_of(rnet: IcnnParams, u: np.ndarray) -> float:
+    return -icnn_forward(rnet, u)
 
 
 def q_net_update(qnet: IcnnParams, target_qnet: IcnnParams,
@@ -328,31 +334,22 @@ def q_net_update(qnet: IcnnParams, target_qnet: IcnnParams,
     convex minimization of the target network."""
     if len(buffer) < cfg.minibatch_size:
         return qnet
-    batch = buffer.sample(cfg.minibatch_size)
-    terminal_stage = space.n_stages
-    ys = np.empty(len(batch))
-    nonterm = [i for i, tr in enumerate(batch)
-               if tr.s_next.stage != terminal_stage]
-    for i, tr in enumerate(batch):
-        ys[i] = tr.reward
-    if nonterm:
-        S = np.stack([batch[i].s_next.as_array() for i in nonterm])
-        pin_mask = np.zeros((len(nonterm), space.n_a), dtype=bool)
-        pin_values = np.zeros((len(nonterm), space.n_a))
-        for row, i in enumerate(nonterm):
-            stage = batch[i].s_next.stage
-            if stage < space.n_stages:
-                n_k, n_k1 = space.stage_shape(stage)
-                m, v = stage_pins(constraints, stage, n_k, n_k1, space.n_a)
-                pin_mask[row], pin_values[row] = m, v
-        _, vals = minimize_over_box_batch(target_qnet, S, space.n_a,
-                                          steps=cfg.opt_steps,
+    U, S_next, stage_next, ys = buffer.sample(cfg.minibatch_size)
+    nonterm = np.flatnonzero(stage_next != space.n_stages)
+    if nonterm.size:
+        stages = stage_next[nonterm]
+        pin_mask = np.zeros((nonterm.size, space.n_a), dtype=bool)
+        pin_values = np.zeros((nonterm.size, space.n_a))
+        for stage in set(stages.tolist()):
+            rows = stages == stage
+            pin_mask[rows], pin_values[rows] = stage_pins(
+                constraints, stage, *space.stage_shape(stage), space.n_a)
+        _, vals = minimize_over_box_batch(target_qnet, S_next[nonterm],
+                                          space.n_a, steps=cfg.opt_steps,
                                           pin_mask=pin_mask,
                                           pin_values=pin_values)
-        for row, i in enumerate(nonterm):
-            ys[i] = batch[i].reward + cfg.gamma * (-vals[row])
-    U = np.stack([_q_input(space, tr.s, tr.a) for tr in batch])
-    return icnn_fit(qnet, U, -ys, cfg.q_lr, cfg.q_epochs, len(batch))
+        ys[nonterm] += cfg.gamma * (-vals)
+    return icnn_fit(qnet, U, -ys, cfg.q_lr, cfg.q_epochs, len(ys))
 
 
 def trim_structure(structure: LocalStructure, cfg: QLearnConfig, data,
@@ -447,12 +444,13 @@ def run_search(space: SearchSpace, cfg: QLearnConfig, data,
                                        actions=[], rejections=cfg.retry_cap,
                                        aborted=str(exc)))
             continue
-        rnet = reward_net_update(rnet, space, out.transitions, out.reward, cfg)
-        for tr in out.transitions:
-            buffer.push(tr)
-        for s0, a_rel, s1 in out.relaxed_pairs:
-            buffer.push(Transition(s0, a_rel, s1,
-                                   reward_of(rnet, space, s0, a_rel)))
+        rnet = reward_net_update(rnet, out.u, out.reward, cfg)
+        buffer.push(out.u, out.s_next, out.stage_next,
+                    np.full(len(out.u), out.reward))
+        # one forward call per relaxed row: a batched call may round
+        # differently, and these rewards feed the Q fit
+        buffer.push(out.u_relaxed, out.s_next, out.stage_next,
+                    [reward_of(rnet, u) for u in out.u_relaxed])
         qnet = q_net_update(qnet, target, buffer, cfg, space, constraints)
         if t % cfg.target_update_interval == 0:
             target = qnet.copy()

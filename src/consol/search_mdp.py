@@ -9,7 +9,7 @@ rejection reasons as values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,40 +17,37 @@ from .errors import ShapeError
 from .local_net import MULTIPLICATION, SUMMATION, LocalStructure
 
 
-@dataclass(frozen=True)
-class StateVec:
-    """Path counts per neuron, zero-padded to length n_s."""
+@dataclass(frozen=True, eq=False)
+class _Vector:
+    """A read-only float copy of the given values."""
 
-    values: tuple[int, ...]
-    stage: int
+    values: np.ndarray
+
+    def __post_init__(self):
+        arr = np.array(self.values, dtype=float)
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
+        return self.values
+
+
+@dataclass(frozen=True, eq=False)
+class StateVec(_Vector):
+    """Path counts per neuron, zero-padded to length n_s."""
+
+    stage: int
 
 
 def initial_state(n_inputs: int, n_s: int) -> StateVec:
     if n_inputs > n_s:
         raise ShapeError(f"n_inputs {n_inputs} exceeds state size {n_s}")
-    return StateVec(tuple([1] * n_inputs + [0] * (n_s - n_inputs)), stage=0)
+    return StateVec(np.arange(n_s) < n_inputs, stage=0)
 
 
-@dataclass(frozen=True)
-class ActionVec:
+class ActionVec(_Vector):
     """Flattened connection matrix, zero-padded to length n_a.  Discrete
     actions are 0/1; the relaxed twin lives in [0,1]^{n_a}."""
-
-    values: tuple[float, ...]
-
-    @property
-    def n_a(self) -> int:
-        return len(self.values)
-
-    @property
-    def is_discrete(self) -> bool:
-        return all(v in (0.0, 1.0) for v in self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
 
 
 def action_from_array(a) -> ActionVec:
@@ -59,15 +56,14 @@ def action_from_array(a) -> ActionVec:
         raise ShapeError("action must be a vector")
     if (a < 0).any() or (a > 1).any():
         raise ValueError("relaxed action entries must lie in [0, 1]")
-    return ActionVec(tuple(float(v) for v in a))
+    return ActionVec(a)
 
 
 def action_from_indicator(Z, n_a: int) -> ActionVec:
-    Z = np.asarray(Z, dtype=float)
-    flat = Z.ravel()
+    flat = np.asarray(Z, dtype=float).ravel()
     if flat.size > n_a:
         raise ShapeError(f"indicator has {flat.size} entries > n_a={n_a}")
-    return ActionVec(tuple(flat) + (0.0,) * (n_a - flat.size))
+    return ActionVec(np.pad(flat, (0, n_a - flat.size)))
 
 
 @dataclass(frozen=True)
@@ -92,33 +88,20 @@ class ConstraintConfig:
             raise ValueError("corr_keep_threshold must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class Transition:
-    s: StateVec
-    a: ActionVec
-    s_next: StateVec
-    reward: float
-
-
 def transition(s: StateVec, a: ActionVec, n_k: int, n_k1: int) -> StateVec:
-    if n_k * n_k1 > a.n_a:
-        raise ShapeError(f"{n_k}x{n_k1} block does not fit action size {a.n_a}")
-    Mat = a.as_array()[: n_k * n_k1].reshape(n_k, n_k1)
-    nxt = Mat.T @ s.as_array()[:n_k]
-    n_s = len(s.values)
-    padded = np.zeros(n_s)
-    padded[:n_k1] = nxt
-    return StateVec(tuple(int(round(v)) for v in padded), stage=s.stage + 1)
+    padded = np.zeros(s.values.size)
+    padded[:n_k1] = np.rint(indicator_from_action(a, n_k, n_k1).T @ s.values[:n_k])
+    return StateVec(padded, stage=s.stage + 1)
 
 
 def indicator_from_action(a: ActionVec, n_k: int, n_k1: int) -> np.ndarray:
-    if n_k * n_k1 > a.n_a:
-        raise ShapeError(f"{n_k}x{n_k1} block does not fit action size {a.n_a}")
-    return a.as_array()[: n_k * n_k1].reshape(n_k, n_k1)
+    if n_k * n_k1 > a.values.size:
+        raise ShapeError(f"{n_k}x{n_k1} block does not fit action size {a.values.size}")
+    return a.values[: n_k * n_k1].reshape(n_k, n_k1)
 
 
 def discretize(a: ActionVec) -> ActionVec:
-    return ActionVec(tuple(1.0 if v >= 0.5 else 0.0 for v in a.values))
+    return ActionVec(a.values >= 0.5)
 
 
 @dataclass(frozen=True)
@@ -153,7 +136,7 @@ def check_constraints(s_prev: StateVec, a: ActionVec, cfg: ConstraintConfig,
             extra = set(np.flatnonzero(Z[:, j]).tolist()) - keep
             if extra:
                 return CheckResult(False, "frozen")
-    live_prev = s_prev.as_array()[:n_k] > 0
+    live_prev = s_prev.values[:n_k] > 0
     selects_dead = ((Z > 0) & ~live_prev[:, None]).any(axis=0)
     live_sources = ((Z > 0) & live_prev[:, None]).sum(axis=0)
     if layer_kind == MULTIPLICATION and used_next is not None:
@@ -183,7 +166,7 @@ def propose_random_action(rng, n_k: int, n_k1: int, n_a: int,
     exactly their pinned pattern.  Constraint checking is the caller's job."""
     live = np.ones(n_k, dtype=bool)
     if s_prev is not None:
-        live = s_prev.as_array()[:n_k] > 0
+        live = s_prev.values[:n_k] > 0
     Z = np.zeros((n_k, n_k1))
     for j in range(n_k1):
         if (stage, j) in cfg.frozen_columns:

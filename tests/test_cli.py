@@ -144,6 +144,50 @@ def test_fit_command(tmp_path):
     assert "2.000" in report["equations_text"]
 
 
+def sqrt_fit_inputs(tmp_path, z_mult):
+    """A one-input sqrt structure file and a data file with x = -1, 1."""
+    st = {"library": ["sqrt"], "layer_sizes": [1, 1, 1, 1],
+          "layer_kinds": ["activation", "multiplication", "summation"],
+          "indicators": [[[1]], z_mult, [[1]]]}
+    spath = write_json(tmp_path / "st.json", st)
+    from consol.datasets import Dataset, save_dataset
+    X = np.array([[-1.0], [1.0]])
+    save_dataset(Dataset(X, X.copy()), str(tmp_path / "d.csv"))
+    return ["fit", "--structure", spath, "--data", str(tmp_path / "d.csv"),
+            "--epochs", "3"]
+
+
+@pytest.mark.parametrize("z_mult, message", [
+    ([[1]], "domain"),          # sqrt of a negative input
+    ([[0]], "no inputs"),       # a used product neuron with no inputs
+])
+def test_fit_consol_error_exits_3(tmp_path, capsys, z_mult, message):
+    assert main(sqrt_fit_inputs(tmp_path, z_mult)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_search_reruns_write_identical_episodes_csv(tmp_path):
+    texts = []
+    for run in ("a", "b"):
+        cfg = {
+            "version": 1,
+            "dataset": {"name": "syn1", "n_train": 60, "n_test": 30},
+            "search": {"max_episodes": 3, "minibatch_size": 4, "q_epochs": 2,
+                       "r_epochs": 2, "final_polish_epochs": 5,
+                       "promote_epochs": 0},
+            "train": {"epochs": 3},
+            "seeds": {"data": 0, "search": 5, "probe": 0},
+            "out_dir": str(tmp_path / run),
+        }
+        path = write_json(tmp_path / f"{run}.json", cfg)
+        assert main(["search", "--config", path]) == 0
+        texts.append((tmp_path / run / "episodes.csv").read_bytes())
+    assert texts[0] == texts[1]
+    assert texts[0].startswith(b"t,reward,nrmse,rejections,aborted,actions\n")
+
+
 def test_probe_segment_command(tmp_path):
     params = init_icnn(3, (4, 4), seed=0)
     ppath = write_json(tmp_path / "q.json", params_to_json_obj(params))

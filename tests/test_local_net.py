@@ -126,6 +126,23 @@ def test_forward_domain_error_for_nan_argument():
         forward(st, w, np.array([[2.0, 1.0]]))
 
 
+def test_non_finite_input_or_weight_raises():
+    st = three_layer_structure(make_library(["cos"]), 1, np.array([[1]]),
+                               np.array([[1]]))
+    w = init_weights(st, 1.0)
+    with pytest.raises(DomainError):
+        forward(st, w, np.array([[np.nan]]))
+    w_inf = init_weights(st, 1.0)
+    w_inf.inner[0] = np.inf
+    with pytest.raises(DomainError):
+        forward(st, w_inf, np.array([[0.5]]))
+    X = np.linspace(0.5, 1.5, 5)[:, None]
+    with pytest.raises(DomainError):
+        fit_trace(st, TrainConfig(epochs=2), (X, np.where(X > 1, np.nan, X)))
+    with pytest.raises(DomainError):
+        fit_trace(st, TrainConfig(epochs=2), (X, X), start=w_inf)
+
+
 def test_loss_convention():
     st, w = toy_weights()
     X = np.array([[1.0, 1.0], [2.0, 0.5]])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import consol.q_learning as q_learning
 
 from consol.local_net import (ACTIVATION, MULTIPLICATION, SUMMATION,
                               TrainConfig, extract_equation, fanout_indicator,
@@ -8,8 +11,8 @@ from consol.q_learning import (DOMAIN_FAILURE_NRMSE, QLearnConfig,
                                ReplayBuffer, SearchSpace, greedy_action,
                                reward_net_update, reward_of, rollout_episode,
                                run_search, three_layer_space, trim_structure)
-from consol.search_mdp import (ActionVec, ConstraintConfig, StateVec,
-                               Transition, action_from_indicator)
+from consol.search_mdp import (ConstraintConfig, StateVec,
+                               action_from_indicator)
 from consol.icnn import init_icnn
 from consol.symbols import make_library
 
@@ -73,19 +76,51 @@ def test_three_layer_space_defaults():
     assert sp.searched_stages == (1, 2)
 
 
+def push_rows(buf, ids):
+    """Push one transition per id, each row filled with its id."""
+    ids = np.asarray(ids, dtype=float)
+    buf.push(np.repeat(ids[:, None], 2, axis=1), ids[:, None],
+             ids.astype(int), ids)
+
+
 def test_replay_buffer_fifo_ring():
     buf = ReplayBuffer(3, seed=0)
-    items = [Transition(StateVec((i,), 0), ActionVec((0.0,)),
-                        StateVec((i,), 1), float(i)) for i in range(5)]
-    for it in items:
-        buf.push(it)
+    push_rows(buf, [0, 1])
+    push_rows(buf, [2, 3, 4])
     assert len(buf) == 3
-    rewards = {tr.reward for tr in buf._items}
-    # items 0 and 1 were overwritten first
-    assert rewards == {2.0, 3.0, 4.0}
-    sample = buf.sample(10)
-    assert len(sample) == 10
-    assert all(tr.reward in rewards for tr in sample)
+    U, S_next, stage_next, R = buf.sample(10)
+    assert U.shape == (10, 2) and S_next.shape == (10, 1)
+    assert stage_next.shape == (10,) and R.shape == (10,)
+    # rows 0 and 1 were overwritten first
+    assert set(R.tolist()) <= {2.0, 3.0, 4.0}
+    assert (U[:, 0] == R).all() and (U[:, 1] == R).all()
+    assert (S_next[:, 0] == R).all() and (stage_next == R).all()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 12), st.lists(st.integers(0, 7), max_size=8),
+       st.integers(1, 30), st.integers(0, 2**31 - 1))
+def test_replay_buffer_samples_like_a_list_ring(capacity, pushes, n, seed):
+    # reference: a list ring that appends until full, then overwrites
+    # the oldest item, sampled by one integers(0, len, size=n) draw
+    buf = ReplayBuffer(capacity, seed=seed)
+    ref, nxt, next_id = [], 0, 0
+    for m in pushes:
+        ids = list(range(next_id, next_id + m))
+        next_id += m
+        push_rows(buf, ids)
+        for i in ids:
+            if len(ref) < capacity:
+                ref.append(i)
+            else:
+                ref[nxt] = i
+                nxt = (nxt + 1) % capacity
+    assert len(buf) == len(ref)
+    if not ref:
+        return
+    idx = np.random.default_rng(seed).integers(0, len(ref), size=n)
+    _, _, _, R = buf.sample(n)
+    assert R.tolist() == [float(ref[i]) for i in idx]
 
 
 def test_replay_buffer_rejects_zero_capacity():
@@ -113,8 +148,10 @@ def test_rollout_episode_returns_valid_structure():
     assert out.structure.layer_sizes == (1, 2, 1, 1)
     assert 0.0 < out.reward <= 1.0
     assert out.reward == pytest.approx(1.0 / (1.0 + out.nrmse))
-    assert len(out.transitions) == 1          # one searched stage
-    assert out.transitions[0].a.is_discrete
+    # one searched stage: one row of s || a, its discrete action is 0/1
+    assert out.u.shape == out.u_relaxed.shape == (1, sp.q_input_dim)
+    assert np.isin(out.u[0, sp.n_s:], (0.0, 1.0)).all()
+    assert out.stage_next.tolist() == [2]
     assert out.log.t == 1
 
 
@@ -135,16 +172,26 @@ def test_rollout_domain_failure_reward_is_tiny():
     assert out.reward < 1e-11
 
 
+def test_non_finite_nrmse_scores_as_domain_failure(monkeypatch):
+    monkeypatch.setattr(q_learning, "nrmse", lambda *args: float("nan"))
+    sp = toy_space()
+    qnet = init_icnn(sp.q_input_dim, (8, 8), seed=1)
+    out = rollout_episode(qnet, TOY_CFG, sp, toy_data(),
+                          ConstraintConfig(max_factors_per_neuron=2),
+                          np.random.default_rng(0), t=1)
+    assert out.nrmse == DOMAIN_FAILURE_NRMSE
+    assert np.isfinite(out.reward)
+
+
 def test_reward_net_learns_episode_reward():
     sp = toy_space()
     rnet = init_icnn(sp.q_input_dim, (8, 8), seed=2)
     s0 = StateVec((1, 1), stage=1)
     a = action_from_indicator(np.array([[1], [1]]), sp.n_a)
-    s1 = StateVec((2, 0), stage=2)
-    tr = [Transition(s0, a, s1, 0.9)]
+    U = np.concatenate([s0.values, a.values])[None, :]
     cfg = QLearnConfig(r_epochs=400)
-    rnet = reward_net_update(rnet, sp, tr, 0.9, cfg)
-    assert reward_of(rnet, sp, s0, a) == pytest.approx(0.9, abs=0.05)
+    rnet = reward_net_update(rnet, U, 0.9, cfg)
+    assert reward_of(rnet, U[0]) == pytest.approx(0.9, abs=0.05)
 
 
 def test_run_search_recovers_toy_structure():
