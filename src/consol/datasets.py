@@ -278,8 +278,9 @@ def gen_massdamper(spec: MassDamperSpec, seed: int):
     half = n_steps // 2
     meta = {"name": "mas", "n_nodes": spec.n_nodes, "step": spec.step,
             "duration": spec.duration, "seed": seed, "snr": None}
-    train = Dataset(states[:half], Y[:half], {**meta, "split": "train"})
-    test = Dataset(states[half:], Y[half:], {**meta, "split": "test"})
+    # copies, so that keeping one split does not keep the whole trajectory
+    train = Dataset(states[:half].copy(), Y[:half].copy(), {**meta, "split": "train"})
+    test = Dataset(states[half:].copy(), Y[half:].copy(), {**meta, "split": "test"})
     return train, test
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 
 
 def _softplus(x):
@@ -111,7 +111,8 @@ def icnn_value_and_input_grad(params: IcnnParams, U: np.ndarray):
 def icnn_fit(params: IcnnParams, U, targets, lr: float, epochs: int,
              batch_size: int, rng=None) -> IcnnParams:
     """Minibatch SGD on mean-squared error; passthrough weights are clamped
-    to >= 0 after every step.  Returns a new parameter snapshot."""
+    to >= 0 after every step.  Returns a new parameter snapshot; raises
+    DomainError if the fit diverged to a non-finite parameter."""
     U = np.asarray(U, dtype=float)
     t = np.asarray(targets, dtype=float).ravel()
     if U.shape[0] == 0:
@@ -149,6 +150,8 @@ def icnn_fit(params: IcnnParams, U, targets, lr: float, epochs: int,
                 b[k] = b[k] - lr * g_b[k]
             for k in range(n_hidden):
                 wz[k] = np.maximum(wz[k] - lr * g_wz[k], 0.0)
+    if not all(np.isfinite(a).all() for a in (*wy, *wz, *b)):
+        raise DomainError("icnn_fit diverged to a non-finite parameter")
     return IcnnParams(tuple(wy), tuple(wz), tuple(b))
 
 

@@ -5,15 +5,16 @@ gradients, full-batch training and extraction of the represented equation.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import symbols
 from .equations import CanonicalEquation, canonicalize
 from .errors import DomainError, ShapeError, StructureError
-from .symbols import SymbolLibrary, make_library
+from .symbols import SymbolLibrary, SymbolOp, make_library
 
 ACTIVATION = "activation"
 MULTIPLICATION = "multiplication"
@@ -29,11 +30,21 @@ def fanout_indicator(n_inputs: int, lib_size: int) -> np.ndarray:
     return z
 
 
+class _Plan(NamedTuple):
+    """What `forward` and `gradients` need of a structure, worked out once."""
+
+    summation_stages: tuple[int, ...]
+    acts: tuple[tuple[int, SymbolOp, int, bool], ...]  # live (j, op, input, weighted)
+    # per multiplication layer k, each neuron with inputs as (j, sel, others):
+    # sel its input neurons, others[idx] = (sel[idx], the rest of sel)
+    products: dict[int, tuple[tuple[int, np.ndarray, tuple[tuple[int, np.ndarray], ...]], ...]]
+
+
 @dataclass(frozen=True)
 class LocalStructure:
     layer_sizes: tuple[int, ...]  # n_0 .. n_K
     layer_kinds: tuple[str, ...]  # K entries
-    indicators: tuple[np.ndarray, ...]  # K binary matrices, Z_k: n_k x n_{k+1}
+    indicators: tuple[np.ndarray, ...]  # K read-only binary matrices, Z_k: n_k x n_{k+1}
     library: SymbolLibrary
 
     @property
@@ -64,6 +75,33 @@ class LocalStructure:
             used[k] = (z[:, used[k + 1]].sum(axis=1) > 0)
         return used
 
+    @cached_property
+    def plan(self) -> _Plan:
+        """The live activation neurons and product factor lists, built on
+        first use; raises StructureError for a used multiplication neuron
+        without inputs."""
+        used = self.used_masks()
+        acts = []
+        for j in np.flatnonzero(used[1]).tolist():
+            op = self.act_op(j)
+            acts.append((j, op, self.act_input(j), op.has_inner_weight))
+        products = {}
+        for k, kind in enumerate(self.layer_kinds):
+            if kind != MULTIPLICATION:
+                continue
+            rows = []
+            for j in range(self.layer_sizes[k + 1]):
+                sel = np.flatnonzero(self.indicators[k][:, j])
+                if sel.size == 0:
+                    if used[k + 1][j]:
+                        raise StructureError(
+                            f"used multiplication neuron {j} at layer {k + 1} has no inputs")
+                    continue
+                others = tuple((int(i), np.delete(sel, idx)) for idx, i in enumerate(sel))
+                rows.append((j, sel, others))
+            products[k] = tuple(rows)
+        return _Plan(tuple(self.summation_stages()), tuple(acts), products)
+
     def summation_stages(self) -> list[int]:
         return [k for k, kind in enumerate(self.layer_kinds) if kind == SUMMATION]
 
@@ -77,9 +115,13 @@ class LocalStructure:
 
 
 def make_structure(library: SymbolLibrary, layer_sizes, layer_kinds, indicators) -> LocalStructure:
+    """Validate and build a structure; the indicators are stored as
+    read-only int64 copies, so the cached plan cannot go stale."""
     layer_sizes = tuple(int(n) for n in layer_sizes)
     layer_kinds = tuple(layer_kinds)
-    indicators = tuple(np.asarray(z, dtype=np.int64) for z in indicators)
+    indicators = tuple(np.array(z, dtype=np.int64) for z in indicators)
+    for z in indicators:
+        z.flags.writeable = False
     K = len(layer_kinds)
     if len(layer_sizes) != K + 1 or len(indicators) != K:
         raise ShapeError("layer_sizes must have K+1 entries and indicators K")
@@ -100,15 +142,7 @@ def make_structure(library: SymbolLibrary, layer_sizes, layer_kinds, indicators)
     if not np.array_equal(indicators[0], fanout_indicator(layer_sizes[0], len(library))):
         raise StructureError("input->activation indicator must be the fixed block fan-out")
     s = LocalStructure(layer_sizes, layer_kinds, indicators, library)
-    used = s.used_masks()
-    for k, kind in enumerate(layer_kinds):
-        if kind == MULTIPLICATION:
-            fan_in = indicators[k].sum(axis=0)
-            bad = used[k + 1] & (fan_in == 0)
-            if bad.any():
-                raise StructureError(
-                    f"multiplication neurons {np.flatnonzero(bad).tolist()} at layer "
-                    f"{k + 1} are used downstream but have no inputs")
+    s.plan  # built now: it rejects a used product neuron without inputs
     out_fan = indicators[-1].sum(axis=0)
     if (out_fan == 0).any():
         raise StructureError("every output neuron needs at least one incoming connection")
@@ -196,7 +230,7 @@ def init_weights(structure: LocalStructure, init_value: float) -> LocalWeights:
 def _check_weights(structure: LocalStructure, weights: LocalWeights) -> None:
     if weights.inner.shape != (structure.layer_sizes[1],):
         raise ShapeError("inner weight vector length mismatch")
-    for k in structure.summation_stages():
+    for k in structure.plan.summation_stages:
         if k not in weights.summations:
             raise ShapeError(f"missing summation weights for stage {k}")
         if weights.summations[k].shape != structure.indicators[k].shape:
@@ -210,34 +244,23 @@ def _forward_layers(structure: LocalStructure, weights: LocalWeights, X: np.ndar
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != structure.n_inputs:
         raise ShapeError(f"input batch must be (N, {structure.n_inputs})")
-    used = structure.used_masks()
+    plan = structure.plan
     hs = [X]
     for k, kind in enumerate(structure.layer_kinds):
-        z = structure.indicators[k]
-        n_next = structure.layer_sizes[k + 1]
         h = hs[-1]
         if kind == ACTIVATION:
-            out = np.zeros((X.shape[0], n_next))
-            for j in range(n_next):
-                if not used[1][j]:
-                    continue
-                op = structure.act_op(j)
-                v = X[:, structure.act_input(j)]
-                zarg = weights.inner[j] * v if op.has_inner_weight else v
+            out = np.zeros((X.shape[0], structure.layer_sizes[k + 1]))
+            for j, op, col, weighted in plan.acts:
+                v = X[:, col]
+                zarg = weights.inner[j] * v if weighted else v
                 symbols.check_domain(op, zarg)
                 out[:, j] = symbols.op_value(op.name, zarg)
         elif kind == MULTIPLICATION:
-            out = np.zeros((X.shape[0], n_next))
-            for j in range(n_next):
-                sel = np.flatnonzero(z[:, j])
-                if sel.size == 0:
-                    if used[k + 1][j]:
-                        raise StructureError(
-                            f"used multiplication neuron {j} at layer {k + 1} has no inputs")
-                    continue
+            out = np.zeros((X.shape[0], structure.layer_sizes[k + 1]))
+            for j, sel, _ in plan.products[k]:
                 out[:, j] = np.prod(h[:, sel], axis=1)
         elif kind == SUMMATION:
-            out = h @ (z * weights.summations[k])
+            out = h @ (structure.indicators[k] * weights.summations[k])
         else:
             raise StructureError(f"unknown layer kind {kind}")
         hs.append(out)
@@ -260,14 +283,12 @@ def forward(structure: LocalStructure, weights: LocalWeights, x) -> np.ndarray:
     return y[0] if single else y
 
 
-def zero_grad(structure: LocalStructure) -> LocalWeights:
-    sums = {k: np.zeros(structure.indicators[k].shape) for k in structure.summation_stages()}
-    return LocalWeights(np.zeros(structure.layer_sizes[1]), sums)
-
-
-def gradients(structure: LocalStructure, weights: LocalWeights, batch):
+def gradients(structure: LocalStructure, weights: LocalWeights, batch,
+              max_loss: float | None = None):
     """Mean-squared-error loss with the 1/(2N) convention and its analytic
-    gradient for every live weight; dead weights stay zero."""
+    gradient for every live weight; dead weights stay zero.  Given max_loss,
+    a loss that is not <= max_loss (NaN included) returns (loss, None)
+    without the backward pass."""
     X, Y = _as_xy(batch)
     if X.shape[0] == 0:
         raise ShapeError("batch must be non-empty")
@@ -276,40 +297,37 @@ def gradients(structure: LocalStructure, weights: LocalWeights, batch):
     Y = Y.reshape(N, structure.n_outputs)
     e = hs[-1] - Y
     loss = float((e ** 2).sum() / (2 * N))
+    if max_loss is not None and not loss <= max_loss:
+        return loss, None
 
-    grad = zero_grad(structure)
-    used = structure.used_masks()
+    plan = structure.plan
+    inner = np.zeros(structure.layer_sizes[1])
+    sums = {}
     g = e / N  # dL/dh_K
     for k in range(structure.n_layers - 1, -1, -1):
         kind = structure.layer_kinds[k]
-        z = structure.indicators[k]
         h = hs[k]
         if kind == SUMMATION:
-            w = weights.summations[k]
-            grad.summations[k][...] = (h.T @ g) * z
-            g = g @ (z * w).T
+            z = structure.indicators[k]
+            sums[k] = (h.T @ g) * z
+            g = g @ (z * weights.summations[k]).T
         elif kind == MULTIPLICATION:
             g_prev = np.zeros_like(h)
-            for j in range(z.shape[1]):
-                sel = np.flatnonzero(z[:, j])
-                if sel.size == 0:
-                    continue
-                for idx, i in enumerate(sel):
-                    others = np.delete(sel, idx)
-                    partial = np.prod(h[:, others], axis=1) if others.size else np.ones(N)
-                    g_prev[:, i] += g[:, j] * partial
+            for j, _, others in plan.products[k]:
+                gj = g[:, j]
+                for i, rest in others:
+                    if rest.size:
+                        g_prev[:, i] += gj * np.prod(h[:, rest], axis=1)
+                    else:
+                        g_prev[:, i] += gj  # a lone factor's partial is 1
             g = g_prev
         elif kind == ACTIVATION:
-            for j in range(z.shape[1]):
-                if not used[1][j]:
-                    continue
-                op = structure.act_op(j)
-                if not op.has_inner_weight:
-                    continue
-                v = X[:, structure.act_input(j)]
-                zarg = weights.inner[j] * v
-                grad.inner[j] = float(np.sum(g[:, j] * v * symbols.op_d1(op.name, zarg)))
-    return loss, grad
+            for j, op, col, weighted in plan.acts:
+                if weighted:
+                    v = X[:, col]
+                    zarg = weights.inner[j] * v
+                    inner[j] = float(np.sum(g[:, j] * v * symbols.op_d1(op.name, zarg)))
+    return loss, LocalWeights(inner, {k: sums[k] for k in plan.summation_stages})
 
 
 def _as_xy(batch):
@@ -348,12 +366,14 @@ def fit_trace(structure: LocalStructure, config: TrainConfig, data,
     for _ in range(config.epochs):
         cand = _step(w, grad, lr)
         try:
-            cand_loss, cand_grad = gradients(structure, cand, (X, Y))
+            # a gradient comes back only when cand_loss <= loss, so a NaN
+            # candidate is rejected too, and a rejected one skips backward
+            cand_loss, cand_grad = gradients(structure, cand, (X, Y), max_loss=loss)
         except DomainError:
             lr *= 0.5
             losses.append(loss)
             continue
-        if cand_loss <= loss:       # a NaN candidate is rejected too
+        if cand_grad is not None:
             w, loss, grad = cand, cand_loss, cand_grad
             lr *= 2.0
         else:

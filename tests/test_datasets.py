@@ -128,6 +128,16 @@ def test_gen_massdamper_targets_are_exact_derivatives():
     assert train.n == test.n == 100
 
 
+def test_gen_massdamper_splits_own_their_data():
+    spec = make_massdamper_spec(3, seed=2, duration=2.0)
+    train, test = gen_massdamper(spec, seed=0)
+    for a in (train.X, train.Y, test.X, test.Y):
+        assert a.base is None and a.flags.owndata
+    for a in (train.X, train.Y):
+        for b in (test.X, test.Y):
+            assert not np.shares_memory(a, b)
+
+
 def test_add_noise_hits_requested_snr():
     tr, _ = gen_syn(1, 5000, 10, 0)
     noisy = add_noise(tr, 20.0, seed=5)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from consol.convexity_probe import segment_convexity_test
-from consol.errors import ShapeError
+from consol.errors import DomainError, ShapeError
 from consol.icnn import (IcnnParams, icnn_fit, icnn_forward,
                          icnn_value_and_input_grad, init_icnn,
                          minimize_over_box, minimize_over_box_batch,
@@ -85,6 +86,24 @@ def test_fit_reduces_error():
     p2 = icnn_fit(p, U, t, lr=1e-2, epochs=50, batch_size=32, rng=rng)
     after = np.mean((icnn_forward(p2, U) - t) ** 2)
     assert after < before
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1e-3, 1.0, 1e3, 1e6, 1e12, 1e200]),
+       st.integers(1, 3))
+def test_fit_at_extreme_rates_raises_or_stays_finite_and_convex(seed, lr, epochs):
+    rng = np.random.default_rng(seed)
+    p = init_icnn(3, (4, 4), seed=seed % 1000)
+    U = rng.uniform(0, 1, (20, 3))
+    t = rng.normal(0.0, 10.0, 20)
+    try:
+        with np.errstate(all="ignore"):
+            out = icnn_fit(p, U, t, lr=lr, epochs=epochs, batch_size=8, rng=rng)
+    except DomainError:
+        return
+    for a in (*out.wy, *out.wz, *out.b):
+        assert np.isfinite(a).all()
+    assert all((w >= 0).all() for w in out.wz)
 
 
 def test_fit_rejects_empty():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
+from consol import symbols
 from consol.equations import term, canonicalize
 from consol.errors import DomainError, ShapeError, StructureError
 from consol.local_net import (ACTIVATION, MULTIPLICATION, SUMMATION,
                               LocalWeights, TrainConfig, extract_equation,
-                              fanout_indicator, fit, fit_snapped, fit_trace,
-                              gradients, init_weights, make_structure,
+                              _step, fanout_indicator, fit, fit_snapped,
+                              fit_trace, gradients, init_weights, make_structure,
                               structure_from_json_obj, three_layer_structure,
                               trainable_inner_mask, forward,
                               weights_from_json_obj, weights_to_json_obj)
@@ -289,3 +291,221 @@ def test_weights_json_roundtrip():
     assert np.array_equal(back.inner, w.inner)
     assert all(np.array_equal(back.summations[k], w.summations[k])
                for k in w.summations)
+
+
+def test_make_structure_copies_indicators_read_only():
+    z_mult = np.zeros((6, 1), dtype=np.int64)
+    z_mult[1, 0] = z_mult[5, 0] = 1
+    z_sum = np.array([[1]], dtype=np.int64)
+    st = make_structure(LIB, (2, 6, 1, 1), (ACTIVATION, MULTIPLICATION, SUMMATION),
+                        (fanout_indicator(2, 3), z_mult, z_sum))
+    w = init_weights(st, 1.0)
+    X = np.array([[1.2, 0.7], [0.4, 1.9]])
+    before = forward(st, w, X)
+    z_mult[1, 0] = 0
+    z_mult[0, 0] = 1
+    assert np.array_equal(forward(st, w, X), before)
+    for z in st.indicators:
+        assert z.dtype == np.int64
+        with pytest.raises(ValueError):
+            z[0, 0] = 1 - z[0, 0]
+
+
+# --- reference kernel ---------------------------------------------------------
+# The per-neuron forward and backward passes that the cached-plan kernel
+# replaced, kept verbatim as the reference it must match bit for bit.
+
+def _ref_forward_layers(structure, weights, X):
+    used = structure.used_masks()
+    hs = [X]
+    for k, kind in enumerate(structure.layer_kinds):
+        z = structure.indicators[k]
+        n_next = structure.layer_sizes[k + 1]
+        h = hs[-1]
+        if kind == ACTIVATION:
+            out = np.zeros((X.shape[0], n_next))
+            for j in range(n_next):
+                if not used[1][j]:
+                    continue
+                op = structure.act_op(j)
+                v = X[:, structure.act_input(j)]
+                zarg = weights.inner[j] * v if op.has_inner_weight else v
+                symbols.check_domain(op, zarg)
+                out[:, j] = symbols.op_value(op.name, zarg)
+        elif kind == MULTIPLICATION:
+            out = np.zeros((X.shape[0], n_next))
+            for j in range(n_next):
+                sel = np.flatnonzero(z[:, j])
+                if sel.size == 0:
+                    continue
+                out[:, j] = np.prod(h[:, sel], axis=1)
+        else:
+            out = h @ (z * weights.summations[k])
+        hs.append(out)
+    return hs
+
+
+def _ref_gradients(structure, weights, X, Y):
+    hs = _ref_forward_layers(structure, weights, X)
+    N = X.shape[0]
+    Y = Y.reshape(N, structure.n_outputs)
+    e = hs[-1] - Y
+    loss = float((e ** 2).sum() / (2 * N))
+    grad = LocalWeights(np.zeros(structure.layer_sizes[1]),
+                        {k: np.zeros(structure.indicators[k].shape)
+                         for k in structure.summation_stages()})
+    used = structure.used_masks()
+    g = e / N
+    for k in range(structure.n_layers - 1, -1, -1):
+        kind = structure.layer_kinds[k]
+        z = structure.indicators[k]
+        h = hs[k]
+        if kind == SUMMATION:
+            w = weights.summations[k]
+            grad.summations[k][...] = (h.T @ g) * z
+            g = g @ (z * w).T
+        elif kind == MULTIPLICATION:
+            g_prev = np.zeros_like(h)
+            for j in range(z.shape[1]):
+                sel = np.flatnonzero(z[:, j])
+                if sel.size == 0:
+                    continue
+                for idx, i in enumerate(sel):
+                    others = np.delete(sel, idx)
+                    partial = np.prod(h[:, others], axis=1) if others.size else np.ones(N)
+                    g_prev[:, i] += g[:, j] * partial
+            g = g_prev
+        elif kind == ACTIVATION:
+            for j in range(z.shape[1]):
+                if not used[1][j]:
+                    continue
+                op = structure.act_op(j)
+                if not op.has_inner_weight:
+                    continue
+                v = X[:, structure.act_input(j)]
+                zarg = weights.inner[j] * v
+                grad.inner[j] = float(np.sum(g[:, j] * v * symbols.op_d1(op.name, zarg)))
+    return loss, grad
+
+
+ALL_OPS = ("id", "square", "sqrt", "log", "cos", "sin")
+
+
+def _draw_block(draw, n_prev):
+    """A multiplication layer of fan-in 0-4 (a neuron without inputs is left
+    unused) and a summation layer over it with 1-2 outputs."""
+    n_mult = draw(hst.integers(1, 4))
+    z_mult = np.zeros((n_prev, n_mult), dtype=int)
+    for j in range(n_mult):
+        sel = draw(hst.lists(hst.integers(0, n_prev - 1), min_size=int(j == 0),
+                             max_size=min(4, n_prev), unique=True))
+        z_mult[sel, j] = 1
+    fed = [j for j in range(n_mult) if z_mult[:, j].any()]
+    n_out = draw(hst.integers(1, 2))
+    z_sum = np.zeros((n_mult, n_out), dtype=int)
+    for o in range(n_out):
+        z_sum[draw(hst.lists(hst.sampled_from(fed), min_size=1, unique=True)), o] = 1
+    return z_mult, z_sum
+
+
+@hst.composite
+def fit_case(draw, positive=True):
+    """A random valid structure (a random library subset, one or two
+    multiplication/summation blocks, fan-in up to 4, unused neurons), its
+    data and weights.  With positive=True every activation stays inside its
+    domain; otherwise inputs may be negative."""
+    names = draw(hst.lists(hst.sampled_from(ALL_OPS), min_size=1, max_size=4, unique=True))
+    lib = make_library(names)
+    n_in = draw(hst.integers(1, 3))
+    sizes, kinds = [n_in, n_in * len(lib)], [ACTIVATION]
+    inds = [fanout_indicator(n_in, len(lib))]
+    for _ in range(draw(hst.integers(1, 2))):
+        z_mult, z_sum = _draw_block(draw, sizes[-1])
+        sizes += [z_mult.shape[1], z_sum.shape[1]]
+        kinds += [MULTIPLICATION, SUMMATION]
+        inds += [z_mult, z_sum]
+    st = make_structure(lib, sizes, kinds, inds)
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    n = draw(hst.integers(1, 20))
+    lo = 0.2 if positive or draw(hst.booleans()) else -2.0
+    X = rng.uniform(lo, 2.0, (n, n_in))
+    Y = rng.normal(0.0, 1.0, (n, st.n_outputs))
+    w = init_weights(st, 1.0)
+    w.inner[:] = rng.uniform(0.5, 1.5, w.inner.shape)
+    for k in st.summation_stages():
+        w.summations[k] = st.indicators[k] * rng.uniform(-1.5, 1.5, st.indicators[k].shape)
+    return st, w, X, Y
+
+
+def _same_weights(a, b):
+    return (np.array_equal(a.inner, b.inner) and a.summations.keys() == b.summations.keys()
+            and all(np.array_equal(a.summations[k], b.summations[k]) for k in a.summations))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fit_case(positive=False), hst.sampled_from([0.0, -1.0, 1.0, np.inf, -np.inf, np.nan]))
+def test_gradients_match_reference_kernel(case, shift):
+    st, w, X, Y = case
+    try:
+        ref_loss, ref_grad = _ref_gradients(st, w, X, Y)
+    except DomainError:
+        with pytest.raises(DomainError):
+            gradients(st, w, (X, Y))
+        return
+    loss, grad = gradients(st, w, (X, Y))
+    assert loss == ref_loss
+    assert _same_weights(grad, ref_grad)
+    assert np.array_equal(forward(st, w, X), _ref_forward_layers(st, w, X)[-1])
+    # max_loss: the backward pass runs exactly when loss <= max_loss
+    max_loss = shift if np.isnan(shift) else loss + shift * max(loss, 1.0) * 1e-3
+    cut_loss, cut_grad = gradients(st, w, (X, Y), max_loss=max_loss)
+    assert cut_loss == loss
+    if loss <= max_loss:
+        assert _same_weights(cut_grad, ref_grad)
+    else:
+        assert cut_grad is None
+
+
+def test_gradients_max_loss_skips_backward_on_nan_loss():
+    st, w = toy_weights(inner_cos2=1e308)
+    X = np.array([[1.0, 2.0]])
+    with np.errstate(all="ignore"):
+        loss, grad = gradients(st, w, (X, np.zeros((1, 1))), max_loss=np.inf)
+    assert np.isnan(loss) and grad is None
+
+
+def _ref_fit_losses(st, config, X, Y):
+    """The bold driver with a full backward pass on every epoch."""
+    w = init_weights(st, config.init_value)
+    loss, grad = gradients(st, w, (X, Y))
+    losses, lr = [loss], config.learning_rate
+    for _ in range(config.epochs):
+        cand = _step(w, grad, lr)
+        try:
+            cand_loss, cand_grad = gradients(st, cand, (X, Y))
+        except DomainError:
+            lr *= 0.5
+            losses.append(loss)
+            continue
+        if cand_loss <= loss:
+            w, loss, grad = cand, cand_loss, cand_grad
+            lr *= 2.0
+        else:
+            lr *= 0.5
+        losses.append(loss)
+    return w, losses
+
+
+@settings(max_examples=60, deadline=None)
+@given(fit_case(), hst.sampled_from([1e-3, 1e-2, 1e-1, 1.0]), hst.integers(0, 30))
+def test_fit_trace_property(case, lr, epochs):
+    st, _, X, Y = case
+    config = TrainConfig(learning_rate=lr, epochs=epochs)
+    with np.errstate(all="ignore"):
+        w, losses = fit_trace(st, config, (X, Y))
+        ref_w, ref_losses = _ref_fit_losses(st, config, X, Y)
+    assert len(losses) == epochs + 1
+    assert np.isfinite(losses).all()
+    assert all(b <= a for a, b in zip(losses, losses[1:]))
+    assert losses == ref_losses
+    assert _same_weights(w, ref_w)
