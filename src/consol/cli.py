@@ -13,6 +13,7 @@ episode), printed as one ``error:`` line, 4 probe consistency failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -41,7 +42,15 @@ class ConfigError(ConsolError):
     pass
 
 
+def _field_defaults(cls, leave_out=()) -> dict:
+    """A config block: the dataclass's field defaults, in field order."""
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.name not in leave_out}
+
+
 def default_config() -> dict:
+    """The full config; the search, train and constraints blocks are the
+    defaults of QLearnConfig, TrainConfig and ConstraintConfig."""
     return {
         "version": CONFIG_VERSION,
         "dataset": {
@@ -55,31 +64,29 @@ def default_config() -> dict:
         },
         "library": None,           # default chosen per dataset
         "mult_neurons": None,      # default: 3 * n_outputs
-        "search": {
-            "gamma": 0.2,
-            "epsilon": 0.4,
-            "max_episodes": 600,
-            "stop_lambda": 1e-2,
-            "target_update_interval": 10,
-            "buffer_capacity": 10000,
-            "minibatch_size": 100,
-            "q_lr": 5e-3,
-            "r_lr": 5e-3,
-            "q_epochs": 50,
-            "r_epochs": 50,
-            "retry_cap": 20,
-            "opt_restarts": 3,
-            "opt_steps": 200,
-            "final_polish_epochs": 500,
-            "promote_threshold": 0.6,
-            "promote_epochs": 500,
-            "freeze_reward_threshold": 0.7,
-        },
-        "train": {"learning_rate": 1e-2, "epochs": 8, "init_value": 1.0},
-        "constraints": {"max_factors_per_neuron": 3, "corr_keep_threshold": 0.99},
+        "search": _field_defaults(QLearnConfig, ("local_train",)),
+        "train": _field_defaults(TrainConfig),
+        # the frozen paths and columns are search state, not config
+        "constraints": _field_defaults(ConstraintConfig,
+                                       ("frozen_paths", "frozen_columns")),
         "seeds": {"data": 0, "search": 0, "probe": 0},
         "out_dir": "runs/latest",
     }
+
+
+#: the value types a key takes, by the type of its default; a bool is never
+#: a number, and a float key also takes an int.  A key whose default is
+#: None takes any value.
+_ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _check_type(key: str, default, value) -> None:
+    accepted = _ACCEPTED_TYPES.get(type(default))
+    if accepted is None:
+        return
+    if not isinstance(value, accepted) or (type(value) is bool) != (bool in accepted):
+        raise ConfigError(f"config key {key!r} must be {type(default).__name__}, "
+                          f"not {type(value).__name__} {value!r}")
 
 
 def _merge(defaults: dict, given: dict, path: str = "") -> dict:
@@ -92,6 +99,7 @@ def _merge(defaults: dict, given: dict, path: str = "") -> dict:
                 raise ConfigError(f"config key {path + key!r} must be an object")
             out[key] = _merge(defaults[key], value, path + key + ".")
         else:
+            _check_type(path + key, defaults[key], value)
             out[key] = value
     return out
 
@@ -295,6 +303,12 @@ def parse_grid(text: str):
     return [float(v) for v in text.split(",")]
 
 
+#: the input files each probe kind reads, by option name
+PROBE_INPUTS = {"sweep": ("structure", "data"), "segment": ("target",),
+                "region": ("structure", "weights", "data"),
+                "second-deriv": ("structure", "weights", "data")}
+
+
 def cmd_probe(args) -> int:
     if args.kind == "sweep":
         structure = structure_from_json_obj(_read_json(args.structure))
@@ -396,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.set_defaults(func=cmd_fit)
 
     pr = sub.add_parser("probe", help="landscape and convexity probes")
-    pr.add_argument("kind", choices=("sweep", "segment", "region", "second-deriv"))
+    pr.add_argument("kind", choices=tuple(PROBE_INPUTS))
     pr.add_argument("--structure")
     pr.add_argument("--weights")
     pr.add_argument("--data")
@@ -422,7 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "probe":
+        missing = [f"--{name}" for name in PROBE_INPUTS[args.kind]
+                   if getattr(args, name) is None]
+        if missing:
+            parser.error(f"probe {args.kind} needs {', '.join(missing)}")
     try:
         return args.func(args)
     except ConsistencyError as exc:

@@ -222,9 +222,12 @@ class RegionEstimate:
         }
 
 
+#: |y'| at or below this counts as no information on the curvature ratio
+REGION_GUARD = 1e-10
+
+
 def estimate_region(structure: LocalStructure, weights: LocalWeights, data,
-                    n_directions: int, seed: int = 0,
-                    guard: float = 1e-10) -> RegionEstimate:
+                    n_directions: int, seed: int = 0) -> RegionEstimate:
     """Sample unit directions, collect |y'| and |y''| over the data, estimate
     eta = max |y''|/|y'| and test the sufficient condition
     min|y'|^2 / (eta * max|y'|) > max residual."""
@@ -245,7 +248,7 @@ def estimate_region(structure: LocalStructure, weights: LocalWeights, data,
         mag = np.abs(y1)
         per_sample_min = np.minimum(per_sample_min, mag.min(axis=1))
         overall_max = max(overall_max, float(mag.max()))
-        informative = mag > guard
+        informative = mag > REGION_GUARD
         if informative.any():
             any_informative = True
             eta = max(eta, float((np.abs(y2[informative]) / mag[informative]).max()))

@@ -128,8 +128,13 @@ class PowerSystemSpec:
         return self.G.shape[0]
 
 
-def make_power_spec(n_nodes: int, seed: int, extra_line_prob: float = 0.3,
-                    diagonal: bool = False) -> PowerSystemSpec:
+#: chance of a line between two nodes that the chain does not join
+EXTRA_LINE_PROB = 0.3
+#: ground-truth coefficients at or below this magnitude are no terms
+TRUTH_COEFF_THRESHOLD = 1e-12
+
+
+def make_power_spec(n_nodes: int, seed: int) -> PowerSystemSpec:
     """Random chain topology plus chords; parameters drawn once per seed."""
     rng = np.random.default_rng(seed)
     G = np.zeros((n_nodes, n_nodes))
@@ -145,11 +150,8 @@ def make_power_spec(n_nodes: int, seed: int, extra_line_prob: float = 0.3,
         add_line(i, i + 1)
     for i in range(n_nodes):
         for m in range(i + 2, n_nodes):
-            if rng.random() < extra_line_prob:
+            if rng.random() < EXTRA_LINE_PROB:
                 add_line(i, m)
-        if diagonal:
-            G[i, i] = rng.uniform(0.5, 1.5)
-            B[i, i] = rng.uniform(-1.5, -0.5)
     return PowerSystemSpec(G, B)
 
 
@@ -169,7 +171,7 @@ def power_outputs(spec: PowerSystemSpec, X: np.ndarray) -> np.ndarray:
     return Y
 
 
-def power_truth(spec: PowerSystemSpec, coeff_threshold: float = 1e-12) -> CanonicalEquation:
+def power_truth(spec: PowerSystemSpec) -> CanonicalEquation:
     """Ground-truth injections as sums of voltage products (library {x})."""
     M = spec.n_nodes
     raw = []
@@ -186,14 +188,14 @@ def power_truth(spec: PowerSystemSpec, coeff_threshold: float = 1e-12) -> Canoni
                 (-spec.B[i, m], (u_i, u_m)), (-spec.B[i, m], (v_i, v_m)),
             ]
             for coeff, idxs in pairs:
-                if abs(coeff) > coeff_threshold:
+                if abs(coeff) > TRUTH_COEFF_THRESHOLD:
                     p_terms.append((coeff, [(a, (("id", None),)) for a in idxs]))
             for coeff, idxs in qairs:
-                if abs(coeff) > coeff_threshold:
+                if abs(coeff) > TRUTH_COEFF_THRESHOLD:
                     q_terms.append((coeff, [(a, (("id", None),)) for a in idxs]))
         raw.append(p_terms)
         raw.append(q_terms)
-    return canonicalize(raw, prune_threshold=coeff_threshold)
+    return canonicalize(raw, prune_threshold=TRUTH_COEFF_THRESHOLD)
 
 
 def gen_power(spec: PowerSystemSpec, n: int, voltage_range, seed: int) -> Dataset:
@@ -254,13 +256,13 @@ def massdamper_outputs(spec: MassDamperSpec, Q: np.ndarray) -> np.ndarray:
     return np.asarray(Q, dtype=float) @ spec.system_matrix.T
 
 
-def massdamper_truth(spec: MassDamperSpec, coeff_threshold: float = 1e-12) -> CanonicalEquation:
+def massdamper_truth(spec: MassDamperSpec) -> CanonicalEquation:
     A = spec.system_matrix
     raw = []
     for i in range(spec.n_nodes):
         raw.append([(A[i, j], [(j, (("id", None),))])
-                    for j in range(spec.n_nodes) if abs(A[i, j]) > coeff_threshold])
-    return canonicalize(raw, prune_threshold=coeff_threshold)
+                    for j in range(spec.n_nodes) if abs(A[i, j]) > TRUTH_COEFF_THRESHOLD])
+    return canonicalize(raw, prune_threshold=TRUTH_COEFF_THRESHOLD)
 
 
 def gen_massdamper(spec: MassDamperSpec, seed: int):
@@ -323,9 +325,3 @@ def load_dataset(path: str) -> Dataset:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     n_in = info["n_inputs"]
     return Dataset(data[:, :n_in], data[:, n_in:], info["meta"])
-
-
-def split_dataset(ds: Dataset, n_train: int):
-    tr = Dataset(ds.X[:n_train], ds.Y[:n_train], {**ds.meta, "split": "train"})
-    te = Dataset(ds.X[n_train:], ds.Y[n_train:], {**ds.meta, "split": "test"})
-    return tr, te

@@ -9,7 +9,6 @@ like cos(2.5*(sqrt(x))^2) and cos(2.5*x) compare equal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 # A chain entry is (op_name, inner_weight-or-None); chains apply innermost
@@ -57,9 +56,6 @@ class CanonicalEquation:
                 tl.append({"coefficient": t.coefficient, "factors": factors})
             out.append(tl)
         return {"outputs": out}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
 
 
 def equation_from_json_obj(obj) -> CanonicalEquation:
@@ -114,7 +110,9 @@ def _collapse_chain(chain: Chain):
     State is value = s * C(x) with C a (possibly empty) chain; every chain
     entry (op, w) means op(w * previous).  sqrt-then-square and
     square-then-sqrt reduce exactly on the positive input domain; scalar
-    scales fold into the next weighted op.
+    scales fold into the next weighted op.  sqrt(a*x) with a > 0 is
+    sqrt(a)*sqrt(x), so a canonical sqrt carries weight 1 and its scale
+    moves on like any other.
     """
     C: tuple[tuple[str, float | None], ...] = ()
     s = 1.0
@@ -135,6 +133,9 @@ def _collapse_chain(chain: Chain):
                 # sqrt(a*x^2) == sqrt(a)*x for x >= 0
                 C = ()
                 s = a ** 0.5
+            elif a > 0:
+                C = C + (("sqrt", 1.0),)
+                s = a ** 0.5
             else:
                 C = C + (("sqrt", a),)
                 s = 1.0
@@ -145,9 +146,6 @@ def _collapse_chain(chain: Chain):
             raise ValueError(op)
     if not C:
         return s, (("id", None),)
-    if len(C) == 1 and C[0][0] == "sqrt" and s != 1.0:
-        # s*sqrt(a*x) == sqrt(s^2*a*x)
-        return 1.0, (("sqrt", s * s * C[0][1]),)
     return s, C
 
 
@@ -245,13 +243,6 @@ def canonicalize(raw_outputs, prune_threshold: float = 0.0) -> CanonicalEquation
         terms.sort(key=lambda t: tuple(_sort_key(f) for f in t.factors))
         outputs.append(tuple(terms))
     return CanonicalEquation(outputs=tuple(outputs))
-
-
-def recanonicalize(eq: CanonicalEquation, prune_threshold: float = 0.0) -> CanonicalEquation:
-    return canonicalize(
-        [[(t.coefficient, t.factors) for t in terms] for terms in eq.outputs],
-        prune_threshold,
-    )
 
 
 def term(coefficient: float, factors) -> tuple[float, list[Factor]]:

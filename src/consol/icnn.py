@@ -108,11 +108,12 @@ def icnn_value_and_input_grad(params: IcnnParams, U: np.ndarray):
     return vals, g
 
 
-def icnn_fit(params: IcnnParams, U, targets, lr: float, epochs: int,
-             batch_size: int, rng=None) -> IcnnParams:
-    """Minibatch SGD on mean-squared error; passthrough weights are clamped
-    to >= 0 after every step.  Returns a new parameter snapshot; raises
-    DomainError if the fit diverged to a non-finite parameter."""
+def icnn_fit(params: IcnnParams, U, targets, lr: float,
+             epochs: int) -> IcnnParams:
+    """Full-batch gradient descent on mean-squared error, one step per
+    epoch; passthrough weights are clamped to >= 0 after every step.
+    Returns a new parameter snapshot; raises DomainError if the fit
+    diverged to a non-finite parameter."""
     U = np.asarray(U, dtype=float)
     t = np.asarray(targets, dtype=float).ravel()
     if U.shape[0] == 0:
@@ -121,59 +122,58 @@ def icnn_fit(params: IcnnParams, U, targets, lr: float, epochs: int,
     wy = [w for w in p.wy]
     wz = [w for w in p.wz]
     b = [v for v in p.b]
-    n = U.shape[0]
     n_hidden = len(wz)
     for _ in range(epochs):
-        order = rng.permutation(n) if rng is not None else np.arange(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            Ub, tb = U[idx], t[idx]
-            vals, zs, sigs = _forward_cached(IcnnParams(tuple(wy), tuple(wz), tuple(b)), Ub)
-            r = (2.0 / len(idx)) * (vals - tb)  # d MSE / d out
-            # output layer
-            g_wz = [None] * n_hidden
-            g_wy = [None] * (n_hidden + 1)
-            g_b = [None] * (n_hidden + 1)
-            g_wz[-1] = zs[-1].T @ r[:, None]
-            g_wy[-1] = Ub.T @ r[:, None]
-            g_b[-1] = np.array([r.sum()])
-            dz = np.outer(r, wz[-1][:, 0])
-            for k in range(n_hidden - 1, -1, -1):
-                da = dz * sigs[k]
-                g_wy[k] = Ub.T @ da
-                g_b[k] = da.sum(axis=0)
-                if k > 0:
-                    g_wz[k - 1] = zs[k - 1].T @ da
-                    dz = da @ wz[k - 1].T
-            for k in range(n_hidden + 1):
-                wy[k] = wy[k] - lr * g_wy[k]
-                b[k] = b[k] - lr * g_b[k]
-            for k in range(n_hidden):
-                wz[k] = np.maximum(wz[k] - lr * g_wz[k], 0.0)
+        vals, zs, sigs = _forward_cached(IcnnParams(tuple(wy), tuple(wz), tuple(b)), U)
+        r = (2.0 / len(U)) * (vals - t)  # d MSE / d out
+        # output layer
+        g_wz = [None] * n_hidden
+        g_wy = [None] * (n_hidden + 1)
+        g_b = [None] * (n_hidden + 1)
+        g_wz[-1] = zs[-1].T @ r[:, None]
+        g_wy[-1] = U.T @ r[:, None]
+        g_b[-1] = np.array([r.sum()])
+        dz = np.outer(r, wz[-1][:, 0])
+        for k in range(n_hidden - 1, -1, -1):
+            da = dz * sigs[k]
+            g_wy[k] = U.T @ da
+            g_b[k] = da.sum(axis=0)
+            if k > 0:
+                g_wz[k - 1] = zs[k - 1].T @ da
+                dz = da @ wz[k - 1].T
+        for k in range(n_hidden + 1):
+            wy[k] = wy[k] - lr * g_wy[k]
+            b[k] = b[k] - lr * g_b[k]
+        for k in range(n_hidden):
+            wz[k] = np.maximum(wz[k] - lr * g_wz[k], 0.0)
     if not all(np.isfinite(a).all() for a in (*wy, *wz, *b)):
         raise DomainError("icnn_fit diverged to a non-finite parameter")
     return IcnnParams(tuple(wy), tuple(wz), tuple(b))
 
 
-def _kkt_residual(a, g, lo=0.0, hi=1.0, free_mask=None):
+#: the largest KKT residual at which projected descent over the box stops
+BOX_TOL = 1e-7
+
+
+def _kkt_residual(a, g, free):
+    """The projected gradient over [0, 1]: zero where a bound blocks the
+    descent direction or the coordinate is pinned (free 0)."""
     r = g.copy()
-    at_lo = a <= lo + 1e-12
-    at_hi = a >= hi - 1e-12
+    at_lo = a <= 1e-12
+    at_hi = a >= 1.0 - 1e-12
     r[at_lo] = np.minimum(g[at_lo], 0.0)
     r[at_hi] = np.maximum(g[at_hi], 0.0)
-    if free_mask is not None:
-        r = r * free_mask
-    return r
+    return r * free
 
 
 def minimize_over_box_batch(params: IcnnParams, S: np.ndarray, n_a: int,
                             steps: int = 200, a0: np.ndarray | None = None,
                             pin_mask: np.ndarray | None = None,
-                            pin_values: np.ndarray | None = None,
-                            tol: float = 1e-7):
+                            pin_values: np.ndarray | None = None):
     """Projected gradient descent on a |-> f(s, a) over [0,1]^{n_a}, run for
-    a whole batch of states at once.  pin_mask marks coordinates held at
-    pin_values (constraint-frozen connections and their column complements)."""
+    a whole batch of states at once until the KKT residual is at most
+    BOX_TOL.  pin_mask marks coordinates held at pin_values
+    (constraint-frozen connections and their column complements)."""
     S = np.asarray(S, dtype=float)
     B = S.shape[0]
     a = np.full((B, n_a), 0.5) if a0 is None else np.array(a0, dtype=float)
@@ -187,8 +187,8 @@ def minimize_over_box_batch(params: IcnnParams, S: np.ndarray, n_a: int,
     vals, g_full = icnn_value_and_input_grad(params, U)
     for _ in range(steps):
         g = g_full[:, S.shape[1]:] * free
-        res = _kkt_residual(a, g, free_mask=free)
-        if np.abs(res).max() <= tol:
+        res = _kkt_residual(a, g, free)
+        if np.abs(res).max() <= BOX_TOL:
             break
         cand = np.clip(a - step[:, None] * g, 0.0, 1.0)
         if pin_mask is not None:
@@ -204,8 +204,7 @@ def minimize_over_box_batch(params: IcnnParams, S: np.ndarray, n_a: int,
 
 
 def minimize_over_box(params: IcnnParams, s, n_a: int, restarts: int = 3,
-                      steps: int = 300, rng=None, pins=None,
-                      tol: float = 1e-7):
+                      steps: int = 300, rng=None, pins=None):
     """Best projected-gradient result across restarts; with a convex
     objective all restarts agree to within tolerance.  pins is an optional
     (mask, values) pair of coordinates held fixed."""
@@ -222,7 +221,7 @@ def minimize_over_box(params: IcnnParams, s, n_a: int, restarts: int = 3,
         a0 = np.full((1, n_a), 0.5) if r == 0 else rng.uniform(0.0, 1.0, (1, n_a))
         a, val = minimize_over_box_batch(params, s[None, :], n_a, steps=steps,
                                          a0=a0, pin_mask=pin_mask,
-                                         pin_values=pin_values, tol=tol)
+                                         pin_values=pin_values)
         if val[0] < best_val:
             best_a, best_val = a[0], float(val[0])
     return best_a, best_val

@@ -388,8 +388,11 @@ def fit(structure: LocalStructure, config: TrainConfig, data,
     return w, losses[-1]
 
 
-def fit_snapped(structure: LocalStructure, config: TrainConfig, data,
-                snap_threshold: float = 0.5):
+#: cos/sin inner weights below this magnitude are tried at zero
+SNAP_THRESHOLD = 0.5
+
+
+def fit_snapped(structure: LocalStructure, config: TrainConfig, data):
     """Fit, then try snapping small cos/sin inner weights exactly to zero
     (their gradient vanishes at zero, so snaps are stable) and refit; a snap
     is kept only when the loss does not get worse.  This removes the
@@ -403,7 +406,7 @@ def fit_snapped(structure: LocalStructure, config: TrainConfig, data,
             (abs(w.inner[j]), j)
             for j in np.flatnonzero(mask)
             if structure.act_op(j).name in ("cos", "sin")
-            and j not in tried and 0.0 < abs(w.inner[j]) < snap_threshold
+            and j not in tried and 0.0 < abs(w.inner[j]) < SNAP_THRESHOLD
         ]
         if not cands:
             return w, loss
@@ -465,8 +468,13 @@ def _neuron_terms(structure: LocalStructure, weights: LocalWeights):
     return layers[-1]
 
 
-def extract_equation(structure: LocalStructure, weights: LocalWeights,
-                     prune_threshold: float = 0.01) -> CanonicalEquation:
+#: terms, and cos/sin arguments, below this magnitude are dropped from an
+#: extracted equation
+EXTRACT_PRUNE_THRESHOLD = 0.01
+
+
+def extract_equation(structure: LocalStructure,
+                     weights: LocalWeights) -> CanonicalEquation:
     """Expand the network into canonical sum-of-terms form, simplify, and
-    drop terms and near-unit factors below the threshold."""
-    return canonicalize(_neuron_terms(structure, weights), prune_threshold)
+    drop terms and near-unit factors below EXTRACT_PRUNE_THRESHOLD."""
+    return canonicalize(_neuron_terms(structure, weights), EXTRACT_PRUNE_THRESHOLD)

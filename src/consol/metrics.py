@@ -97,19 +97,3 @@ def e_c(true_eq: CanonicalEquation, learned_eq: CanonicalEquation):
     if not slot_pes:
         raise ValueError("true equation has no coefficient slots")
     return float(np.mean(slot_pes)), matches
-
-
-@dataclass
-class MetricReport:
-    nrmse_train: float
-    nrmse_test: float
-    e_c_percent: float | None
-    matches: list[TermMatch] = field(default_factory=list)
-
-    def to_json_obj(self):
-        return {
-            "nrmse_train": self.nrmse_train,
-            "nrmse_test": self.nrmse_test,
-            "e_c_percent": self.e_c_percent,
-            "matches": [m.to_json_obj() for m in self.matches],
-        }

@@ -31,6 +31,8 @@ from .symbols import SymbolLibrary
 
 #: NRMSE assigned to a candidate whose evaluation leaves the symbol domains.
 DOMAIN_FAILURE_NRMSE = 1e12
+#: hidden-layer widths of the Q and reward networks
+ICNN_WIDTHS = (16, 16)
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,6 @@ class QLearnConfig:
     q_epochs: int = 50
     r_epochs: int = 50
     retry_cap: int = 20
-    icnn_widths: tuple[int, ...] = (16, 16)
     opt_restarts: int = 3
     opt_steps: int = 200
     final_polish_epochs: int = 500
@@ -55,7 +56,6 @@ class QLearnConfig:
     promote_epochs: int = 500
     freeze_reward_threshold: float = 0.7
     local_train: TrainConfig = field(default_factory=TrainConfig)
-    freeze_correlated: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -116,14 +116,14 @@ class SearchSpace:
 
 
 def three_layer_space(library: SymbolLibrary, n_inputs: int, n_outputs: int,
-                      mult_neurons: int | None = None,
-                      searched_stages=(1, 2),
-                      fixed_indicators=None) -> SearchSpace:
+                      mult_neurons: int | None = None) -> SearchSpace:
+    """Activation, multiplication and summation layers, with both the
+    multiplication and the summation connections searched."""
     if mult_neurons is None:
         mult_neurons = n_outputs * 3
     sizes = (n_inputs, n_inputs * len(library), mult_neurons, n_outputs)
     return SearchSpace(library, sizes, (ACTIVATION, MULTIPLICATION, SUMMATION),
-                       tuple(searched_stages), dict(fixed_indicators or {}))
+                       (1, 2))
 
 
 class ReplayBuffer:
@@ -318,8 +318,7 @@ def reward_net_update(rnet: IcnnParams, U: np.ndarray, r_t: float,
     episode's discrete state-action rows U (one s || a per row)."""
     if len(U) == 0:
         return rnet
-    return icnn_fit(rnet, U, np.full(len(U), -r_t), cfg.r_lr, cfg.r_epochs,
-                    len(U))
+    return icnn_fit(rnet, U, np.full(len(U), -r_t), cfg.r_lr, cfg.r_epochs)
 
 
 def reward_of(rnet: IcnnParams, u: np.ndarray) -> float:
@@ -349,7 +348,7 @@ def q_net_update(qnet: IcnnParams, target_qnet: IcnnParams,
                                           pin_mask=pin_mask,
                                           pin_values=pin_values)
         ys[nonterm] += cfg.gamma * (-vals)
-    return icnn_fit(qnet, U, -ys, cfg.q_lr, cfg.q_epochs, len(ys))
+    return icnn_fit(qnet, U, -ys, cfg.q_lr, cfg.q_epochs)
 
 
 def trim_structure(structure: LocalStructure, cfg: QLearnConfig, data,
@@ -425,8 +424,8 @@ def run_search(space: SearchSpace, cfg: QLearnConfig, data,
     constraints = constraints or ConstraintConfig()
     X, Y, sigma_y = _episode_data(data)
     d = space.q_input_dim
-    qnet = init_icnn(d, cfg.icnn_widths, seed=int(rng.integers(2**31)))
-    rnet = init_icnn(d, cfg.icnn_widths, seed=int(rng.integers(2**31)))
+    qnet = init_icnn(d, ICNN_WIDTHS, seed=int(rng.integers(2**31)))
+    rnet = init_icnn(d, ICNN_WIDTHS, seed=int(rng.integers(2**31)))
     target = qnet.copy()
     buffer = ReplayBuffer(cfg.buffer_capacity, seed=int(rng.integers(2**31)))
     episodes: list[EpisodeLog] = []
@@ -456,7 +455,7 @@ def run_search(space: SearchSpace, cfg: QLearnConfig, data,
             target = qnet.copy()
             if keep_snapshots:
                 snapshots.append((f"target_t{t}", target.copy()))
-        if cfg.freeze_correlated and out.reward > cfg.freeze_reward_threshold:
+        if out.reward > cfg.freeze_reward_threshold:
             try:
                 hs = local_net._forward_layers(out.structure, out.weights, X)
                 constraints = update_frozen_paths(constraints, out.structure,

@@ -76,7 +76,6 @@ class ConstraintConfig:
     corr_keep_threshold: float = 0.99
     frozen_paths: frozenset[tuple[int, int, int]] = frozenset()
     frozen_columns: frozenset[tuple[int, int]] = frozenset()
-    max_frozen_columns: int | None = None  # default: keep one free per output
 
     def frozen_rows(self, stage: int, j: int) -> set[int]:
         return {i for fs, i, jj in self.frozen_paths if fs == stage and jj == j}
@@ -212,8 +211,8 @@ def update_frozen_paths(cfg: ConstraintConfig, structure: LocalStructure,
     strongly with an output.  Per output only the single best correlate
     above the threshold is frozen (on narrow input ranges many monomials
     are near-collinear, so freezing everything above the threshold would
-    exhaust the layer), and a budget always leaves free columns for
-    further search.  Constant series are skipped."""
+    exhaust the layer), and a budget always leaves one free column per
+    output for further search.  Constant series are skipped."""
     layer_outputs = np.asarray(layer_outputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if targets.ndim == 1:
@@ -223,9 +222,7 @@ def update_frozen_paths(cfg: ConstraintConfig, structure: LocalStructure,
     feed_stage = len(structure.indicators) - 2
     out_stage = feed_stage + 1
     Z = structure.indicators[feed_stage]
-    budget = cfg.max_frozen_columns
-    if budget is None:
-        budget = max(0, Z.shape[1] - targets.shape[1])
+    budget = max(0, Z.shape[1] - targets.shape[1])
     frozen = set(cfg.frozen_paths)
     columns = set(cfg.frozen_columns)
 

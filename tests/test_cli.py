@@ -8,7 +8,9 @@ from consol.cli import (ConfigError, atomic_write, build_dataset,
                         default_config, load_config, main, parse_grid)
 from consol.datasets import load_dataset
 from consol.icnn import init_icnn, params_to_json_obj
-from consol.local_net import three_layer_structure
+from consol.local_net import TrainConfig, three_layer_structure
+from consol.q_learning import QLearnConfig
+from consol.search_mdp import ConstraintConfig
 from consol.symbols import make_library
 
 
@@ -38,6 +40,39 @@ def test_load_config_merges_defaults(tmp_path):
     assert cfg["search"]["max_episodes"] == 3
     assert cfg["search"]["gamma"] == default_config()["search"]["gamma"]
     assert cfg["dataset"]["name"] == "syn1"
+
+
+def test_default_config_blocks_build_the_default_dataclasses():
+    cfg = default_config()
+    assert QLearnConfig(local_train=TrainConfig(**cfg["train"]),
+                        **cfg["search"]) == QLearnConfig()
+    assert ConstraintConfig(**cfg["constraints"]) == ConstraintConfig()
+
+
+@pytest.mark.parametrize("block, value", [
+    ({"search": {"gamma": "0.2"}}, "'search.gamma' must be float"),
+    ({"search": {"max_episodes": "ten"}}, "'search.max_episodes' must be int"),
+    ({"search": {"max_episodes": True}}, "'search.max_episodes' must be int"),
+    ({"search": {"epsilon": False}}, "'search.epsilon' must be float"),
+    ({"train": {"epochs": 2.5}}, "'train.epochs' must be int"),
+    ({"constraints": {"max_factors_per_neuron": None}},
+     "'constraints.max_factors_per_neuron' must be int"),
+    ({"seeds": {"search": 1.5}}, "'seeds.search' must be int"),
+])
+def test_mistyped_config_value_exits_3(tmp_path, capsys, block, value):
+    path = write_json(tmp_path / "c.json", {"version": 1, **block})
+    assert main(["search", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and value in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_float_config_value_takes_an_int(tmp_path):
+    path = write_json(tmp_path / "c.json",
+                      {"version": 1, "search": {"stop_lambda": 1},
+                       "train": {"learning_rate": 1}})
+    cfg = load_config(path)
+    assert cfg["search"]["stop_lambda"] == 1 and cfg["train"]["learning_rate"] == 1
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -241,3 +276,17 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["gen-data", "not-a-dataset"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["probe", "sweep", "--data", "d.csv"], "--structure"),
+    (["probe", "segment"], "--target"),
+    (["probe", "region", "--structure", "s.json", "--data", "d.csv"], "--weights"),
+    (["probe", "second-deriv"], "--structure, --weights, --data"),
+])
+def test_probe_without_its_inputs_is_a_usage_error(capsys, argv, missing):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"needs {missing}" in err and "Traceback" not in err

@@ -5,8 +5,7 @@ from consol.datasets import (Dataset, add_noise, gen_massdamper, gen_power,
                              gen_syn, load_dataset, make_massdamper_spec,
                              make_power_spec, massdamper_outputs,
                              massdamper_truth, power_outputs, power_truth,
-                             save_dataset, split_dataset, syn_outputs,
-                             syn_truth)
+                             save_dataset, syn_outputs, syn_truth)
 
 
 def test_dataset_computes_sigma():
@@ -158,9 +157,3 @@ def test_save_load_roundtrip_exact(tmp_path):
     assert np.array_equal(back.Y, tr.Y)
     assert back.meta["name"] == "syn2"
 
-
-def test_split_dataset():
-    tr, _ = gen_syn(1, 30, 10, 0)
-    a, b = split_dataset(tr, 20)
-    assert a.n == 20 and b.n == 10
-    assert a.meta["split"] == "train" and b.meta["split"] == "test"

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from consol.equations import (CanonicalEquation, Term, canonicalize,
                               canonicalize_term, equation_from_json_obj,
-                              recanonicalize, render_terms, term)
+                              render_terms, term)
 
 
 def test_sqrt_then_square_collapses_to_scaled_identity():
@@ -28,6 +28,18 @@ def test_paired_sqrt_factors_merge():
         2.0, [(1, (("sqrt", 3.0),)), (1, (("sqrt", 3.0),))])
     assert factors == ((1, (("id", None),)),)
     assert coeff == pytest.approx(6.0)
+
+
+def test_sqrt_scale_moves_to_the_coefficient():
+    # 2*sqrt(4.5*x) == 2*sqrt(4.5)*sqrt(x)
+    coeff, factors = canonicalize_term(2.0, [(0, (("sqrt", 4.5),))])
+    assert factors == ((0, (("sqrt", 1.0),)),)
+    assert coeff == pytest.approx(2.0 * 4.5 ** 0.5)
+    # so a scale split between coefficient and weight gives one term
+    eq = canonicalize([[term(1.0, [(0, "sqrt", 2.2)]),
+                        term(2.0, [(0, "sqrt", 2.2 / 4.0)])]])
+    assert len(eq.outputs[0]) == 1
+    assert eq.outputs[0][0].coefficient == pytest.approx(2.0 * 2.2 ** 0.5)
 
 
 def test_paired_identity_factors_become_square():
@@ -97,7 +109,7 @@ def test_render_empty_output():
 def test_json_roundtrip():
     eq = canonicalize([[term(3.0, [(0, "square", None), (1, "cos", 2.5)]),
                         term(1.0, [(0, "sqrt", 2.2)])]])
-    back = equation_from_json_obj(json.loads(eq.to_json()))
+    back = equation_from_json_obj(json.loads(json.dumps(eq.to_json_obj())))
     assert back == eq
 
 
@@ -105,13 +117,15 @@ def test_json_roundtrip():
     st.tuples(
         st.floats(-5, 5, allow_nan=False).filter(lambda c: abs(c) > 0.05),
         st.integers(0, 2),
-        st.sampled_from(["id", "square", "cos", "sin"]),
+        st.sampled_from(["id", "square", "sqrt", "cos", "sin"]),
         st.floats(0.1, 4.0),
     ),
     min_size=1, max_size=4,
 ))
 def test_recanonicalize_is_idempotent(spec):
-    raw = [[term(c, [(i, op, w if op in ("cos", "sin") else None)])
+    raw = [[term(c, [(i, op, w if op in ("sqrt", "cos", "sin") else None)])
             for c, i, op, w in spec]]
     eq = canonicalize(raw, prune_threshold=0.01)
-    assert recanonicalize(eq, prune_threshold=0.01) == eq
+    again = canonicalize([[(t.coefficient, t.factors) for t in terms]
+                          for terms in eq.outputs], prune_threshold=0.01)
+    assert again == eq

@@ -15,7 +15,7 @@ def fitted_params(seed=0, d=5):
     p = init_icnn(d, (8, 8), seed=seed)
     U = rng.uniform(0, 1, (300, d))
     t = ((U - 0.3) ** 2).sum(axis=1)
-    return icnn_fit(p, U, t, lr=1e-2, epochs=60, batch_size=32, rng=rng)
+    return icnn_fit(p, U, t, lr=1e-2, epochs=600)
 
 
 def bowl_params(d, center=0.3, scale=10.0):
@@ -83,7 +83,7 @@ def test_fit_reduces_error():
     U = rng.uniform(0, 1, (200, 3))
     t = (U ** 2).sum(axis=1)
     before = np.mean((icnn_forward(p, U) - t) ** 2)
-    p2 = icnn_fit(p, U, t, lr=1e-2, epochs=50, batch_size=32, rng=rng)
+    p2 = icnn_fit(p, U, t, lr=1e-2, epochs=350)
     after = np.mean((icnn_forward(p2, U) - t) ** 2)
     assert after < before
 
@@ -98,7 +98,7 @@ def test_fit_at_extreme_rates_raises_or_stays_finite_and_convex(seed, lr, epochs
     t = rng.normal(0.0, 10.0, 20)
     try:
         with np.errstate(all="ignore"):
-            out = icnn_fit(p, U, t, lr=lr, epochs=epochs, batch_size=8, rng=rng)
+            out = icnn_fit(p, U, t, lr=lr, epochs=3 * epochs)
     except DomainError:
         return
     for a in (*out.wy, *out.wz, *out.b):
@@ -108,7 +108,7 @@ def test_fit_at_extreme_rates_raises_or_stays_finite_and_convex(seed, lr, epochs
 
 def test_fit_rejects_empty():
     with pytest.raises(ValueError):
-        icnn_fit(init_icnn(2), np.zeros((0, 2)), np.zeros(0), 1e-2, 1, 4)
+        icnn_fit(init_icnn(2), np.zeros((0, 2)), np.zeros(0), 1e-2, 1)
 
 
 def test_minimize_over_box_finds_interior_minimum():

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from consol import datasets
 from consol.equations import canonicalize, term
 from consol.errors import DegenerateError
-from consol.metrics import MetricReport, e_c, nrmse, percentage_error
+from consol.local_net import (extract_equation, forward, init_weights,
+                              three_layer_structure)
+from consol.metrics import e_c, nrmse, percentage_error
+from consol.symbols import make_library
 
 
 def test_nrmse_vector_oracle():
@@ -102,7 +106,38 @@ def test_e_c_rejects_output_count_mismatch():
         e_c(TRUE_EQ, other)
 
 
-def test_metric_report_json():
-    rep = MetricReport(0.1, 0.2, 1.5)
-    obj = rep.to_json_obj()
-    assert obj["nrmse_train"] == 0.1 and obj["e_c_percent"] == 1.5
+def syn2_true_fit(c: float):
+    """The Syn2 generator as a network, with each sqrt inner weight times
+    c**2 and the summation weight of each term it feeds divided by c."""
+    lib = make_library(datasets.SYN_LIBRARIES[2])   # sqrt id square log sin
+    act = {(i, op): 5 * i + lib.names.index(op) for i in range(3) for op in lib.names}
+    products = [                                     # per product: its factors
+        [(0, "sqrt"), (1, "id")], [(0, "id"), (1, "square")],
+        [(0, "sin"), (1, "log")], [(0, "sin"), (2, "sqrt")],
+        [(2, "sqrt"), (0, "log")], [(0, "square")],
+    ]
+    z_mult = np.zeros((15, len(products)))
+    for j, factors in enumerate(products):
+        for f in factors:
+            z_mult[act[f], j] = 1
+    z_sum = np.zeros((len(products), 3))
+    for j, out in enumerate((0, 0, 1, 1, 2, 2)):
+        z_sum[j, out] = 1
+    structure = three_layer_structure(lib, 3, z_mult, z_sum)
+    w = init_weights(structure, 1.0)
+    for f, v in (((0, "sqrt"), 2.2 * c * c), ((2, "sqrt"), c * c),
+                 ((0, "sin"), 1.8), ((1, "log"), 3.0), ((0, "log"), 1.6)):
+        w.inner[act[f]] = v
+    # sqrt(3.7*x3) == sqrt(3.7)*sqrt(x3) shares the sqrt(x3) neuron
+    for j, coefficient in ((0, 1.0), (3, 1.0), (4, 3.7 ** 0.5)):
+        w.summations[2][j, z_sum[j].argmax()] = coefficient / c
+    return structure, w
+
+
+@pytest.mark.parametrize("c", [1.0, 0.6, 1.9])
+def test_e_c_zero_for_exact_syn2_fit_whatever_its_sqrt_scale(c):
+    structure, w = syn2_true_fit(c)
+    train, _ = datasets.gen_syn(2, 50, 10, 0)
+    assert np.allclose(forward(structure, w, train.X), train.Y, rtol=1e-12)
+    score, _ = e_c(datasets.syn_truth(2), extract_equation(structure, w))
+    assert score == pytest.approx(0.0, abs=1e-9)

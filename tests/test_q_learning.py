@@ -11,8 +11,10 @@ from consol.q_learning import (DOMAIN_FAILURE_NRMSE, QLearnConfig,
                                ReplayBuffer, SearchSpace, greedy_action,
                                reward_net_update, reward_of, rollout_episode,
                                run_search, three_layer_space, trim_structure)
-from consol.search_mdp import (ConstraintConfig, StateVec,
-                               action_from_indicator)
+from consol.errors import EpisodeAborted
+from consol.search_mdp import (ActionVec, ConstraintConfig, StateVec,
+                               action_from_indicator, check_constraints,
+                               initial_state, transition)
 from consol.icnn import init_icnn
 from consol.symbols import make_library
 
@@ -153,6 +155,70 @@ def test_rollout_episode_returns_valid_structure():
     assert np.isin(out.u[0, sp.n_s:], (0.0, 1.0)).all()
     assert out.stage_next.tolist() == [2]
     assert out.log.t == 1
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_every_chosen_action_passes_check_constraints(data):
+    """On random small spaces, constraints and seeds, each searched stage's
+    chosen action is valid for the state the stages before it lead to."""
+    draw = data.draw
+    lib = make_library(draw(st.lists(st.sampled_from(
+        ["id", "square", "sqrt", "log", "cos", "sin"]),
+        min_size=1, max_size=3, unique=True)))
+    n_in, n_out = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    n_mult, cap = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n_act = n_in * len(lib)
+    if draw(st.booleans()):
+        space = three_layer_space(lib, n_in, n_out, n_mult)
+    else:                   # products searched, a fixed summation block
+        z_sum = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=n_out,
+                                                max_size=n_out),
+                                       min_size=n_mult, max_size=n_mult)))
+        z_sum[0] = 1        # every output has an input
+        space = SearchSpace(lib, (n_in, n_act, n_mult, n_out),
+                            (ACTIVATION, MULTIPLICATION, SUMMATION),
+                            searched_stages=(1,), fixed_indicators={2: z_sum})
+    paths, columns = set(), set()
+    if draw(st.booleans()):  # a kept product neuron, as freezing leaves it
+        j = draw(st.integers(0, n_mult - 1))
+        rows = draw(st.lists(st.integers(0, n_act - 1), min_size=1,
+                             max_size=cap, unique=True))
+        columns.add((1, j))
+        paths |= {(1, i, j) for i in rows}
+        if 2 in space.searched_stages:
+            paths.add((2, j, draw(st.integers(0, n_out - 1))))
+    constraints = ConstraintConfig(max_factors_per_neuron=cap,
+                                   frozen_paths=frozenset(paths),
+                                   frozen_columns=frozenset(columns))
+    cfg = QLearnConfig(epsilon=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                       retry_cap=5, opt_restarts=1, opt_steps=20,
+                       local_train=TrainConfig(epochs=1), promote_epochs=0)
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(1.0, 2.0, (20, n_in))
+    Y = rng.normal(size=(20, n_out))
+    qnet = init_icnn(space.q_input_dim, (4, 4), seed=seed)
+    try:
+        out = rollout_episode(qnet, cfg, space, (X, Y), constraints, rng)
+    except EpisodeAborted:
+        return              # no action was chosen at some stage
+    chosen = {k: dis for k, _, dis in out.log.actions}
+    assert sorted(chosen) == list(space.searched_stages)
+    s = initial_state(n_in, space.n_s)
+    for k in range(space.n_stages):
+        n_k, n_k1 = space.stage_shape(k)
+        if k in chosen:
+            a = ActionVec(chosen[k])
+            used_next = None
+            if k + 1 in space.fixed_indicators:
+                used_next = space.indicator_for_fixed(k + 1).sum(axis=1) > 0
+            res = check_constraints(s, a, constraints, k, space.layer_kinds[k],
+                                    n_k, n_k1, used_next=used_next)
+            assert res, res.reason
+        else:
+            a = action_from_indicator(space.indicator_for_fixed(k), space.n_a)
+        s = transition(s, a, n_k, n_k1)
 
 
 def test_rollout_domain_failure_reward_is_tiny():
