@@ -75,17 +75,28 @@ def default_config() -> dict:
 
 
 #: the value types a key takes, by the type of its default; a bool is never
-#: a number, and a float key also takes an int.  A key whose default is
-#: None takes any value.
-_ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+#: a number, and a float key also takes an int
+_ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
+                   list: (list,)}
+
+#: the type of each key whose default is None; such a key also takes null
+_NULL_DEFAULT_TYPES = {"dataset.snr_db": float, "dataset.train_path": str,
+                       "dataset.test_path": str, "library": list, "mult_neurons": int}
 
 
 def _check_type(key: str, default, value) -> None:
-    accepted = _ACCEPTED_TYPES.get(type(default))
-    if accepted is None:
-        return
-    if not isinstance(value, accepted) or (type(value) is bool) != (bool in accepted):
-        raise ConfigError(f"config key {key!r} must be {type(default).__name__}, "
+    kind = type(default)
+    if default is None:
+        if value is None:
+            return
+        kind = _NULL_DEFAULT_TYPES[key]
+    accepted = _ACCEPTED_TYPES[kind]
+    ok = isinstance(value, accepted) and (type(value) is bool) == (bool in accepted)
+    if kind is list:
+        ok = ok and all(isinstance(v, str) for v in value)
+    if not ok:
+        name = "list of str" if kind is list else kind.__name__
+        raise ConfigError(f"config key {key!r} must be {name}, "
                           f"not {type(value).__name__} {value!r}")
 
 

@@ -67,18 +67,18 @@ def syn_outputs(which: int, X: np.ndarray) -> np.ndarray:
 def syn_truth(which: int) -> CanonicalEquation:
     if which == 1:
         raw = [
-            [(3.0, [(0, (("square", None),)), (1, (("cos", 2.5),))])],
-            [(4.0, [(0, (("id", None),)), (2, (("id", None),))])],
-            [(3.0, [(2, (("square", None),))])],
+            [(3.0, [(0, ("square", None)), (1, ("cos", 2.5))])],
+            [(4.0, [(0, ("id", None)), (2, ("id", None))])],
+            [(3.0, [(2, ("square", None))])],
         ]
     elif which == 2:
         raw = [
-            [(1.0, [(0, (("sqrt", 2.2),)), (1, (("id", None),))]),
-             (1.0, [(0, (("id", None),)), (1, (("square", None),))])],
-            [(1.0, [(0, (("sin", 1.8),)), (1, (("log", 3.0),))]),
-             (1.0, [(0, (("sin", 1.8),)), (2, (("sqrt", 1.0),))])],
-            [(1.0, [(2, (("sqrt", 3.7),)), (0, (("log", 1.6),))]),
-             (1.0, [(0, (("square", None),))])],
+            [(1.0, [(0, ("sqrt", 2.2)), (1, ("id", None))]),
+             (1.0, [(0, ("id", None)), (1, ("square", None))])],
+            [(1.0, [(0, ("sin", 1.8)), (1, ("log", 3.0))]),
+             (1.0, [(0, ("sin", 1.8)), (2, ("sqrt", 1.0))])],
+            [(1.0, [(2, ("sqrt", 3.7)), (0, ("log", 1.6))]),
+             (1.0, [(0, ("square", None))])],
         ]
     else:
         raise ValueError("which must be 1 or 2")
@@ -189,10 +189,10 @@ def power_truth(spec: PowerSystemSpec) -> CanonicalEquation:
             ]
             for coeff, idxs in pairs:
                 if abs(coeff) > TRUTH_COEFF_THRESHOLD:
-                    p_terms.append((coeff, [(a, (("id", None),)) for a in idxs]))
+                    p_terms.append((coeff, [(a, ("id", None)) for a in idxs]))
             for coeff, idxs in qairs:
                 if abs(coeff) > TRUTH_COEFF_THRESHOLD:
-                    q_terms.append((coeff, [(a, (("id", None),)) for a in idxs]))
+                    q_terms.append((coeff, [(a, ("id", None)) for a in idxs]))
         raw.append(p_terms)
         raw.append(q_terms)
     return canonicalize(raw, prune_threshold=TRUTH_COEFF_THRESHOLD)
@@ -260,7 +260,7 @@ def massdamper_truth(spec: MassDamperSpec) -> CanonicalEquation:
     A = spec.system_matrix
     raw = []
     for i in range(spec.n_nodes):
-        raw.append([(A[i, j], [(j, (("id", None),))])
+        raw.append([(A[i, j], [(j, ("id", None))])
                     for j in range(spec.n_nodes) if abs(A[i, j]) > TRUTH_COEFF_THRESHOLD])
     return canonicalize(raw, prune_threshold=TRUTH_COEFF_THRESHOLD)
 

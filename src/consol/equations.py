@@ -1,26 +1,37 @@
 """Canonical sum-of-terms equation form.
 
-A term is a coefficient times a product of factors; each factor applies a
-chain of unary symbols to one input variable.  Extraction from a trained
-network always produces chains of length one, but the simplifier also
-reduces composite chains (sqrt-then-square and friends) so that equations
-like cos(2.5*(sqrt(x))^2) and cos(2.5*x) compare equal.
+A term is a coefficient times a product of factors; a factor applies one
+unary symbol to one input variable, ``(input, (op, inner_weight | None))``.
+The network has a single activation layer, so every equation it represents
+has this form.  A canonical factor carries only the weight its written form
+needs: sqrt(a*x) with a > 0 is sqrt(a)*sqrt(x), so a canonical sqrt is
+unweighted like x and x^2 and its scale lives in the coefficient; cos is even
+and sin odd, so their weights are non-negative.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-# A chain entry is (op_name, inner_weight-or-None); chains apply innermost
-# first.  A factor is (input_index, chain).
-Chain = tuple[tuple[str, float | None], ...]
-Factor = tuple[int, Chain]
+from .symbols import make_library
+
+# A factor is (input_index, (op_name, inner_weight-or-None)).
+Factor = tuple[int, tuple[str, float | None]]
+
+_ID = ("id", None)
+_SQUARE = ("square", None)
 
 
 @dataclass(frozen=True)
 class Term:
     coefficient: float
     factors: tuple[Factor, ...]
+
+    def to_json_obj(self):
+        return {"coefficient": self.coefficient,
+                "factors": [{"input": inp, "op": op, "inner_weight": w}
+                            for inp, (op, w) in self.factors]}
 
 
 @dataclass(frozen=True)
@@ -40,53 +51,40 @@ class CanonicalEquation:
         return "\n".join(lines)
 
     def to_json_obj(self):
-        out = []
-        for terms in self.outputs:
-            tl = []
-            for t in terms:
-                factors = []
-                for inp, chain in t.factors:
-                    if len(chain) == 1:
-                        op, w = chain[0]
-                        factors.append({"input": inp, "op": op, "inner_weight": w})
-                    else:
-                        factors.append(
-                            {"input": inp, "chain": [[op, w] for op, w in chain]}
-                        )
-                tl.append({"coefficient": t.coefficient, "factors": factors})
-            out.append(tl)
-        return {"outputs": out}
+        return {"outputs": [[t.to_json_obj() for t in terms] for terms in self.outputs]}
+
+
+def _factor_from_json_obj(f) -> Factor:
+    """One factor object, checked against the symbol table."""
+    try:
+        (op,) = make_library([f["op"]]).ops
+    except ValueError as exc:
+        raise ValueError(f"factor {f}: {exc}") from None
+    w = f.get("inner_weight")
+    if w is not None and not op.has_inner_weight:
+        raise ValueError(f"factor {f}: {op.name} takes no inner weight")
+    return int(f["input"]), (op.name, None if w is None else float(w))
 
 
 def equation_from_json_obj(obj) -> CanonicalEquation:
-    outputs = []
-    for tl in obj["outputs"]:
-        terms = []
-        for t in tl:
-            factors = []
-            for f in t["factors"]:
-                if "chain" in f:
-                    chain = tuple((op, w) for op, w in f["chain"])
-                else:
-                    chain = ((f["op"], f.get("inner_weight")),)
-                factors.append((int(f["input"]), chain))
-            terms.append(Term(float(t["coefficient"]), tuple(factors)))
-        outputs.append(tuple(terms))
-    return CanonicalEquation(outputs=tuple(outputs))
+    """Read an equation object into canonical form; a factor whose op is no
+    symbol, or that weights a symbol without an inner weight, raises
+    ValueError."""
+    return canonicalize([
+        [(t["coefficient"], [_factor_from_json_obj(f) for f in t["factors"]])
+         for t in tl]
+        for tl in obj["outputs"]])
 
 
-def _render_factor(inp: int, chain: Chain) -> str:
-    expr = f"x{inp + 1}"
-    for op, w in chain:
-        if op == "id":
-            pass
-        elif op == "square":
-            expr = f"{expr}^2"
-        elif w is None or abs(w - 1.0) < 1e-15:
-            expr = f"{op}({expr})"
-        else:
-            expr = f"{op}({w:.3f}*{expr})"
-    return expr
+def _render_factor(inp: int, op: str, w: float | None) -> str:
+    x = f"x{inp + 1}"
+    if op == "id":
+        return x
+    if op == "square":
+        return f"{x}^2"
+    if w is None or abs(w - 1.0) < 1e-15:
+        return f"{op}({x})"
+    return f"{op}({w:.3f}*{x})"
 
 
 def render_terms(terms) -> str:
@@ -95,7 +93,7 @@ def render_terms(terms) -> str:
     parts = []
     for i, t in enumerate(terms):
         c = t.coefficient
-        body = "*".join(_render_factor(inp, chain) for inp, chain in t.factors)
+        body = "*".join(_render_factor(inp, op, w) for inp, (op, w) in t.factors)
         mag = f"{abs(c):.3f}" + (f"*{body}" if body else "")
         if i == 0:
             parts.append(("-" if c < 0 else "") + mag)
@@ -104,120 +102,52 @@ def render_terms(terms) -> str:
     return " ".join(parts)
 
 
-def _collapse_chain(chain: Chain):
-    """Reduce a composition chain; returns (coeff_multiplier, canonical chain).
-
-    State is value = s * C(x) with C a (possibly empty) chain; every chain
-    entry (op, w) means op(w * previous).  sqrt-then-square and
-    square-then-sqrt reduce exactly on the positive input domain; scalar
-    scales fold into the next weighted op.  sqrt(a*x) with a > 0 is
-    sqrt(a)*sqrt(x), so a canonical sqrt carries weight 1 and its scale
-    moves on like any other.
-    """
-    C: tuple[tuple[str, float | None], ...] = ()
-    s = 1.0
-    for op, w in chain:
-        if op == "id":
-            continue
-        if op == "square":
-            if len(C) == 1 and C[0][0] == "sqrt":
-                # (sqrt(a*x))^2 == a*x
-                s = s * s * C[0][1]
-                C = ()
-            else:
-                C = C + (("square", None),)
-                s = s * s
-        elif op == "sqrt":
-            a = w * s
-            if a >= 0 and len(C) == 1 and C[0][0] == "square":
-                # sqrt(a*x^2) == sqrt(a)*x for x >= 0
-                C = ()
-                s = a ** 0.5
-            elif a > 0:
-                C = C + (("sqrt", 1.0),)
-                s = a ** 0.5
-            else:
-                C = C + (("sqrt", a),)
-                s = 1.0
-        elif op in ("log", "cos", "sin"):
-            C = C + ((op, w * s),)
-            s = 1.0
-        else:
-            raise ValueError(op)
-    if not C:
-        return s, (("id", None),)
-    return s, C
-
-
 def _sort_key(factor: Factor):
-    inp, chain = factor
-    names = tuple(op for op, _ in chain)
-    weights = tuple(0.0 if w is None else float(w) for _, w in chain)
-    return (inp, names, weights)
+    inp, (op, w) = factor
+    return (inp, op, 0.0 if w is None else w)
 
 
 def canonicalize_term(coefficient: float, factors, prune_threshold: float = 0.0):
     """Simplify one term; returns (coefficient, factors) or None if the term
-    vanishes (sin factor collapsing to zero)."""
+    vanishes (sin factor collapsing to zero).  A weighted op given without a
+    weight has weight 1; a weight on x or x^2 is dropped."""
     coeff = float(coefficient)
-    collapsed: list[Factor] = []
-    for inp, chain in factors:
-        mult, new_chain = _collapse_chain(tuple(chain))
-        coeff *= mult
-        collapsed.append((int(inp), new_chain))
-
-    # merge paired sqrt factors: sqrt(w*x)*sqrt(w*x) == w*x
-    counts: dict[Factor, int] = {}
-    for f in collapsed:
-        counts[f] = counts.get(f, 0) + 1
-    merged: dict[Factor, int] = {}
-    for (inp, chain), m in counts.items():
-        if len(chain) == 1 and chain[0][0] == "sqrt" and m >= 2:
-            w = chain[0][1]
-            pairs, rem = divmod(m, 2)
-            coeff *= w ** pairs
-            key = (inp, (("id", None),))
-            merged[key] = merged.get(key, 0) + pairs
-            if rem:
-                merged[(inp, chain)] = merged.get((inp, chain), 0) + rem
+    kept: list[Factor] = []
+    for inp, (op, w) in factors:
+        if op in ("id", "square"):
+            w = None
+        elif op in ("sqrt", "log", "cos", "sin"):
+            w = 1.0 if w is None else float(w)
         else:
-            merged[(inp, chain)] = merged.get((inp, chain), 0) + m
-    # pair id factors of the same input into square
-    final: dict[Factor, int] = {}
-    for (inp, chain), m in merged.items():
-        if chain == (("id", None),) and m >= 2:
-            pairs, rem = divmod(m, 2)
-            key = (inp, (("square", None),))
-            final[key] = final.get(key, 0) + pairs
-            if rem:
-                final[(inp, chain)] = final.get((inp, chain), 0) + rem
-        else:
-            final[(inp, chain)] = final.get((inp, chain), 0) + m
-
-    out: list[Factor] = []
-    for (inp, chain), m in final.items():
-        for _ in range(m):
-            out.append((inp, chain))
-
-    # sign and near-unit normalization of trailing transcendental weights
-    normed: list[Factor] = []
-    for inp, chain in out:
-        op, w = chain[-1]
-        if op == "cos" and w is not None:
+            raise ValueError(op)
+        if op == "sqrt" and w > 0:
+            coeff *= w ** 0.5  # sqrt(w*x) == sqrt(w)*sqrt(x)
+            w = None
+        elif op == "cos":
             w = abs(w)
             if w < prune_threshold:
                 continue  # cos of a vanishing argument is the constant 1
-            chain = chain[:-1] + (("cos", w),)
-        elif op == "sin" and w is not None:
+        elif op == "sin":
             if w < 0:
                 coeff = -coeff
                 w = -w
             if w < prune_threshold:
                 return None  # sin of a vanishing argument kills the term
-            chain = chain[:-1] + (("sin", w),)
-        normed.append((inp, chain))
-    normed.sort(key=_sort_key)
-    return coeff, tuple(normed)
+        kept.append((int(inp), (op, w)))
+
+    # sqrt(w*x)*sqrt(w*x) == w*x, then x*x == x^2
+    counts = Counter(kept)
+    for (inp, (op, w)), m in list(counts.items()):
+        if op == "sqrt" and m >= 2:
+            pairs, counts[(inp, (op, w))] = divmod(m, 2)
+            if w is not None:
+                coeff *= w ** pairs
+            counts[(inp, _ID)] += pairs
+    for (inp, op_w), m in list(counts.items()):
+        if op_w == _ID and m >= 2:
+            pairs, counts[(inp, _ID)] = divmod(m, 2)
+            counts[(inp, _SQUARE)] += pairs
+    return coeff, tuple(sorted(counts.elements(), key=_sort_key))
 
 
 def canonicalize(raw_outputs, prune_threshold: float = 0.0) -> CanonicalEquation:
@@ -247,7 +177,4 @@ def canonicalize(raw_outputs, prune_threshold: float = 0.0) -> CanonicalEquation
 
 def term(coefficient: float, factors) -> tuple[float, list[Factor]]:
     """Test/fixture helper: factors as (input, op, weight) triples."""
-    return (
-        coefficient,
-        [(inp, ((op, w),)) for inp, op, w in factors],
-    )
+    return coefficient, [(inp, (op, w)) for inp, op, w in factors]

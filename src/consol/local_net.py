@@ -133,6 +133,9 @@ def make_structure(library: SymbolLibrary, layer_sizes, layer_kinds, indicators)
                              f"({layer_sizes[k]}, {layer_sizes[k + 1]})")
         if not np.isin(z, (0, 1)).all():
             raise StructureError(f"indicator {k} entries must be 0 or 1")
+    for kind in layer_kinds:
+        if kind not in (ACTIVATION, MULTIPLICATION, SUMMATION):
+            raise StructureError(f"unknown layer kind {kind!r}")
     if layer_kinds[0] != ACTIVATION:
         raise StructureError("first layer must be the activation layer")
     if ACTIVATION in layer_kinds[1:]:
@@ -259,10 +262,8 @@ def _forward_layers(structure: LocalStructure, weights: LocalWeights, X: np.ndar
             out = np.zeros((X.shape[0], structure.layer_sizes[k + 1]))
             for j, sel, _ in plan.products[k]:
                 out[:, j] = np.prod(h[:, sel], axis=1)
-        elif kind == SUMMATION:
+        else:  # SUMMATION
             out = h @ (structure.indicators[k] * weights.summations[k])
-        else:
-            raise StructureError(f"unknown layer kind {kind}")
         hs.append(out)
     return hs
 
@@ -423,49 +424,27 @@ def fit_snapped(structure: LocalStructure, config: TrainConfig, data):
 
 
 def _neuron_terms(structure: LocalStructure, weights: LocalWeights):
-    """Per-layer, per-neuron sum-of-terms expansion; a term is
-    (coefficient, tuple of (input, chain) factors)."""
-    used = structure.used_masks()
-    lib = structure.library
-    layers = []
-    act_terms = []
-    for j in range(structure.layer_sizes[1]):
-        if not used[1][j]:
-            act_terms.append([])
-            continue
-        op = structure.act_op(j)
-        w = float(weights.inner[j]) if op.has_inner_weight else None
-        act_terms.append([(1.0, ((structure.act_input(j), ((op.name, w),)),))])
-    layers.append(act_terms)
+    """Per-output sum-of-terms expansion over the fit plan; a term is
+    (coefficient, tuple of (input, (op, inner weight or None)) factors)."""
+    plan = structure.plan
+    prev = [[] for _ in range(structure.layer_sizes[1])]
+    for j, op, col, weighted in plan.acts:
+        w = float(weights.inner[j]) if weighted else None
+        prev[j] = [(1.0, ((col, (op.name, w)),))]
     for k in range(1, structure.n_layers):
-        kind = structure.layer_kinds[k]
-        z = structure.indicators[k]
-        prev = layers[-1]
-        cur = []
-        for j in range(structure.layer_sizes[k + 1]):
-            sel = np.flatnonzero(z[:, j])
-            if kind == MULTIPLICATION:
-                if sel.size == 0:
-                    cur.append([])
-                    continue
+        cur = [[] for _ in range(structure.layer_sizes[k + 1])]
+        if structure.layer_kinds[k] == MULTIPLICATION:
+            for j, sel, _ in plan.products[k]:
                 terms = [(1.0, ())]
                 for i in sel:
-                    terms = [
-                        (c1 * c2, f1 + f2)
-                        for c1, f1 in terms
-                        for c2, f2 in prev[i]
-                    ]
-                cur.append(terms)
-            elif kind == SUMMATION:
-                w = weights.summations[k]
-                terms = []
-                for i in sel:
-                    terms.extend((float(w[i, j]) * c, f) for c, f in prev[i])
-                cur.append(terms)
-            else:
-                raise StructureError(kind)
-        layers.append(cur)
-    return layers[-1]
+                    terms = [(c1 * c2, f1 + f2) for c1, f1 in terms for c2, f2 in prev[i]]
+                cur[j] = terms
+        else:  # SUMMATION
+            w = weights.summations[k]
+            for j, i in np.argwhere(structure.indicators[k].T):
+                cur[j].extend((float(w[i, j]) * c, f) for c, f in prev[i])
+        prev = cur
+    return prev
 
 
 #: terms, and cos/sin arguments, below this magnitude are dropped from an

@@ -31,19 +31,19 @@ def nrmse(pred, truth, sigma_y) -> float:
 
 
 def percentage_error(w: float, w_hat: float) -> float:
-    """100*|w_hat - w|/|w|, capped at 100."""
+    """100*|w_hat - w|/|w|, capped at 100; a zero w scores 0 against a zero
+    w_hat and 100 against any other."""
+    if w == 0.0:
+        return 0.0 if w_hat == 0.0 else 100.0
     return min(100.0, 100.0 * abs(w_hat - w) / abs(w))
 
 
 def _signature(t: Term):
-    return tuple((inp, tuple(op for op, _ in chain)) for inp, chain in t.factors)
+    return tuple((inp, op) for inp, (op, _) in t.factors)
 
 
 def _inner_weights(t: Term) -> list[float]:
-    ws = []
-    for _, chain in t.factors:
-        ws.extend(w for _, w in chain if w is not None)
-    return ws
+    return [w for _, (_, w) in t.factors if w is not None]
 
 
 def _term_pe(true_t: Term, learned_t: Term) -> list[float]:
@@ -62,10 +62,7 @@ class TermMatch:
 
     def to_json_obj(self):
         def t(term):
-            return None if term is None else {
-                "coefficient": term.coefficient,
-                "factors": [[inp, [[op, w] for op, w in chain]] for inp, chain in term.factors],
-            }
+            return None if term is None else term.to_json_obj()
         return {"output": self.output, "true": t(self.true_term),
                 "learned": t(self.learned_term), "pe": self.pes}
 

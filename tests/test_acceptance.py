@@ -105,11 +105,11 @@ def test_syn1_exact_recovery(syn1_run):
     # y2 = 4 x1 x3 and y3 = 3 x3^2: exact structure, coefficients within 1%
     assert len(by_output[1]) == 1
     t2 = by_output[1][0]
-    assert t2.factors == ((0, (("id", None),)), (2, (("id", None),)))
+    assert t2.factors == ((0, ("id", None)), (2, ("id", None)))
     assert t2.coefficient == pytest.approx(4.0, rel=0.01)
     assert len(by_output[2]) == 1
     t3 = by_output[2][0]
-    assert t3.factors == ((2, (("square", None),)),)
+    assert t3.factors == ((2, ("square", None)),)
     assert t3.coefficient == pytest.approx(3.0, rel=0.01)
     # y1 = 3 x1^2 cos(2.5 x2) within 1% average slot error
     y1_slots = [pe for m in matches if m.output == 0 for pe in m.pes]

@@ -58,6 +58,13 @@ def test_default_config_blocks_build_the_default_dataclasses():
     ({"constraints": {"max_factors_per_neuron": None}},
      "'constraints.max_factors_per_neuron' must be int"),
     ({"seeds": {"search": 1.5}}, "'seeds.search' must be int"),
+    ({"mult_neurons": "3"}, "'mult_neurons' must be int"),
+    ({"mult_neurons": 3.0}, "'mult_neurons' must be int"),
+    ({"library": "id"}, "'library' must be list of str"),
+    ({"library": ["id", 2]}, "'library' must be list of str"),
+    ({"dataset": {"snr_db": "80"}}, "'dataset.snr_db' must be float"),
+    ({"dataset": {"train_path": 5}}, "'dataset.train_path' must be str"),
+    ({"dataset": {"test_path": ["t.csv"]}}, "'dataset.test_path' must be str"),
 ])
 def test_mistyped_config_value_exits_3(tmp_path, capsys, block, value):
     path = write_json(tmp_path / "c.json", {"version": 1, **block})
@@ -65,6 +72,14 @@ def test_mistyped_config_value_exits_3(tmp_path, capsys, block, value):
     err = capsys.readouterr().err
     assert err.startswith("error:") and value in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_null_default_keys_take_their_type_or_null(tmp_path):
+    given = {"library": ["id", "square"], "mult_neurons": 4,
+             "dataset": {"snr_db": 80, "train_path": None}}
+    cfg = load_config(write_json(tmp_path / "c.json", {"version": 1, **given}))
+    assert cfg["library"] == ["id", "square"] and cfg["mult_neurons"] == 4
+    assert cfg["dataset"]["snr_db"] == 80 and cfg["dataset"]["train_path"] is None
 
 
 def test_float_config_value_takes_an_int(tmp_path):
@@ -265,6 +280,59 @@ def test_eval_command(tmp_path):
     assert rc == 0
     rep = json.loads(open(rpath).read())
     assert rep["e_c_percent"] == pytest.approx(10.0)
+
+
+def equation_obj(*terms):
+    """One output; each term as (coefficient, [(input, op, inner_weight)])."""
+    return {"outputs": [[{"coefficient": c, "factors": [
+        {"input": i, "op": op, "inner_weight": w} for i, op, w in factors]}
+        for c, factors in terms]]}
+
+
+def run_eval(tmp_path, truth, learned):
+    tpath = write_json(tmp_path / "t.json", truth)
+    lpath = write_json(tmp_path / "l.json", learned)
+    rpath = str(tmp_path / "eval.json")
+    rc = main(["eval", "--learned", lpath, "--truth", tpath, "--out", rpath])
+    return rc, (json.loads(open(rpath).read()) if rc == 0 else None)
+
+
+def test_eval_reads_a_hand_written_sqrt_in_canonical_form(tmp_path):
+    # sqrt(2.2*x1) + x2^2 == sqrt(2.2)*sqrt(x1) + x2^2
+    truth = equation_obj((1.0, [(0, "sqrt", 2.2)]), (1.0, [(1, "square", None)]))
+    learned = equation_obj((2.2 ** 0.5, [(0, "sqrt", None)]),
+                           (1.0, [(1, "square", None)]))
+    rc, rep = run_eval(tmp_path, truth, learned)
+    assert rc == 0
+    assert rep["e_c_percent"] == 0.0
+    first = rep["matches"][0]
+    assert first["true"] == first["learned"] == {
+        "coefficient": 2.2 ** 0.5,
+        "factors": [{"input": 0, "op": "sqrt", "inner_weight": None}]}
+    assert first["pe"] == [0.0]
+
+
+def test_eval_scores_a_zero_true_weight(tmp_path):
+    truth = equation_obj((3.0, [(0, "cos", 0.0)]))
+    rc, rep = run_eval(tmp_path, truth, truth)
+    assert rc == 0 and rep["e_c_percent"] == 0.0
+    rc, rep = run_eval(tmp_path, truth, equation_obj((3.0, [(0, "cos", 0.5)])))
+    assert rc == 0 and rep["matches"][0]["pe"] == [0.0, 100.0]
+
+
+@pytest.mark.parametrize("op, weight, message", [
+    ("tanh", 1.0, "unknown symbol 'tanh'"),
+    ("square", 2.0, "square takes no inner weight"),
+    ("id", 1.0, "id takes no inner weight"),
+])
+def test_eval_rejects_a_bad_factor(tmp_path, capsys, op, weight, message):
+    good = equation_obj((1.0, [(0, "id", None)]))
+    bad = equation_obj((1.0, [(0, "id", None), (1, op, weight)]))
+    for truth, learned in ((good, bad), (bad, good)):
+        rc, _ = run_eval(tmp_path, truth, learned)
+        err = capsys.readouterr().err
+        assert rc == 3 and err.startswith("error: factor ") and message in err
+        assert f"'op': '{op}'" in err and len(err.strip().splitlines()) == 1
 
 
 def test_missing_config_exits_3(capsys):

@@ -92,9 +92,9 @@ def test_power_truth_predicts_outputs():
             val = 0.0
             for t in terms:
                 prod = t.coefficient
-                for inp, chain in t.factors:
-                    assert chain == (("id", None),) or chain == (("square", None),)
-                    prod *= X[r, inp] ** (2 if chain[0][0] == "square" else 1)
+                for inp, (op, w) in t.factors:
+                    assert op in ("id", "square") and w is None
+                    prod *= X[r, inp] ** (2 if op == "square" else 1)
                 val += prod
             assert val == pytest.approx(Y[r, out])
 

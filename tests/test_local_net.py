@@ -85,6 +85,14 @@ def test_make_structure_rejects_used_empty_product():
                        (fanout_indicator(2, 3), z_mult, np.array([[1]])))
 
 
+def test_make_structure_rejects_unknown_layer_kind():
+    z_mult = np.zeros((6, 1)); z_mult[0, 0] = 1
+    with pytest.raises(StructureError, match="unknown layer kind 'summaton'"):
+        make_structure(LIB, (2, 6, 1, 1),
+                       (ACTIVATION, MULTIPLICATION, "summaton"),
+                       (fanout_indicator(2, 3), z_mult, np.array([[1]])))
+
+
 def test_forward_matches_closed_form():
     st, w = toy_weights()
     X = np.array([[1.2, 0.7], [0.4, 1.9]])

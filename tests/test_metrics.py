@@ -43,6 +43,8 @@ def test_percentage_error_caps_at_100():
     assert percentage_error(1.0, 1.1) == pytest.approx(10.0)
     assert percentage_error(1.0, 5.0) == 100.0
     assert percentage_error(2.0, 2.0) == 0.0
+    assert percentage_error(0.0, 0.0) == 0.0
+    assert percentage_error(0.0, 1e-9) == 100.0
 
 
 TRUE_EQ = canonicalize([
