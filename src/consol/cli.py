@@ -199,11 +199,10 @@ def cmd_gen_data(args) -> int:
 def _load_or_generate(cfg: dict):
     ds = cfg["dataset"]
     if ds["train_path"] is not None:
-        for p in (ds["train_path"], ds["test_path"]):
-            if p is None or not os.path.exists(p):
-                raise ConfigError(f"dataset file missing: {p}")
-        return (datasets.load_dataset(ds["train_path"]),
-                datasets.load_dataset(ds["test_path"]), None)
+        if ds["test_path"] is None:
+            raise ConfigError("dataset.train_path needs dataset.test_path")
+        return (_read_input("dataset", ds["train_path"]),
+                _read_input("dataset", ds["test_path"]), None)
     return build_dataset(ds["name"], cfg["seeds"]["data"], n=ds["n_train"],
                          n_nodes=ds["n_nodes"], snr_db=ds["snr_db"])
 
@@ -278,21 +277,41 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _read_json(path: str):
+#: the reader of each kind of JSON input file; a "dataset" is a CSV file
+#: with a JSON sidecar, read by datasets.load_dataset
+_JSON_READERS = {
+    "structure": structure_from_json_obj,
+    "weights": weights_from_json_obj,
+    "equation": equation_from_json_obj,
+    "ICNN parameter": params_from_json_obj,
+}
+
+
+def _read_input(kind: str, path: str):
+    """The object in the input file at path; a missing file, invalid JSON or
+    an object of the wrong shape raises ConfigError naming the file."""
+    where = f"(in {kind} file {path})"
     try:
+        if kind == "dataset":
+            return datasets.load_dataset(path)
         with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"file not found: {path}")
+            return _JSON_READERS[kind](json.load(fh))
+    except FileNotFoundError as exc:
+        # np.loadtxt leaves filename unset; the sidecar's open sets it
+        raise ConfigError(f"file not found: {exc.filename or path}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}")
+        raise ConfigError(f"not valid JSON: {exc} {where}") from None
+    except KeyError as exc:
+        raise ConfigError(f"missing key {exc} {where}") from None
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise ConfigError(f"wrong shape: {exc} {where}") from None
+    except (ConsolError, ValueError) as exc:
+        raise ConfigError(f"{exc} {where}") from None
 
 
 def cmd_fit(args) -> int:
-    structure = structure_from_json_obj(_read_json(args.structure))
-    if not os.path.exists(args.data):
-        raise ConfigError(f"dataset file missing: {args.data}")
-    train = datasets.load_dataset(args.data)
+    structure = _read_input("structure", args.structure)
+    train = _read_input("dataset", args.data)
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                       init_value=args.init)
     weights, losses = local_net.fit_trace(structure, cfg, (train.X, train.Y))
@@ -322,8 +341,8 @@ PROBE_INPUTS = {"sweep": ("structure", "data"), "segment": ("target",),
 
 def cmd_probe(args) -> int:
     if args.kind == "sweep":
-        structure = structure_from_json_obj(_read_json(args.structure))
-        train = datasets.load_dataset(args.data)
+        structure = _read_input("structure", args.structure)
+        train = _read_input("dataset", args.data)
         cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs)
         rows = init_sweep(structure, (train.X, train.Y), parse_grid(args.grid), cfg)
         csv = "w0,final_loss\n" + "".join(f"{w0:.17g},{loss:.17g}\n" for w0, loss in rows)
@@ -332,7 +351,7 @@ def cmd_probe(args) -> int:
         print(csv, end="")
         return 0
     if args.kind == "segment":
-        params = params_from_json_obj(_read_json(args.target))
+        params = _read_input("ICNN parameter", args.target)
         d = params.d_in
         violations = segment_convexity_test(
             lambda u: icnn_forward(params, u), np.zeros(d), np.ones(d),
@@ -342,9 +361,9 @@ def cmd_probe(args) -> int:
             atomic_json(args.out, {"n_triples": args.n, "tol": args.tol,
                                    "violations": violations})
         return 0
-    structure = structure_from_json_obj(_read_json(args.structure))
-    weights = weights_from_json_obj(_read_json(args.weights))
-    train = datasets.load_dataset(args.data)
+    structure = _read_input("structure", args.structure)
+    weights = _read_input("weights", args.weights)
+    train = _read_input("dataset", args.data)
     if args.kind == "region":
         est = estimate_region(structure, weights, (train.X, train.Y),
                               args.n, seed=args.seed or 0)
@@ -371,18 +390,18 @@ def cmd_probe(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    learned = equation_from_json_obj(_read_json(args.learned))
+    learned = _read_input("equation", args.learned)
     report = {}
     if args.truth:
-        truth = equation_from_json_obj(_read_json(args.truth))
+        truth = _read_input("equation", args.truth)
         score, matches = e_c(truth, learned)
         report["e_c_percent"] = score
         report["matches"] = [m.to_json_obj() for m in matches]
         print(f"E_c {score:.4f}%")
     if args.structure and args.weights and args.data:
-        structure = structure_from_json_obj(_read_json(args.structure))
-        weights = weights_from_json_obj(_read_json(args.weights))
-        ds = datasets.load_dataset(args.data)
+        structure = _read_input("structure", args.structure)
+        weights = _read_input("weights", args.weights)
+        ds = _read_input("dataset", args.data)
         pred = local_net.forward(structure, weights, ds.X)
         report["nrmse"] = nrmse(pred, ds.Y, ds.sigma_y)
         print(f"NRMSE {report['nrmse']:.6g}")

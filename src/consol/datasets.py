@@ -320,8 +320,19 @@ def save_dataset(ds: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
+    """A dataset written by save_dataset.  A sidecar whose input count does
+    not split the columns into inputs and outputs, whose meta is not an
+    object, or whose sigma_y is not one number per output raises
+    ValueError."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     with open(_meta_path(path)) as fh:
         info = json.load(fh)
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    n_in = info["n_inputs"]
-    return Dataset(data[:, :n_in], data[:, n_in:], info["meta"])
+    n_in, meta = info["n_inputs"], info["meta"]
+    if type(n_in) is not int or not 0 < n_in < data.shape[1]:
+        raise ValueError(f"n_inputs {n_in!r} does not split {data.shape[1]} columns "
+                         "into inputs and outputs")
+    if not isinstance(meta, dict):
+        raise ValueError("meta must be an object")
+    if "sigma_y" in meta and np.shape(meta["sigma_y"]) != (data.shape[1] - n_in,):
+        raise ValueError("sigma_y needs one number per output")
+    return Dataset(data[:, :n_in], data[:, n_in:], meta)

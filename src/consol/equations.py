@@ -63,7 +63,10 @@ def _factor_from_json_obj(f) -> Factor:
     w = f.get("inner_weight")
     if w is not None and not op.has_inner_weight:
         raise ValueError(f"factor {f}: {op.name} takes no inner weight")
-    return int(f["input"]), (op.name, None if w is None else float(w))
+    inp = f["input"]
+    if type(inp) is not int or inp < 0:
+        raise ValueError(f"factor {f}: input must be a non-negative integer")
+    return inp, (op.name, None if w is None else float(w))
 
 
 def equation_from_json_obj(obj) -> CanonicalEquation:

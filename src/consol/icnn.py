@@ -21,12 +21,10 @@ def _softplus(x):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)), from exp(-|x|) so that neither branch overflows."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 @dataclass(frozen=True)
@@ -64,17 +62,17 @@ def init_icnn(d_in: int, widths=(16, 16), seed: int = 0) -> IcnnParams:
     return IcnnParams(tuple(wy), tuple(wz), tuple(b))
 
 
-def _forward_cached(params: IcnnParams, U: np.ndarray):
+def _forward_cached(wy, wz, b, U: np.ndarray):
     zs, sigs = [], []
-    a = U @ params.wy[0] + params.b[0]
+    a = U @ wy[0] + b[0]
     zs.append(_softplus(a))
     sigs.append(_sigmoid(a))
-    n_hidden = len(params.wz)
+    n_hidden = len(wz)
     for k in range(1, n_hidden):
-        a = zs[-1] @ params.wz[k - 1] + U @ params.wy[k] + params.b[k]
+        a = zs[-1] @ wz[k - 1] + U @ wy[k] + b[k]
         zs.append(_softplus(a))
         sigs.append(_sigmoid(a))
-    out = zs[-1] @ params.wz[-1] + U @ params.wy[-1] + params.b[-1]
+    out = zs[-1] @ wz[-1] + U @ wy[-1] + b[-1]
     return out[:, 0], zs, sigs
 
 
@@ -88,14 +86,14 @@ def icnn_forward(params: IcnnParams, s, a=None) -> float | np.ndarray:
     U = u[None, :] if single else u
     if U.shape[1] != params.d_in:
         raise ShapeError(f"input dim {U.shape[1]} != network dim {params.d_in}")
-    vals, _, _ = _forward_cached(params, U)
+    vals, _, _ = _forward_cached(params.wy, params.wz, params.b, U)
     return float(vals[0]) if single else vals
 
 
 def icnn_value_and_input_grad(params: IcnnParams, U: np.ndarray):
     """Batched value f(u) and gradient df/du."""
     U = np.asarray(U, dtype=float)
-    vals, zs, sigs = _forward_cached(params, U)
+    vals, zs, sigs = _forward_cached(params.wy, params.wz, params.b, U)
     n_hidden = len(params.wz)
     # backprop to the input
     dz = np.tile(params.wz[-1][:, 0], (U.shape[0], 1))
@@ -119,33 +117,26 @@ def icnn_fit(params: IcnnParams, U, targets, lr: float,
     if U.shape[0] == 0:
         raise ValueError("no training samples")
     p = params.copy()
-    wy = [w for w in p.wy]
-    wz = [w for w in p.wz]
-    b = [v for v in p.b]
+    wy, wz, b = list(p.wy), list(p.wz), list(p.b)
     n_hidden = len(wz)
     for _ in range(epochs):
-        vals, zs, sigs = _forward_cached(IcnnParams(tuple(wy), tuple(wz), tuple(b)), U)
+        vals, zs, sigs = _forward_cached(wy, wz, b, U)
         r = (2.0 / len(U)) * (vals - t)  # d MSE / d out
-        # output layer
-        g_wz = [None] * n_hidden
-        g_wy = [None] * (n_hidden + 1)
-        g_b = [None] * (n_hidden + 1)
-        g_wz[-1] = zs[-1].T @ r[:, None]
-        g_wy[-1] = U.T @ r[:, None]
-        g_b[-1] = np.array([r.sum()])
+        # each layer is stepped in place once the backward pass has read it
         dz = np.outer(r, wz[-1][:, 0])
+        wz[-1] -= lr * (zs[-1].T @ r[:, None])
+        np.maximum(wz[-1], 0.0, out=wz[-1])
+        wy[-1] -= lr * (U.T @ r[:, None])
+        b[-1] -= lr * r.sum()
         for k in range(n_hidden - 1, -1, -1):
             da = dz * sigs[k]
-            g_wy[k] = U.T @ da
-            g_b[k] = da.sum(axis=0)
+            wy[k] -= lr * (U.T @ da)
+            b[k] -= lr * da.sum(axis=0)
             if k > 0:
-                g_wz[k - 1] = zs[k - 1].T @ da
+                g_wz = zs[k - 1].T @ da
                 dz = da @ wz[k - 1].T
-        for k in range(n_hidden + 1):
-            wy[k] = wy[k] - lr * g_wy[k]
-            b[k] = b[k] - lr * g_b[k]
-        for k in range(n_hidden):
-            wz[k] = np.maximum(wz[k] - lr * g_wz[k], 0.0)
+                wz[k - 1] -= lr * g_wz
+                np.maximum(wz[k - 1], 0.0, out=wz[k - 1])
     if not all(np.isfinite(a).all() for a in (*wy, *wz, *b)):
         raise DomainError("icnn_fit diverged to a non-finite parameter")
     return IcnnParams(tuple(wy), tuple(wz), tuple(b))
@@ -234,6 +225,18 @@ def params_to_json_obj(params: IcnnParams):
 
 
 def params_from_json_obj(obj) -> IcnnParams:
+    """Parameters written by params_to_json_obj; matrices that do not chain
+    into one network with a scalar output raise ShapeError."""
     def mats(entries):
         return tuple(np.array(e["data"], dtype=float).reshape(e["shape"]) for e in entries)
-    return IcnnParams(mats(obj["wy"]), mats(obj["wz"]), mats(obj["b"]))
+    wy, wz, b = mats(obj["wy"]), mats(obj["wz"]), mats(obj["b"])
+    ok = (len(wz) >= 1 and len(wy) == len(b) == len(wz) + 1
+          and all(v.ndim == 1 for v in b) and b[-1].shape == (1,) and wy[0].ndim == 2)
+    if ok:
+        widths = [v.size for v in b]
+        d_in = wy[0].shape[0]
+        ok = (all(w.shape == (d_in, n) for w, n in zip(wy, widths))
+              and all(w.shape == (m, n) for w, m, n in zip(wz, widths, widths[1:])))
+    if not ok:
+        raise ShapeError("ICNN matrices do not chain into one scalar network")
+    return IcnnParams(wy, wz, b)

@@ -35,9 +35,15 @@ class _Plan(NamedTuple):
 
     summation_stages: tuple[int, ...]
     acts: tuple[tuple[int, SymbolOp, int, bool], ...]  # live (j, op, input, weighted)
-    # per multiplication layer k, each neuron with inputs as (j, sel, others):
-    # sel its input neurons, others[idx] = (sel[idx], the rest of sel)
-    products: dict[int, tuple[tuple[int, np.ndarray, tuple[tuple[int, np.ndarray], ...]], ...]]
+    # per multiplication layer k, each neuron with inputs as (j, its factors)
+    products: dict[int, tuple[tuple[int, tuple[int, ...]], ...]]
+    # the stages the backward pass visits, top down, as (k, carry): carry when
+    # some weight below stage k reads the gradient of its inputs
+    backward: tuple[tuple[int, bool], ...]
+    # per multiplication layer k, each live product whose gradient some weight
+    # below reads, as (j, partials): partials[idx] = (i, the other factors)
+    # for each factor i whose gradient some weight below reads
+    partials: dict[int, tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]]
 
 
 @dataclass(frozen=True)
@@ -77,30 +83,43 @@ class LocalStructure:
 
     @cached_property
     def plan(self) -> _Plan:
-        """The live activation neurons and product factor lists, built on
-        first use; raises StructureError for a used multiplication neuron
-        without inputs."""
+        """The live activation neurons, the product factor lists and what the
+        backward pass reads, built on first use; raises StructureError for a
+        used multiplication neuron without inputs."""
         used = self.used_masks()
+        # read[k][i]: some weight at or below stage k - 1 reads dL/dh_k[:, i]
+        read = [np.zeros(n, dtype=bool) for n in self.layer_sizes[:2]]
         acts = []
         for j in np.flatnonzero(used[1]).tolist():
             op = self.act_op(j)
             acts.append((j, op, self.act_input(j), op.has_inner_weight))
-        products = {}
-        for k, kind in enumerate(self.layer_kinds):
-            if kind != MULTIPLICATION:
+            read[1][j] = op.has_inner_weight
+        products, partials = {}, {}
+        for k in range(1, self.n_layers):
+            z = self.indicators[k]
+            if self.layer_kinds[k] == SUMMATION:  # its weights read every fed neuron
+                read.append(used[k + 1] & z.any(axis=0))
                 continue
-            rows = []
+            rows, live = [], []
             for j in range(self.layer_sizes[k + 1]):
-                sel = np.flatnonzero(self.indicators[k][:, j])
-                if sel.size == 0:
+                sel = tuple(np.flatnonzero(z[:, j]).tolist())
+                if not sel:
                     if used[k + 1][j]:
                         raise StructureError(
                             f"used multiplication neuron {j} at layer {k + 1} has no inputs")
                     continue
-                others = tuple((int(i), np.delete(sel, idx)) for idx, i in enumerate(sel))
-                rows.append((j, sel, others))
-            products[k] = tuple(rows)
-        return _Plan(tuple(self.summation_stages()), tuple(acts), products)
+                rows.append((j, sel))
+                parts = tuple((i, sel[:idx] + sel[idx + 1:])
+                              for idx, i in enumerate(sel) if read[k][i])
+                if used[k + 1][j] and parts:
+                    live.append((j, parts))
+            products[k], partials[k] = tuple(rows), tuple(live)
+            read.append(np.zeros(self.layer_sizes[k + 1], dtype=bool))
+            read[k + 1][[j for j, _ in live]] = True
+        backward = tuple((k, bool(read[k].any())) for k in range(self.n_layers - 1, -1, -1)
+                         if read[k + 1].any())
+        return _Plan(tuple(self.summation_stages()), tuple(acts), products,
+                     backward, partials)
 
     def summation_stages(self) -> list[int]:
         return [k for k, kind in enumerate(self.layer_kinds) if kind == SUMMATION]
@@ -192,10 +211,11 @@ def weights_to_json_obj(weights: LocalWeights):
 
 
 def weights_from_json_obj(obj) -> LocalWeights:
-    return LocalWeights(
-        np.array(obj["inner"], dtype=float),
-        {int(k): np.array(w, dtype=float) for k, w in obj["summations"].items()},
-    )
+    inner = np.array(obj["inner"], dtype=float)
+    sums = {int(k): np.array(w, dtype=float) for k, w in obj["summations"].items()}
+    if inner.ndim != 1 or any(w.ndim != 2 for w in sums.values()):
+        raise ShapeError("inner weights must be a vector and summation weights matrices")
+    return LocalWeights(inner, sums)
 
 
 @dataclass(frozen=True)
@@ -240,9 +260,22 @@ def _check_weights(structure: LocalStructure, weights: LocalWeights) -> None:
             raise ShapeError(f"summation weight shape mismatch at stage {k}")
 
 
+def _chain(h: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
+    """The product of columns cols of h, multiplied one column at a time in
+    factor order, as np.prod(h[:, cols], axis=1) does, without the gather."""
+    if len(cols) == 1:
+        return h[:, cols[0]]
+    out = h[:, cols[0]] * h[:, cols[1]]
+    for i in cols[2:]:
+        out *= h[:, i]
+    return out
+
+
 def _forward_layers(structure: LocalStructure, weights: LocalWeights, X: np.ndarray):
-    """All layer outputs, shape (N, n_k) each; unused neurons are 0 and never
-    evaluated (so their domains are not checked)."""
+    """All layer outputs, shape (N, n_k) each; unused activation neurons are 0
+    and never evaluated (so their domains are not checked).  Every product
+    with inputs is computed, live or not: `search_mdp.update_frozen_paths`
+    reads each penultimate column."""
     _check_weights(structure, weights)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != structure.n_inputs:
@@ -260,8 +293,8 @@ def _forward_layers(structure: LocalStructure, weights: LocalWeights, X: np.ndar
                 out[:, j] = symbols.op_value(op.name, zarg)
         elif kind == MULTIPLICATION:
             out = np.zeros((X.shape[0], structure.layer_sizes[k + 1]))
-            for j, sel, _ in plan.products[k]:
-                out[:, j] = np.prod(h[:, sel], axis=1)
+            for j, sel in plan.products[k]:
+                out[:, j] = _chain(h, sel)
         else:  # SUMMATION
             out = h @ (structure.indicators[k] * weights.summations[k])
         hs.append(out)
@@ -304,31 +337,33 @@ def gradients(structure: LocalStructure, weights: LocalWeights, batch,
     plan = structure.plan
     inner = np.zeros(structure.layer_sizes[1])
     sums = {}
-    g = e / N  # dL/dh_K
-    for k in range(structure.n_layers - 1, -1, -1):
+    g = e / N  # dL/dh_K, carried down only as far as some weight reads it
+    for k, carry in plan.backward:
         kind = structure.layer_kinds[k]
         h = hs[k]
         if kind == SUMMATION:
             z = structure.indicators[k]
             sums[k] = (h.T @ g) * z
-            g = g @ (z * weights.summations[k]).T
+            if carry:
+                g = g @ (z * weights.summations[k]).T
         elif kind == MULTIPLICATION:
             g_prev = np.zeros_like(h)
-            for j, _, others in plan.products[k]:
+            for j, partials in plan.partials[k]:
                 gj = g[:, j]
-                for i, rest in others:
-                    if rest.size:
-                        g_prev[:, i] += gj * np.prod(h[:, rest], axis=1)
-                    else:
-                        g_prev[:, i] += gj  # a lone factor's partial is 1
+                for i, rest in partials:
+                    # a lone factor's partial is 1
+                    g_prev[:, i] += gj * _chain(h, rest) if rest else gj
             g = g_prev
-        elif kind == ACTIVATION:
+        else:  # ACTIVATION
             for j, op, col, weighted in plan.acts:
                 if weighted:
                     v = X[:, col]
                     zarg = weights.inner[j] * v
                     inner[j] = float(np.sum(g[:, j] * v * symbols.op_d1(op.name, zarg)))
-    return loss, LocalWeights(inner, {k: sums[k] for k in plan.summation_stages})
+    # a stage the backward pass skips reaches no output: its gradient is zero
+    return loss, LocalWeights(inner, {
+        k: sums[k] if k in sums else np.zeros(structure.indicators[k].shape)
+        for k in plan.summation_stages})
 
 
 def _as_xy(batch):
@@ -434,7 +469,7 @@ def _neuron_terms(structure: LocalStructure, weights: LocalWeights):
     for k in range(1, structure.n_layers):
         cur = [[] for _ in range(structure.layer_sizes[k + 1])]
         if structure.layer_kinds[k] == MULTIPLICATION:
-            for j, sel, _ in plan.products[k]:
+            for j, sel in plan.products[k]:
                 terms = [(1.0, ())]
                 for i in sel:
                     terms = [(c1 * c2, f1 + f2) for c1, f1 in terms for c2, f2 in prev[i]]

@@ -335,6 +335,92 @@ def test_eval_rejects_a_bad_factor(tmp_path, capsys, op, weight, message):
         assert f"'op': '{op}'" in err and len(err.strip().splitlines()) == 1
 
 
+def valid_inputs(tmp_path):
+    """A valid structure, weights, dataset, equation and ICNN parameter file,
+    by the option that names each."""
+    from consol.datasets import Dataset, save_dataset
+    from consol.local_net import init_weights, weights_to_json_obj
+    st = three_layer_structure(make_library(["square", "cos"]), 1,
+                               np.array([[1], [1]]), np.array([[1]]))
+    X = np.linspace(0.1, 1.0, 20)[:, None]
+    save_dataset(Dataset(X, X ** 2), str(tmp_path / "d.csv"))
+    return {
+        "structure": write_json(tmp_path / "st.json", st.to_json_obj()),
+        "weights": write_json(tmp_path / "w.json",
+                              weights_to_json_obj(init_weights(st, 1.0))),
+        "data": str(tmp_path / "d.csv"),
+        "learned": write_json(tmp_path / "eq.json",
+                              equation_obj((1.0, [(0, "square", None)]))),
+        "target": write_json(tmp_path / "q.json",
+                             params_to_json_obj(init_icnn(2, (3,), seed=0))),
+    }
+
+
+#: each command, with the options whose files the table below breaks
+INPUT_COMMANDS = {
+    "fit": ["fit", "--structure", "structure", "--data", "data", "--epochs", "2"],
+    "eval": ["eval", "--learned", "learned", "--structure", "structure",
+             "--weights", "weights", "--data", "data"],
+    "segment": ["probe", "segment", "--target", "target", "--n", "10"],
+    "region": ["probe", "region", "--structure", "structure", "--weights", "weights",
+               "--data", "data", "--n", "2"],
+}
+
+_FACTOR_AS_LIST = {"outputs": [[{"coefficient": 1.0, "factors": [[0, "id", None]]}]]}
+_ICNN_MISMATCH = {"wy": [{"shape": [2, 3], "data": [0.0] * 6},
+                         {"shape": [2, 1], "data": [0.0] * 2}],
+                  "wz": [{"shape": [4, 1], "data": [0.0] * 4}],
+                  "b": [{"shape": [3], "data": [0.0] * 3}, {"shape": [1], "data": [0.0]}]}
+
+
+@pytest.mark.parametrize("command, option, content, message", [
+    ("fit", "structure", [], "wrong shape"),
+    ("fit", "structure", {"library": ["id"]}, "missing key 'layer_sizes'"),
+    ("eval", "structure", {"library": "id", "layer_sizes": [1, 1, 1, 1],
+                           "layer_kinds": [], "indicators": []}, "unknown symbol 'i'"),
+    ("eval", "learned", _FACTOR_AS_LIST, "wrong shape"),
+    ("eval", "learned", equation_obj((1.0, [(0, ["id"], None)])), "wrong shape"),
+    ("eval", "learned", equation_obj((1.0, [(-1, "id", None)])), "non-negative integer"),
+    ("eval", "learned", equation_obj((1.0, [(0.5, "id", None)])), "non-negative integer"),
+    ("eval", "weights", {"inner": [1.0, 1.0], "summations": []}, "wrong shape"),
+    ("region", "weights", {"inner": [[1.0, 1.0]], "summations": {}}, "a vector"),
+    ("segment", "target", {"wy": 3}, "wrong shape"),
+    ("segment", "target", _ICNN_MISMATCH, "do not chain"),
+    ("fit", "sidecar", [], "wrong shape"),
+    ("fit", "sidecar", {"n_inputs": 2, "n_outputs": 0, "meta": {}}, "n_inputs 2"),
+    ("region", "sidecar", {"n_inputs": 1, "meta": {"sigma_y": "x"}}, "sigma_y"),
+    ("fit", "data", "not json but a CSV with a bad row\n1,oops\n", "(in dataset file"),
+])
+def test_input_file_of_the_wrong_shape_exits_3(tmp_path, capsys, command, option,
+                                               content, message):
+    paths = valid_inputs(tmp_path)
+    broken = paths["data"][:-4] + ".meta.json" if option == "sidecar" else paths[option]
+    with open(broken, "w") as fh:
+        fh.write(content if isinstance(content, str) else json.dumps(content))
+    argv = [paths.get(a, a) for a in INPUT_COMMANDS[command]]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    named = paths["data"] if option == "sidecar" else broken
+    assert err.startswith("error:") and message in err and named in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_missing_input_file_exits_3_naming_it(tmp_path, capsys):
+    paths = valid_inputs(tmp_path)
+    argv = [paths.get(a, a) for a in INPUT_COMMANDS["fit"]]
+    for missing in (paths["structure"], paths["data"], paths["data"][:-4] + ".meta.json"):
+        os.rename(missing, missing + ".away")
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: file not found: {missing}\n"
+        os.rename(missing + ".away", missing)
+
+
+def test_valid_input_files_run(tmp_path):
+    paths = valid_inputs(tmp_path)
+    for command in INPUT_COMMANDS.values():
+        assert main([paths.get(a, a) for a in command]) == 0
+
+
 def test_missing_config_exits_3(capsys):
     assert main(["search", "--config", "/nonexistent.json"]) == 3
     assert "error" in capsys.readouterr().err

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays, array_shapes
 
 from consol.convexity_probe import segment_convexity_test
 from consol.errors import DomainError, ShapeError
-from consol.icnn import (IcnnParams, icnn_fit, icnn_forward,
+from consol.icnn import (IcnnParams, _sigmoid, icnn_fit, icnn_forward,
                          icnn_value_and_input_grad, init_icnn,
                          minimize_over_box, minimize_over_box_batch,
                          params_from_json_obj, params_to_json_obj)
@@ -104,6 +105,105 @@ def test_fit_at_extreme_rates_raises_or_stays_finite_and_convex(seed, lr, epochs
     for a in (*out.wy, *out.wz, *out.b):
         assert np.isfinite(a).all()
     assert all((w >= 0).all() for w in out.wz)
+
+
+# --- reference kernel ---------------------------------------------------------
+# The masked sigmoid and the per-epoch icnn_fit that the one-pass versions
+# replaced, kept verbatim as the reference they must match bit for bit.
+
+def _ref_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _ref_forward_cached(params, U):
+    zs, sigs = [], []
+    a = U @ params.wy[0] + params.b[0]
+    zs.append(np.logaddexp(0.0, a))
+    sigs.append(_ref_sigmoid(a))
+    n_hidden = len(params.wz)
+    for k in range(1, n_hidden):
+        a = zs[-1] @ params.wz[k - 1] + U @ params.wy[k] + params.b[k]
+        zs.append(np.logaddexp(0.0, a))
+        sigs.append(_ref_sigmoid(a))
+    out = zs[-1] @ params.wz[-1] + U @ params.wy[-1] + params.b[-1]
+    return out[:, 0], zs, sigs
+
+
+def _ref_icnn_fit(params, U, targets, lr, epochs):
+    U = np.asarray(U, dtype=float)
+    t = np.asarray(targets, dtype=float).ravel()
+    p = params.copy()
+    wy = [w for w in p.wy]
+    wz = [w for w in p.wz]
+    b = [v for v in p.b]
+    n_hidden = len(wz)
+    for _ in range(epochs):
+        vals, zs, sigs = _ref_forward_cached(IcnnParams(tuple(wy), tuple(wz), tuple(b)), U)
+        r = (2.0 / len(U)) * (vals - t)
+        g_wz = [None] * n_hidden
+        g_wy = [None] * (n_hidden + 1)
+        g_b = [None] * (n_hidden + 1)
+        g_wz[-1] = zs[-1].T @ r[:, None]
+        g_wy[-1] = U.T @ r[:, None]
+        g_b[-1] = np.array([r.sum()])
+        dz = np.outer(r, wz[-1][:, 0])
+        for k in range(n_hidden - 1, -1, -1):
+            da = dz * sigs[k]
+            g_wy[k] = U.T @ da
+            g_b[k] = da.sum(axis=0)
+            if k > 0:
+                g_wz[k - 1] = zs[k - 1].T @ da
+                dz = da @ wz[k - 1].T
+        for k in range(n_hidden + 1):
+            wy[k] = wy[k] - lr * g_wy[k]
+            b[k] = b[k] - lr * g_b[k]
+        for k in range(n_hidden):
+            wz[k] = np.maximum(wz[k] - lr * g_wz[k], 0.0)
+    if not all(np.isfinite(a).all() for a in (*wy, *wz, *b)):
+        raise DomainError("icnn_fit diverged to a non-finite parameter")
+    return IcnnParams(tuple(wy), tuple(wz), tuple(b))
+
+
+@settings(deadline=None, max_examples=200)
+@given(arrays(np.float64, array_shapes(max_dims=2, max_side=40),
+              elements=st.floats(allow_nan=True, allow_infinity=True)),
+       st.integers(0, 2 ** 32 - 1))
+def test_sigmoid_matches_reference(x, seed):
+    # hypothesis draws the edge values (+-inf, NaN, huge, subnormal) ...
+    assert np.array_equal(_sigmoid(x), _ref_sigmoid(x), equal_nan=True)
+    # ... and a normal draw the values activations take
+    y = np.random.default_rng(seed).normal(0.0, 10.0, (37, 11))
+    assert np.array_equal(_sigmoid(y), _ref_sigmoid(y))
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.integers(1, 120), st.integers(1, 12),
+       st.lists(st.integers(1, 20), min_size=1, max_size=3),
+       st.sampled_from([1e-4, 1e-2, 0.3, 10.0, 1e6]), st.integers(0, 12),
+       st.integers(0, 2 ** 32 - 1))
+def test_icnn_fit_matches_reference(batch, d_in, widths, lr, epochs, seed):
+    rng = np.random.default_rng(seed)
+    p = init_icnn(d_in, widths, seed=seed % 1000)
+    U = rng.uniform(0.0, 1.0, (batch, d_in))
+    t = rng.normal(0.0, 5.0, batch)
+    with np.errstate(all="ignore"):
+        try:
+            ref = _ref_icnn_fit(p, U, t, lr, epochs)
+        except DomainError:
+            with pytest.raises(DomainError):
+                icnn_fit(p, U, t, lr, epochs)
+            return
+        out = icnn_fit(p, U, t, lr, epochs)
+    for a, b in zip(out.wy + out.wz + out.b, ref.wy + ref.wz + ref.b):
+        assert np.array_equal(a, b)
+    fresh = init_icnn(d_in, widths, seed=seed % 1000)  # p is not written
+    for a, b in zip(p.wy + p.wz + p.b, fresh.wy + fresh.wz + fresh.b):
+        assert np.array_equal(a, b)
 
 
 def test_fit_rejects_empty():

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from consol import symbols
+from consol import local_net, symbols
 from consol.equations import term, canonicalize
 from consol.errors import DomainError, ShapeError, StructureError
 from consol.local_net import (ACTIVATION, MULTIPLICATION, SUMMATION,
                               LocalWeights, TrainConfig, extract_equation,
-                              _step, fanout_indicator, fit, fit_snapped,
-                              fit_trace, gradients, init_weights, make_structure,
-                              structure_from_json_obj, three_layer_structure,
-                              trainable_inner_mask, forward,
+                              _forward_layers, _step, fanout_indicator, fit,
+                              fit_snapped, fit_trace, gradients, init_weights,
+                              make_structure, structure_from_json_obj,
+                              three_layer_structure, trainable_inner_mask, forward,
                               weights_from_json_obj, weights_to_json_obj)
 from consol.symbols import make_library
 
@@ -251,6 +251,49 @@ def test_fit_warm_start():
     assert loss < 1e-12
 
 
+def _count_gradient_calls(monkeypatch):
+    """Counts the calls of the module-global `local_net.gradients`, and the
+    count at each entry into `fit_trace`."""
+    calls, entries = [0], []
+    grads, trace = local_net.gradients, local_net.fit_trace
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return grads(*args, **kwargs)
+
+    def entered(*args, **kwargs):
+        entries.append(calls[0])
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(local_net, "gradients", counted)
+    monkeypatch.setattr(local_net, "fit_trace", entered)
+    return calls, entries
+
+
+def test_fit_trace_calls_gradients_once_per_epoch_plus_one(monkeypatch):
+    # the benchmark cuts a fit into blocks of gradient calls and counts them
+    calls, entries = _count_gradient_calls(monkeypatch)
+    # log(w x): long steps take w below zero, out of the domain, and are
+    # rejected by a DomainError from inside gradients
+    st_log = three_layer_structure(make_library(["log"]), 1, np.array([[1]]),
+                                   np.array([[1]]))
+    X = np.linspace(0.5, 1.5, 20)[:, None]
+    _, losses = local_net.fit_trace(st_log, TrainConfig(learning_rate=10.0, epochs=37),
+                                    (X, 2.0 * np.log(0.1 * X)))
+    assert calls == [38] and entries == [0]
+    assert losses[1] == losses[0]  # the first step was rejected
+    st, _ = toy_weights()
+    rng = np.random.default_rng(4)
+    X = rng.uniform(1.0, 2.0, (100, 2))
+    Y = (3.0 * X[:, 0] ** 2)[:, None]
+    calls[0], entries[:] = 0, []
+    w, _ = fit_snapped(st, TrainConfig(epochs=400), (X, Y))
+    assert w.inner[5] == 0.0  # a snap refit ran
+    assert len(entries) >= 2
+    assert entries == [401 * n for n in range(len(entries))]
+    assert calls[0] == 401 * len(entries)
+
+
 def test_fit_snapped_removes_near_unit_cos_factor():
     # product sq(x1)*cos(w x2) fitting a pure 3*x1^2 target: plain descent
     # leaves a small cos weight; snapping takes it exactly to zero
@@ -397,32 +440,37 @@ def _ref_gradients(structure, weights, X, Y):
 
 
 ALL_OPS = ("id", "square", "sqrt", "log", "cos", "sin")
+UNWEIGHTED_OPS = ("id", "square")
 
 
 def _draw_block(draw, n_prev):
-    """A multiplication layer of fan-in 0-4 (a neuron without inputs is left
-    unused) and a summation layer over it with 1-2 outputs."""
+    """A multiplication layer of fan-in 0-8 (a neuron without inputs is left
+    unused) and a summation layer over some of its products, with 1-2
+    outputs; the products it leaves out reach no output."""
     n_mult = draw(hst.integers(1, 4))
     z_mult = np.zeros((n_prev, n_mult), dtype=int)
     for j in range(n_mult):
         sel = draw(hst.lists(hst.integers(0, n_prev - 1), min_size=int(j == 0),
-                             max_size=min(4, n_prev), unique=True))
+                             max_size=min(8, n_prev), unique=True))
         z_mult[sel, j] = 1
     fed = [j for j in range(n_mult) if z_mult[:, j].any()]
+    summed = draw(hst.lists(hst.sampled_from(fed), min_size=1, unique=True))
     n_out = draw(hst.integers(1, 2))
     z_sum = np.zeros((n_mult, n_out), dtype=int)
     for o in range(n_out):
-        z_sum[draw(hst.lists(hst.sampled_from(fed), min_size=1, unique=True)), o] = 1
+        z_sum[draw(hst.lists(hst.sampled_from(summed), min_size=1, unique=True)), o] = 1
     return z_mult, z_sum
 
 
 @hst.composite
 def fit_case(draw, positive=True):
-    """A random valid structure (a random library subset, one or two
-    multiplication/summation blocks, fan-in up to 4, unused neurons), its
-    data and weights.  With positive=True every activation stays inside its
-    domain; otherwise inputs may be negative."""
-    names = draw(hst.lists(hst.sampled_from(ALL_OPS), min_size=1, max_size=4, unique=True))
+    """A random valid structure (a random library subset, which may hold no
+    weighted op, one or two multiplication/summation blocks, fan-in up to 8,
+    unused neurons and products that reach no output), its data and
+    weights.  With positive=True every activation stays inside its domain;
+    otherwise inputs may be negative."""
+    ops = ALL_OPS if draw(hst.booleans()) else UNWEIGHTED_OPS
+    names = draw(hst.lists(hst.sampled_from(ops), min_size=1, max_size=4, unique=True))
     lib = make_library(names)
     n_in = draw(hst.integers(1, 3))
     sizes, kinds = [n_in, n_in * len(lib)], [ACTIVATION]
@@ -463,7 +511,10 @@ def test_gradients_match_reference_kernel(case, shift):
     loss, grad = gradients(st, w, (X, Y))
     assert loss == ref_loss
     assert _same_weights(grad, ref_grad)
-    assert np.array_equal(forward(st, w, X), _ref_forward_layers(st, w, X)[-1])
+    # every layer, the columns of products that reach no output included
+    hs, ref_hs = _forward_layers(st, w, X), _ref_forward_layers(st, w, X)
+    assert all(np.array_equal(h, ref) for h, ref in zip(hs, ref_hs))
+    assert np.array_equal(forward(st, w, X), ref_hs[-1])
     # max_loss: the backward pass runs exactly when loss <= max_loss
     max_loss = shift if np.isnan(shift) else loss + shift * max(loss, 1.0) * 1e-3
     cut_loss, cut_grad = gradients(st, w, (X, Y), max_loss=max_loss)
