@@ -4,16 +4,19 @@ BENCH_<n>.json record.
 Usage: python scripts/bench_pairs.py --parent REV --workload W --pairs N
                                      --out FILE [--first-seed 1]
 
-The change is this checkout's working tree; the parent is REV, checked out
-as a temporary `git worktree` that is removed afterwards (or an existing
-checkout given with --parent-dir).  For each workload (W is one name or
-"all") it records both sides' seed-0 fingerprints and quality figures from
-a short traced run, with the per-layer figures of the fit kernels, then
-runs N pairs of ``benchmark/run.py --workload W --seed S``
-for the run length BENCHMARK.json sets, one process per run, pair i at seed first_seed + i on both
-sides, alternating which side runs first.  Per end-to-end metric it writes
-the medians, the quartiles, the change/parent ratio of the medians, the
-pairs the change won and every pair's values; per workload, the failed
+The change is this checkout's working tree; the parent is the committed tree
+of REV, exported with `git archive` into a temporary directory that is
+removed afterwards (unlike a `git worktree`, this registers nothing in the
+repository).  For each workload (W is one name or "all") it first runs
+TRACED_RUNS short traced seed-0 runs per side, alternating which side runs
+first, and records both sides' fingerprints and quality figures and the
+median and every value of the per-layer figures of the fit kernels (one
+traced run of a search varies by up to 1.6x).  Then it runs N pairs of
+``benchmark/run.py --workload W --seed S`` for the run length
+BENCHMARK.json sets, one process per run, pair i at seed first_seed + i on
+both sides, alternating which side runs first.  Per end-to-end metric it
+writes the medians, the quartiles, the change/parent ratio of the medians,
+the pairs the change won and every pair's values; per workload, the failed
 operations per side and whether the fingerprints agreed in every pair.
 """
 
@@ -23,14 +26,17 @@ import os
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("syn1_search", "toy_search", "fixed_fit", "landscape_probe")
-#: run length of the seed-0 fingerprint runs, as in earlier BENCH files
+#: run length of the traced seed-0 runs, as in earlier BENCH files
 FINGERPRINT_SECONDS = 5
+#: traced seed-0 runs per side and workload
+TRACED_RUNS = 5
 
 
 #: the per-layer metrics recorded from the traced seed-0 runs
@@ -73,12 +79,40 @@ def summarize(pairs, better):
     }
 
 
+def alternating(i):
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
+def traced_seed0(sides, workload):
+    """The seed-0 report per side, whether every traced run of a side gave
+    the same fingerprint and quality, and per layer metric the median and
+    every value per side."""
+    runs = {name: [] for name in sides}
+    for i in range(TRACED_RUNS):
+        for name in alternating(i):
+            runs[name].append(run_once(sides[name], workload, 0, FINGERPRINT_SECONDS,
+                                       trace=1))
+    repeatable = all(
+        (r[0]["fingerprint"], r[0]["quality"]) ==
+        (runs[name][0][0]["fingerprint"], runs[name][0][0]["quality"])
+        for name in sides for r in runs[name])
+    layers = {}
+    for m in runs["parent"][0][1]["metrics"]:
+        if m.startswith(LAYERS):
+            values = {name: [r[1]["metrics"][m]["value"] for r in runs[name]]
+                      for name in sides}
+            layers[m] = {
+                **{name: statistics.median(values[name]) for name in sides},
+                "runs": values,
+            }
+    return {name: runs[name][0][0] for name in sides}, repeatable, layers
+
+
 def bench_workload(sides, workload, n_pairs, first_seed, seconds, better):
-    seed0 = {name: run_once(path, workload, 0, FINGERPRINT_SECONDS, trace=1)
-             for name, path in sides.items()}
+    seed0, repeatable, layers = traced_seed0(sides, workload)
     runs = []
     for i in range(n_pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        order = alternating(i)
         out = {name: run_once(sides[name], workload, first_seed + i, seconds)
                for name in order}
         runs.append(out)
@@ -87,7 +121,6 @@ def bench_workload(sides, workload, n_pairs, first_seed, seconds, better):
         print(f"{workload} pair {i + 1}/{n_pairs} seed {first_seed + i}: "
               f"run_s change/parent {ratio:.3f}", file=sys.stderr, flush=True)
     metrics = runs[0]["parent"][1]["metrics"]
-    traced = {name: seed0[name][1]["metrics"] for name in sides}
     return seed0, {
         "pairs": n_pairs,
         "seeds": [first_seed, first_seed + n_pairs - 1],
@@ -100,9 +133,8 @@ def bench_workload(sides, workload, n_pairs, first_seed, seconds, better):
                            r["change"][1]["metrics"][m]["value"]) for r in runs],
                          better[m])
             for m in metrics},
-        "per_layer_seed0_traced": {
-            m: {name: traced[name][m]["value"] for name in sides}
-            for m in traced["parent"] if m.startswith(LAYERS)},
+        "seed0_traced_runs_repeatable": repeatable,
+        "per_layer_seed0_traced": layers,
     }
 
 
@@ -114,10 +146,6 @@ def main():
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--first-seed", type=int, default=1,
                     help="seed of the first pair; pair i uses first_seed + i")
-    ap.add_argument("--change", default=None, help="what the change does, recorded as is")
-    ap.add_argument("--claim", default=None, help="the gain the change claims, recorded as is")
-    ap.add_argument("--parent-dir", default=None,
-                    help="an existing checkout of the parent, used instead of a worktree")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
@@ -129,43 +157,37 @@ def main():
                                 capture_output=True, text=True, check=True).stdout.strip()
     workloads = WORKLOADS if args.workload == "all" else (args.workload,)
     with tempfile.TemporaryDirectory() as tmp:
-        parent_dir = args.parent_dir
-        if parent_dir is None:
-            parent_dir = os.path.join(tmp, "parent")
-            subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
-                            parent_dir, args.parent], check=True, capture_output=True)
-        sides = {"parent": os.path.abspath(parent_dir), "change": ROOT}
-        try:
-            record = {
-                "parent_commit": parent_rev,
-                "change": args.change,
-                "claim": args.claim,
-                "machine": f"{os.cpu_count()}-core, Python {sys.version.split()[0]}, "
-                           f"numpy {np.__version__}, BLAS threads pinned to 1 "
-                           "by benchmark/run.py",
-                "seed0_fingerprints": {
-                    "command": f"python3 benchmark/run.py --workload W --seed 0 "
-                               f"--seconds {FINGERPRINT_SECONDS} --trace 1",
-                    "parent": {}, "change": {}, "quality_equal": True},
-                "pairs_method": (
-                    f"python3 benchmark/run.py --workload W --seed N --seconds "
-                    f"{seconds:g} --trace 0, one process per run; pair i uses "
-                    f"seed {args.first_seed}+i on both sides; the side that runs "
-                    "first alternates from pair to pair"),
-                "workloads": {},
-            }
-            fps = record["seed0_fingerprints"]
-            for w in workloads:
-                seed0, record["workloads"][w] = bench_workload(
-                    sides, w, args.pairs, args.first_seed, seconds, better)
-                for name in sides:
-                    fps[name][w] = seed0[name][0]["fingerprint"]
-                fps["quality_equal"] &= \
-                    seed0["parent"][0]["quality"] == seed0["change"][0]["quality"]
-        finally:
-            if args.parent_dir is None:
-                subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force",
-                                parent_dir], check=False, capture_output=True)
+        parent_dir = os.path.join(tmp, "parent")
+        tar = os.path.join(tmp, "parent.tar")
+        subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", "-o", tar, parent_rev],
+                       check=True)
+        with tarfile.open(tar) as tf:
+            tf.extractall(parent_dir, filter="data")
+        sides = {"parent": parent_dir, "change": ROOT}
+        record = {
+            "parent_commit": parent_rev,
+            "machine": f"{os.cpu_count()}-core, Python {sys.version.split()[0]}, "
+                       f"numpy {np.__version__}, BLAS threads pinned to 1 "
+                       "by benchmark/run.py",
+            "seed0_fingerprints": {
+                "command": f"python3 benchmark/run.py --workload W --seed 0 "
+                           f"--seconds {FINGERPRINT_SECONDS} --trace 1, "
+                           f"{TRACED_RUNS} runs per side, alternating",
+                "parent": {}, "change": {}, "quality_equal": True},
+            "pairs_method": (
+                f"python3 benchmark/run.py --workload W --seed N --seconds "
+                f"{seconds:g} --trace 0, one process per run; pair i uses "
+                f"seed {args.first_seed}+i on both sides; the side that runs "
+                "first alternates from pair to pair"),
+            "workloads": {},
+        }
+        fps = record["seed0_fingerprints"]
+        for w in workloads:
+            seed0, record["workloads"][w] = bench_workload(
+                sides, w, args.pairs, args.first_seed, seconds, better)
+            for name in sides:
+                fps[name][w] = seed0[name]["fingerprint"]
+            fps["quality_equal"] &= seed0["parent"]["quality"] == seed0["change"]["quality"]
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1)
         f.write("\n")

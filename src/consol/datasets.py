@@ -333,6 +333,11 @@ def load_dataset(path: str) -> Dataset:
                          "into inputs and outputs")
     if not isinstance(meta, dict):
         raise ValueError("meta must be an object")
-    if "sigma_y" in meta and np.shape(meta["sigma_y"]) != (data.shape[1] - n_in,):
-        raise ValueError("sigma_y needs one number per output")
+    if "sigma_y" in meta:
+        try:
+            sigma_y = np.asarray(meta["sigma_y"], dtype=float)
+        except (TypeError, ValueError):
+            sigma_y = None
+        if sigma_y is None or sigma_y.shape != (data.shape[1] - n_in,):
+            raise ValueError("sigma_y needs one number per output")
     return Dataset(data[:, :n_in], data[:, n_in:], meta)

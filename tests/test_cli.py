@@ -389,6 +389,7 @@ _ICNN_MISMATCH = {"wy": [{"shape": [2, 3], "data": [0.0] * 6},
     ("fit", "sidecar", [], "wrong shape"),
     ("fit", "sidecar", {"n_inputs": 2, "n_outputs": 0, "meta": {}}, "n_inputs 2"),
     ("region", "sidecar", {"n_inputs": 1, "meta": {"sigma_y": "x"}}, "sigma_y"),
+    ("eval", "sidecar", {"n_inputs": 1, "meta": {"sigma_y": ["x"]}}, "sigma_y"),
     ("fit", "data", "not json but a CSV with a bad row\n1,oops\n", "(in dataset file"),
 ])
 def test_input_file_of_the_wrong_shape_exits_3(tmp_path, capsys, command, option,

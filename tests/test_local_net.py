@@ -498,7 +498,7 @@ def _same_weights(a, b):
             and all(np.array_equal(a.summations[k], b.summations[k]) for k in a.summations))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(fit_case(positive=False), hst.sampled_from([0.0, -1.0, 1.0, np.inf, -np.inf, np.nan]))
 def test_gradients_match_reference_kernel(case, shift):
     st, w, X, Y = case
