@@ -26,7 +26,7 @@ from .convexity_probe import (estimate_region, init_sweep,
                               loss_second_derivative, segment_convexity_test,
                               weight_coords)
 from .equations import equation_from_json_obj
-from .errors import ConsistencyError, ConsolError, DomainError
+from .errors import ConsistencyError, ConsolError, DomainError, ShapeError
 from .icnn import icnn_forward, params_from_json_obj, params_to_json_obj
 from .local_net import (TrainConfig, structure_from_json_obj,
                         weights_from_json_obj, weights_to_json_obj)
@@ -287,15 +287,32 @@ _JSON_READERS = {
 }
 
 
-def _read_input(kind: str, path: str):
-    """The object in the input file at path; a missing file, invalid JSON or
-    an object of the wrong shape raises ConfigError naming the file."""
+def _check_fits(structure, kind: str, obj) -> None:
+    """ShapeError unless the weights or dataset obj fit the structure."""
+    if kind == "weights":
+        local_net._check_weights(structure, obj)
+        return
+    shape = (obj.X.shape[1], obj.Y.shape[1])
+    if shape != (structure.n_inputs, structure.n_outputs):
+        raise ShapeError(f"{shape[0]} input and {shape[1]} output columns; the "
+                         f"structure needs {structure.n_inputs} and {structure.n_outputs}")
+
+
+def _read_input(kind: str, path: str, structure=None):
+    """The object in the input file at path, checked against the structure
+    when one is given; a missing file, invalid JSON, an object of the wrong
+    shape or one that does not fit the structure raises ConfigError naming
+    the file."""
     where = f"(in {kind} file {path})"
     try:
         if kind == "dataset":
-            return datasets.load_dataset(path)
-        with open(path) as fh:
-            return _JSON_READERS[kind](json.load(fh))
+            obj = datasets.load_dataset(path)
+        else:
+            with open(path) as fh:
+                obj = _JSON_READERS[kind](json.load(fh))
+        if structure is not None:
+            _check_fits(structure, kind, obj)
+        return obj
     except FileNotFoundError as exc:
         # np.loadtxt leaves filename unset; the sidecar's open sets it
         raise ConfigError(f"file not found: {exc.filename or path}") from None
@@ -311,7 +328,7 @@ def _read_input(kind: str, path: str):
 
 def cmd_fit(args) -> int:
     structure = _read_input("structure", args.structure)
-    train = _read_input("dataset", args.data)
+    train = _read_input("dataset", args.data, structure)
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                       init_value=args.init)
     weights, losses = local_net.fit_trace(structure, cfg, (train.X, train.Y))
@@ -342,7 +359,7 @@ PROBE_INPUTS = {"sweep": ("structure", "data"), "segment": ("target",),
 def cmd_probe(args) -> int:
     if args.kind == "sweep":
         structure = _read_input("structure", args.structure)
-        train = _read_input("dataset", args.data)
+        train = _read_input("dataset", args.data, structure)
         cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs)
         rows = init_sweep(structure, (train.X, train.Y), parse_grid(args.grid), cfg)
         csv = "w0,final_loss\n" + "".join(f"{w0:.17g},{loss:.17g}\n" for w0, loss in rows)
@@ -362,8 +379,8 @@ def cmd_probe(args) -> int:
                                    "violations": violations})
         return 0
     structure = _read_input("structure", args.structure)
-    weights = _read_input("weights", args.weights)
-    train = _read_input("dataset", args.data)
+    weights = _read_input("weights", args.weights, structure)
+    train = _read_input("dataset", args.data, structure)
     if args.kind == "region":
         est = estimate_region(structure, weights, (train.X, train.Y),
                               args.n, seed=args.seed or 0)
@@ -400,8 +417,8 @@ def cmd_eval(args) -> int:
         print(f"E_c {score:.4f}%")
     if args.structure and args.weights and args.data:
         structure = _read_input("structure", args.structure)
-        weights = _read_input("weights", args.weights)
-        ds = _read_input("dataset", args.data)
+        weights = _read_input("weights", args.weights, structure)
+        ds = _read_input("dataset", args.data, structure)
         pred = local_net.forward(structure, weights, ds.X)
         report["nrmse"] = nrmse(pred, ds.Y, ds.sigma_y)
         print(f"NRMSE {report['nrmse']:.6g}")

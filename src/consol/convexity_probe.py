@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import local_net, symbols
-from .errors import ConsistencyError, DegenerateError, DomainError, StructureError
-from .local_net import (ACTIVATION, MULTIPLICATION, SUMMATION, LocalStructure,
-                        LocalWeights, TrainConfig, _as_xy, trainable_inner_mask)
+from .errors import ConsistencyError, DegenerateError, DomainError
+from .local_net import (SUMMATION_STAGE, LocalStructure, LocalWeights, TrainConfig,
+                        _as_xy, trainable_inner_mask)
 
 
 def segment_convexity_test(f, lower, upper, n_triples: int, tol: float,
@@ -42,16 +42,16 @@ def segment_convexity_test(f, lower, upper, n_triples: int, tol: float,
 
 # ---------------------------------------------------------------------------
 # weight vectorization: trainable inner weights first, then live summation
-# weights in row-major order, stage by stage.
+# weights in row-major order.
 
 def weight_coords(structure: LocalStructure):
     coords = [("inner", j) for j in np.flatnonzero(trainable_inner_mask(structure))]
-    for k in structure.summation_stages():
-        z = structure.indicators[k]
-        for i in range(z.shape[0]):
-            for j in range(z.shape[1]):
-                if z[i, j] == 1:
-                    coords.append(("sum", k, i, j))
+    k = SUMMATION_STAGE
+    z = structure.indicators[k]
+    for i in range(z.shape[0]):
+        for j in range(z.shape[1]):
+            if z[i, j] == 1:
+                coords.append(("sum", k, i, j))
     return coords
 
 
@@ -88,12 +88,6 @@ def _loss(structure, weights, X, Y) -> float:
     return float((e ** 2).sum() / (2 * X.shape[0]))
 
 
-def _check_single_block(structure: LocalStructure) -> None:
-    if structure.layer_kinds != (ACTIVATION, MULTIPLICATION, SUMMATION):
-        raise StructureError(
-            "analytic derivatives need an activation/multiplication/summation block")
-
-
 def analytic_directional_derivs(structure: LocalStructure,
                                 weights: LocalWeights, x, direction):
     """First and second derivative of the network output along a straight
@@ -107,15 +101,13 @@ def analytic_directional_derivs(structure: LocalStructure,
     u_j'' = u_j * (v_j^2 + v'_j); the summation layer contributes its own
     direction components linearly.
     """
-    _check_single_block(structure)
     x = np.asarray(x, dtype=float)
     direction = np.asarray(direction, dtype=float)
     coords = weight_coords(structure)
     if direction.shape != (len(coords),):
         raise ValueError(f"direction must have length {len(coords)}")
     inner_dir = np.zeros(structure.layer_sizes[1])
-    k_sum = structure.summation_stages()[0]
-    sum_dir = np.zeros(structure.indicators[k_sum].shape)
+    sum_dir = np.zeros(structure.indicators[SUMMATION_STAGE].shape)
     for c, d in zip(coords, direction):
         if c[0] == "inner":
             inner_dir[c[1]] = d
@@ -151,7 +143,7 @@ def analytic_directional_derivs(structure: LocalStructure,
                 vp_j = vp_j + dx * dx * (d2 * val - d1 * d1) / (val * val)
         u[..., j], v[..., j], vp[..., j] = prod, v_j, vp_j
 
-    w_sum = structure.indicators[k_sum] * weights.summations[k_sum]
+    w_sum = structure.indicators[SUMMATION_STAGE] * weights.summations[SUMMATION_STAGE]
     y1 = u @ sum_dir + (u * v) @ w_sum
     y2 = 2.0 * (u * v) @ sum_dir + (u * (v * v + vp)) @ w_sum
     if x.ndim == 1 and structure.n_outputs == 1:
@@ -231,7 +223,6 @@ def estimate_region(structure: LocalStructure, weights: LocalWeights, data,
     """Sample unit directions, collect |y'| and |y''| over the data, estimate
     eta = max |y''|/|y'| and test the sufficient condition
     min|y'|^2 / (eta * max|y'|) > max residual."""
-    _check_single_block(structure)
     X, Y = _as_xy(data)
     rng = np.random.default_rng(seed)
     n_w = len(weight_coords(structure))

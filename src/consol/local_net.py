@@ -1,6 +1,7 @@
-"""The structured equation-learner network: hierarchical layers of symbolic
-activations, multiplications and masked weighted summations, with analytic
-gradients, full-batch training and extraction of the represented equation.
+"""The structured equation-learner network: one block of symbolic
+activations, then multiplications, then masked weighted summations, with
+analytic gradients, full-batch training and extraction of the represented
+equation.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from .symbols import SymbolLibrary, SymbolOp, make_library
 ACTIVATION = "activation"
 MULTIPLICATION = "multiplication"
 SUMMATION = "summation"
+#: the one layer sequence a structure has
+LAYER_KINDS = (ACTIVATION, MULTIPLICATION, SUMMATION)
+#: the stage whose connections carry the summation weights
+SUMMATION_STAGE = 2
 
 
 def fanout_indicator(n_inputs: int, lib_size: int) -> np.ndarray:
@@ -33,29 +38,22 @@ def fanout_indicator(n_inputs: int, lib_size: int) -> np.ndarray:
 class _Plan(NamedTuple):
     """What `forward` and `gradients` need of a structure, worked out once."""
 
-    summation_stages: tuple[int, ...]
     acts: tuple[tuple[int, SymbolOp, int, bool], ...]  # live (j, op, input, weighted)
-    # per multiplication layer k, each neuron with inputs as (j, its factors)
-    products: dict[int, tuple[tuple[int, tuple[int, ...]], ...]]
-    # the stages the backward pass visits, top down, as (k, carry): carry when
-    # some weight below stage k reads the gradient of its inputs
-    backward: tuple[tuple[int, bool], ...]
-    # per multiplication layer k, each live product whose gradient some weight
-    # below reads, as (j, partials): partials[idx] = (i, the other factors)
-    # for each factor i whose gradient some weight below reads
-    partials: dict[int, tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]]
+    # each product neuron with inputs, as (j, its factors)
+    products: tuple[tuple[int, tuple[int, ...]], ...]
+    # each live product with a weighted factor, as (j, partials): partials[idx]
+    # = (i, the other factors) for each factor i with a live inner weight;
+    # empty when no inner weight is live, and the backward pass then stops
+    # after the summation weights
+    partials: tuple[tuple[int, tuple[tuple[int, tuple[int, ...]], ...]], ...]
 
 
 @dataclass(frozen=True)
 class LocalStructure:
-    layer_sizes: tuple[int, ...]  # n_0 .. n_K
-    layer_kinds: tuple[str, ...]  # K entries
-    indicators: tuple[np.ndarray, ...]  # K read-only binary matrices, Z_k: n_k x n_{k+1}
+    layer_sizes: tuple[int, ...]  # n_0 .. n_3
+    layer_kinds: tuple[str, ...]  # LAYER_KINDS
+    indicators: tuple[np.ndarray, ...]  # 3 read-only binary matrices, Z_k: n_k x n_{k+1}
     library: SymbolLibrary
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_kinds)
 
     @property
     def n_inputs(self) -> int:
@@ -73,13 +71,11 @@ class LocalStructure:
 
     def used_masks(self) -> list[np.ndarray]:
         """used[k][i]: neuron i of layer k reaches some output."""
-        K = self.n_layers
-        used = [None] * (K + 1)
-        used[K] = np.ones(self.layer_sizes[K], dtype=bool)
-        for k in range(K - 1, -1, -1):
-            z = self.indicators[k]
-            used[k] = (z[:, used[k + 1]].sum(axis=1) > 0)
-        return used
+        z_in, z_mult, z_sum = self.indicators
+        used_mult = z_sum.any(axis=1)
+        used_act = z_mult[:, used_mult].any(axis=1)
+        return [z_in[:, used_act].any(axis=1), used_act, used_mult,
+                np.ones(self.n_outputs, dtype=bool)]
 
     @cached_property
     def plan(self) -> _Plan:
@@ -87,42 +83,26 @@ class LocalStructure:
         backward pass reads, built on first use; raises StructureError for a
         used multiplication neuron without inputs."""
         used = self.used_masks()
-        # read[k][i]: some weight at or below stage k - 1 reads dL/dh_k[:, i]
-        read = [np.zeros(n, dtype=bool) for n in self.layer_sizes[:2]]
         acts = []
         for j in np.flatnonzero(used[1]).tolist():
             op = self.act_op(j)
             acts.append((j, op, self.act_input(j), op.has_inner_weight))
-            read[1][j] = op.has_inner_weight
-        products, partials = {}, {}
-        for k in range(1, self.n_layers):
-            z = self.indicators[k]
-            if self.layer_kinds[k] == SUMMATION:  # its weights read every fed neuron
-                read.append(used[k + 1] & z.any(axis=0))
+        weighted = {j for j, _, _, w in acts if w}
+        z = self.indicators[1]
+        products, partials = [], []
+        for j in range(self.layer_sizes[2]):
+            sel = tuple(np.flatnonzero(z[:, j]).tolist())
+            if not sel:
+                if used[2][j]:
+                    raise StructureError(f"used multiplication neuron {j} at layer 2 "
+                                         "has no inputs")
                 continue
-            rows, live = [], []
-            for j in range(self.layer_sizes[k + 1]):
-                sel = tuple(np.flatnonzero(z[:, j]).tolist())
-                if not sel:
-                    if used[k + 1][j]:
-                        raise StructureError(
-                            f"used multiplication neuron {j} at layer {k + 1} has no inputs")
-                    continue
-                rows.append((j, sel))
-                parts = tuple((i, sel[:idx] + sel[idx + 1:])
-                              for idx, i in enumerate(sel) if read[k][i])
-                if used[k + 1][j] and parts:
-                    live.append((j, parts))
-            products[k], partials[k] = tuple(rows), tuple(live)
-            read.append(np.zeros(self.layer_sizes[k + 1], dtype=bool))
-            read[k + 1][[j for j, _ in live]] = True
-        backward = tuple((k, bool(read[k].any())) for k in range(self.n_layers - 1, -1, -1)
-                         if read[k + 1].any())
-        return _Plan(tuple(self.summation_stages()), tuple(acts), products,
-                     backward, partials)
-
-    def summation_stages(self) -> list[int]:
-        return [k for k, kind in enumerate(self.layer_kinds) if kind == SUMMATION]
+            products.append((j, sel))
+            parts = tuple((i, sel[:idx] + sel[idx + 1:])
+                          for idx, i in enumerate(sel) if i in weighted)
+            if used[2][j] and parts:
+                partials.append((j, parts))
+        return _Plan(tuple(acts), tuple(products), tuple(partials))
 
     def to_json_obj(self):
         return {
@@ -134,16 +114,19 @@ class LocalStructure:
 
 
 def make_structure(library: SymbolLibrary, layer_sizes, layer_kinds, indicators) -> LocalStructure:
-    """Validate and build a structure; the indicators are stored as
-    read-only int64 copies, so the cached plan cannot go stale."""
-    layer_sizes = tuple(int(n) for n in layer_sizes)
+    """Validate and build a structure of the one layer sequence LAYER_KINDS;
+    the indicators are stored as read-only int64 copies, so the cached plan
+    cannot go stale."""
     layer_kinds = tuple(layer_kinds)
+    if layer_kinds != LAYER_KINDS:
+        raise StructureError(f"layer kinds must be {list(LAYER_KINDS)}, "
+                             f"not {list(layer_kinds)}")
+    layer_sizes = tuple(int(n) for n in layer_sizes)
     indicators = tuple(np.array(z, dtype=np.int64) for z in indicators)
     for z in indicators:
         z.flags.writeable = False
-    K = len(layer_kinds)
-    if len(layer_sizes) != K + 1 or len(indicators) != K:
-        raise ShapeError("layer_sizes must have K+1 entries and indicators K")
+    if len(layer_sizes) != 4 or len(indicators) != 3:
+        raise ShapeError("layer_sizes must have 4 entries and indicators 3")
     if any(n <= 0 for n in layer_sizes):
         raise ShapeError("layer sizes must be positive")
     for k, z in enumerate(indicators):
@@ -152,21 +135,13 @@ def make_structure(library: SymbolLibrary, layer_sizes, layer_kinds, indicators)
                              f"({layer_sizes[k]}, {layer_sizes[k + 1]})")
         if not np.isin(z, (0, 1)).all():
             raise StructureError(f"indicator {k} entries must be 0 or 1")
-    for kind in layer_kinds:
-        if kind not in (ACTIVATION, MULTIPLICATION, SUMMATION):
-            raise StructureError(f"unknown layer kind {kind!r}")
-    if layer_kinds[0] != ACTIVATION:
-        raise StructureError("first layer must be the activation layer")
-    if ACTIVATION in layer_kinds[1:]:
-        raise StructureError("only the first layer may be an activation layer")
     if layer_sizes[1] != layer_sizes[0] * len(library):
         raise ShapeError("activation layer must have n_inputs*|library| neurons")
     if not np.array_equal(indicators[0], fanout_indicator(layer_sizes[0], len(library))):
         raise StructureError("input->activation indicator must be the fixed block fan-out")
     s = LocalStructure(layer_sizes, layer_kinds, indicators, library)
     s.plan  # built now: it rejects a used product neuron without inputs
-    out_fan = indicators[-1].sum(axis=0)
-    if (out_fan == 0).any():
+    if not indicators[SUMMATION_STAGE].any(axis=0).all():
         raise StructureError("every output neuron needs at least one incoming connection")
     return s
 
@@ -181,12 +156,12 @@ def structure_from_json_obj(obj) -> LocalStructure:
 
 
 def three_layer_structure(library: SymbolLibrary, n_inputs: int, z_mult, z_sum) -> LocalStructure:
-    """The default depth: activation, multiplication, summation."""
+    """The structure with these multiplication and summation connections."""
     z_mult = np.asarray(z_mult, dtype=np.int64)
     z_sum = np.asarray(z_sum, dtype=np.int64)
     sizes = (n_inputs, n_inputs * len(library), z_mult.shape[1], z_sum.shape[1])
     return make_structure(
-        library, sizes, (ACTIVATION, MULTIPLICATION, SUMMATION),
+        library, sizes, LAYER_KINDS,
         (fanout_indicator(n_inputs, len(library)), z_mult, z_sum),
     )
 
@@ -194,7 +169,7 @@ def three_layer_structure(library: SymbolLibrary, n_inputs: int, z_mult, z_sum) 
 @dataclass(frozen=True)
 class LocalWeights:
     """inner: one scalar per activation neuron (ignored for unweighted ops);
-    summations: weight matrix per summation stage index."""
+    summations: the summation weight matrix, keyed by SUMMATION_STAGE."""
 
     inner: np.ndarray
     summations: dict[int, np.ndarray]
@@ -242,22 +217,24 @@ def trainable_inner_mask(structure: LocalStructure) -> np.ndarray:
 def init_weights(structure: LocalStructure, init_value: float) -> LocalWeights:
     inner = np.ones(structure.layer_sizes[1], dtype=float)
     inner[trainable_inner_mask(structure)] = init_value
-    sums = {}
-    for k in structure.summation_stages():
-        w = np.full(structure.indicators[k].shape, float(init_value))
-        w[structure.indicators[k] == 0] = 0.0
-        sums[k] = w
-    return LocalWeights(inner, sums)
+    z = structure.indicators[SUMMATION_STAGE]
+    w = np.full(z.shape, float(init_value))
+    w[z == 0] = 0.0
+    return LocalWeights(inner, {SUMMATION_STAGE: w})
 
 
 def _check_weights(structure: LocalStructure, weights: LocalWeights) -> None:
+    """ShapeError unless the weights have the structure's shapes."""
     if weights.inner.shape != (structure.layer_sizes[1],):
-        raise ShapeError("inner weight vector length mismatch")
-    for k in structure.plan.summation_stages:
-        if k not in weights.summations:
-            raise ShapeError(f"missing summation weights for stage {k}")
-        if weights.summations[k].shape != structure.indicators[k].shape:
-            raise ShapeError(f"summation weight shape mismatch at stage {k}")
+        raise ShapeError(f"inner weights have shape {weights.inner.shape}; "
+                         f"the structure needs ({structure.layer_sizes[1]},)")
+    if weights.summations.keys() != {SUMMATION_STAGE}:
+        raise ShapeError(f"summation weights must be keyed by stage {SUMMATION_STAGE} "
+                         f"alone, not {sorted(weights.summations)}")
+    w = weights.summations[SUMMATION_STAGE]
+    if w.shape != structure.indicators[SUMMATION_STAGE].shape:
+        raise ShapeError(f"summation weights have shape {w.shape}; the structure "
+                         f"needs {structure.indicators[SUMMATION_STAGE].shape}")
 
 
 def _chain(h: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
@@ -272,33 +249,26 @@ def _chain(h: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
 
 
 def _forward_layers(structure: LocalStructure, weights: LocalWeights, X: np.ndarray):
-    """All layer outputs, shape (N, n_k) each; unused activation neurons are 0
-    and never evaluated (so their domains are not checked).  Every product
-    with inputs is computed, live or not: `search_mdp.update_frozen_paths`
-    reads each penultimate column."""
+    """The four layer outputs [X, activations, products, outputs], shape
+    (N, n_k) each; unused activation neurons are 0 and never evaluated (so
+    their domains are not checked).  Every product with inputs is computed,
+    live or not: `search_mdp.update_frozen_paths` reads each product column."""
     _check_weights(structure, weights)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != structure.n_inputs:
         raise ShapeError(f"input batch must be (N, {structure.n_inputs})")
     plan = structure.plan
-    hs = [X]
-    for k, kind in enumerate(structure.layer_kinds):
-        h = hs[-1]
-        if kind == ACTIVATION:
-            out = np.zeros((X.shape[0], structure.layer_sizes[k + 1]))
-            for j, op, col, weighted in plan.acts:
-                v = X[:, col]
-                zarg = weights.inner[j] * v if weighted else v
-                symbols.check_domain(op, zarg)
-                out[:, j] = symbols.op_value(op.name, zarg)
-        elif kind == MULTIPLICATION:
-            out = np.zeros((X.shape[0], structure.layer_sizes[k + 1]))
-            for j, sel in plan.products[k]:
-                out[:, j] = _chain(h, sel)
-        else:  # SUMMATION
-            out = h @ (structure.indicators[k] * weights.summations[k])
-        hs.append(out)
-    return hs
+    acts = np.zeros((X.shape[0], structure.layer_sizes[1]))
+    for j, op, col, weighted in plan.acts:
+        v = X[:, col]
+        zarg = weights.inner[j] * v if weighted else v
+        symbols.check_domain(op, zarg)
+        acts[:, j] = symbols.op_value(op.name, zarg)
+    prods = np.zeros((X.shape[0], structure.layer_sizes[2]))
+    for j, sel in plan.products:
+        prods[:, j] = _chain(acts, sel)
+    z = structure.indicators[SUMMATION_STAGE]
+    return [X, acts, prods, prods @ (z * weights.summations[SUMMATION_STAGE])]
 
 
 def _require_finite(weights: LocalWeights, *data) -> None:
@@ -336,34 +306,24 @@ def gradients(structure: LocalStructure, weights: LocalWeights, batch,
 
     plan = structure.plan
     inner = np.zeros(structure.layer_sizes[1])
-    sums = {}
-    g = e / N  # dL/dh_K, carried down only as far as some weight reads it
-    for k, carry in plan.backward:
-        kind = structure.layer_kinds[k]
-        h = hs[k]
-        if kind == SUMMATION:
-            z = structure.indicators[k]
-            sums[k] = (h.T @ g) * z
-            if carry:
-                g = g @ (z * weights.summations[k]).T
-        elif kind == MULTIPLICATION:
-            g_prev = np.zeros_like(h)
-            for j, partials in plan.partials[k]:
-                gj = g[:, j]
-                for i, rest in partials:
-                    # a lone factor's partial is 1
-                    g_prev[:, i] += gj * _chain(h, rest) if rest else gj
-            g = g_prev
-        else:  # ACTIVATION
-            for j, op, col, weighted in plan.acts:
-                if weighted:
-                    v = X[:, col]
-                    zarg = weights.inner[j] * v
-                    inner[j] = float(np.sum(g[:, j] * v * symbols.op_d1(op.name, zarg)))
-    # a stage the backward pass skips reaches no output: its gradient is zero
-    return loss, LocalWeights(inner, {
-        k: sums[k] if k in sums else np.zeros(structure.indicators[k].shape)
-        for k in plan.summation_stages})
+    z = structure.indicators[SUMMATION_STAGE]
+    g = e / N  # dL/dy, carried down only when some inner weight reads it
+    sums = (hs[2].T @ g) * z
+    if plan.partials:
+        g = g @ (z * weights.summations[SUMMATION_STAGE]).T
+        h = hs[1]
+        g_acts = np.zeros_like(h)
+        for j, partials in plan.partials:
+            gj = g[:, j]
+            for i, rest in partials:
+                # a lone factor's partial is 1
+                g_acts[:, i] += gj * _chain(h, rest) if rest else gj
+        for j, op, col, weighted in plan.acts:
+            if weighted:
+                v = X[:, col]
+                zarg = weights.inner[j] * v
+                inner[j] = float(np.sum(g_acts[:, j] * v * symbols.op_d1(op.name, zarg)))
+    return loss, LocalWeights(inner, {SUMMATION_STAGE: sums})
 
 
 def _as_xy(batch):
@@ -462,24 +422,21 @@ def _neuron_terms(structure: LocalStructure, weights: LocalWeights):
     """Per-output sum-of-terms expansion over the fit plan; a term is
     (coefficient, tuple of (input, (op, inner weight or None)) factors)."""
     plan = structure.plan
-    prev = [[] for _ in range(structure.layer_sizes[1])]
+    acts = [[] for _ in range(structure.layer_sizes[1])]
     for j, op, col, weighted in plan.acts:
         w = float(weights.inner[j]) if weighted else None
-        prev[j] = [(1.0, ((col, (op.name, w)),))]
-    for k in range(1, structure.n_layers):
-        cur = [[] for _ in range(structure.layer_sizes[k + 1])]
-        if structure.layer_kinds[k] == MULTIPLICATION:
-            for j, sel in plan.products[k]:
-                terms = [(1.0, ())]
-                for i in sel:
-                    terms = [(c1 * c2, f1 + f2) for c1, f1 in terms for c2, f2 in prev[i]]
-                cur[j] = terms
-        else:  # SUMMATION
-            w = weights.summations[k]
-            for j, i in np.argwhere(structure.indicators[k].T):
-                cur[j].extend((float(w[i, j]) * c, f) for c, f in prev[i])
-        prev = cur
-    return prev
+        acts[j] = [(1.0, ((col, (op.name, w)),))]
+    prods = [[] for _ in range(structure.layer_sizes[2])]
+    for j, sel in plan.products:
+        terms = [(1.0, ())]
+        for i in sel:
+            terms = [(c1 * c2, f1 + f2) for c1, f1 in terms for c2, f2 in acts[i]]
+        prods[j] = terms
+    outs = [[] for _ in range(structure.n_outputs)]
+    w = weights.summations[SUMMATION_STAGE]
+    for j, i in np.argwhere(structure.indicators[SUMMATION_STAGE].T):
+        outs[j].extend((float(w[i, j]) * c, f) for c, f in prods[i])
+    return outs
 
 
 #: terms, and cos/sin arguments, below this magnitude are dropped from an

@@ -18,9 +18,8 @@ from . import local_net
 from .errors import DomainError, EpisodeAborted, StructureError
 from .icnn import (IcnnParams, icnn_fit, icnn_forward, init_icnn,
                    minimize_over_box, minimize_over_box_batch)
-from .local_net import (ACTIVATION, MULTIPLICATION, SUMMATION, LocalStructure,
-                        LocalWeights, TrainConfig, fanout_indicator,
-                        make_structure)
+from .local_net import (LAYER_KINDS, SUMMATION_STAGE, LocalStructure, LocalWeights,
+                        TrainConfig, fanout_indicator, make_structure)
 from .metrics import nrmse
 from .search_mdp import (ActionVec, ConstraintConfig, StateVec,
                          action_from_array, action_from_indicator,
@@ -80,6 +79,9 @@ class SearchSpace:
     fixed_indicators: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
+        if tuple(self.layer_kinds) != LAYER_KINDS:
+            raise ValueError(f"layer_kinds must be {list(LAYER_KINDS)}, "
+                             f"not {list(self.layer_kinds)}")
         K = len(self.layer_kinds)
         if len(self.layer_sizes) != K + 1:
             raise ValueError("layer_sizes must have one more entry than layer_kinds")
@@ -122,8 +124,7 @@ def three_layer_space(library: SymbolLibrary, n_inputs: int, n_outputs: int,
     if mult_neurons is None:
         mult_neurons = n_outputs * 3
     sizes = (n_inputs, n_inputs * len(library), mult_neurons, n_outputs)
-    return SearchSpace(library, sizes, (ACTIVATION, MULTIPLICATION, SUMMATION),
-                       (1, 2))
+    return SearchSpace(library, sizes, LAYER_KINDS, (1, 2))
 
 
 class ReplayBuffer:
@@ -363,13 +364,12 @@ def trim_structure(structure: LocalStructure, cfg: QLearnConfig, data,
     stop_nrmse = cfg.stop_lambda / (1.0 - cfg.stop_lambda)
     polish = replace(cfg.local_train, epochs=cfg.final_polish_epochs)
     while True:
-        k = structure.n_layers - 1
-        z = structure.indicators[k]
+        z = structure.indicators[SUMMATION_STAGE]
         try:
             h = local_net._forward_layers(structure, weights, X)[-2]
         except DomainError:
             return structure, weights, score
-        w = weights.summations[k]
+        w = weights.summations[SUMMATION_STAGE]
         cands = []
         for j in range(z.shape[1]):
             rows = np.flatnonzero(z[:, j])
@@ -383,7 +383,7 @@ def trim_structure(structure: LocalStructure, cfg: QLearnConfig, data,
         accepted = False
         for _, i, j in cands:
             new_ind = [m.copy() for m in structure.indicators]
-            new_ind[k][i, j] = 0
+            new_ind[SUMMATION_STAGE][i, j] = 0
             try:
                 cand_st = make_structure(structure.library,
                                          structure.layer_sizes,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ShapeError
-from .local_net import MULTIPLICATION, SUMMATION, LocalStructure
+from .local_net import MULTIPLICATION, SUMMATION, SUMMATION_STAGE, LocalStructure
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +207,7 @@ def stage_pins(cfg: ConstraintConfig, stage: int, n_k: int, n_k1: int, n_a: int)
 def update_frozen_paths(cfg: ConstraintConfig, structure: LocalStructure,
                         layer_outputs: np.ndarray,
                         targets: np.ndarray) -> ConstraintConfig:
-    """Freeze the input path of penultimate-layer neurons that correlate
+    """Freeze the input path of product neurons that correlate
     strongly with an output.  Per output only the single best correlate
     above the threshold is frozen (on narrow input ranges many monomials
     are near-collinear, so freezing everything above the threshold would
@@ -219,8 +219,8 @@ def update_frozen_paths(cfg: ConstraintConfig, structure: LocalStructure,
         targets = targets[:, None]
     if layer_outputs.shape[0] != targets.shape[0] or layer_outputs.shape[0] < 2:
         raise ShapeError("need matching series of length >= 2")
-    feed_stage = len(structure.indicators) - 2
-    out_stage = feed_stage + 1
+    out_stage = SUMMATION_STAGE
+    feed_stage = out_stage - 1
     Z = structure.indicators[feed_stage]
     budget = max(0, Z.shape[1] - targets.shape[1])
     frozen = set(cfg.frozen_paths)

@@ -364,6 +364,10 @@ INPUT_COMMANDS = {
     "segment": ["probe", "segment", "--target", "target", "--n", "10"],
     "region": ["probe", "region", "--structure", "structure", "--weights", "weights",
                "--data", "data", "--n", "2"],
+    "second-deriv": ["probe", "second-deriv", "--structure", "structure",
+                     "--weights", "weights", "--data", "data", "--n", "2"],
+    "sweep": ["probe", "sweep", "--structure", "structure", "--data", "data",
+              "--grid", "1,2", "--epochs", "2"],
 }
 
 _FACTOR_AS_LIST = {"outputs": [[{"coefficient": 1.0, "factors": [[0, "id", None]]}]]}
@@ -414,6 +418,63 @@ def test_missing_input_file_exits_3_naming_it(tmp_path, capsys):
         assert main(argv) == 3
         assert capsys.readouterr().err == f"error: file not found: {missing}\n"
         os.rename(missing + ".away", missing)
+
+
+@pytest.mark.parametrize("command, option, content, message", [
+    ("eval", "weights", {"inner": [1.0], "summations": {"2": [[1.0]]}},
+     "inner weights have shape (1,); the structure needs (2,)"),
+    ("region", "weights", {"inner": [1.0, 1.0], "summations": {"2": [[1.0, 1.0]]}},
+     "summation weights have shape (1, 2); the structure needs (1, 1)"),
+    ("second-deriv", "weights", {"inner": [1.0, 1.0], "summations": {"1": [[1.0]]}},
+     "summation weights must be keyed by stage 2 alone, not [1]"),
+    ("eval", "weights", {"inner": [1.0, 1.0], "summations": {"2": [[1.0]], "4": [[1.0]]}},
+     "summation weights must be keyed by stage 2 alone, not [2, 4]"),
+    ("eval", "data", (2, 1), "2 input and 1 output columns; the structure needs 1 and 1"),
+    ("region", "data", (2, 1), "2 input and 1 output columns"),
+    ("fit", "data", (1, 2), "1 input and 2 output columns"),
+    ("sweep", "data", (2, 1), "2 input and 1 output columns"),
+], ids=["eval-inner", "region-summation", "second-deriv-stage", "eval-extra-stage",
+        "eval-inputs",
+        "region-inputs", "fit-outputs", "sweep-inputs"])
+def test_input_file_that_does_not_fit_the_structure_exits_3(tmp_path, capsys, command,
+                                                            option, content, message):
+    """A weights file or dataset that reads well but does not fit the
+    structure file is named, before any fit or probe starts."""
+    from consol.datasets import Dataset, save_dataset
+    paths = valid_inputs(tmp_path)
+    if option == "weights":
+        write_json(paths["weights"], content)
+    else:
+        n_in, n_out = content
+        X = np.linspace(0.1, 1.0, 20 * n_in).reshape(20, n_in)
+        save_dataset(Dataset(X, np.repeat(X[:, :1] ** 2, n_out, axis=1)), paths["data"])
+    argv = [paths.get(a, a) for a in INPUT_COMMANDS[command]]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    kind = "dataset" if option == "data" else option
+    assert err.startswith(f"error: {message}")
+    assert err.endswith(f" (in {kind} file {paths[option]})\n") and err.count("\n") == 1
+
+
+_ONE_BLOCK = [[[1, 1]], [[1], [1]], [[1]]]
+
+
+@pytest.mark.parametrize("kinds, sizes, indicators", [
+    (["activation", "multiplication", "summation", "multiplication", "summation"],
+     [1, 2, 1, 1, 1, 1], _ONE_BLOCK + [[[1]], [[1]]]),
+    (["activation", "summation"], [1, 2, 1], [[[1, 1]], [[1], [1]]]),
+    (["activation", "multiplication", "summaton"], [1, 2, 1, 1], _ONE_BLOCK),
+], ids=["two-blocks", "no-multiplication", "summaton"])
+def test_structure_of_another_shape_exits_3(tmp_path, capsys, kinds, sizes, indicators):
+    """A structure is one activation -> multiplication -> summation block;
+    a structure file of any other layer sequence is named."""
+    paths = valid_inputs(tmp_path)
+    write_json(paths["structure"], {"library": ["square", "cos"], "layer_sizes": sizes,
+                                    "layer_kinds": kinds, "indicators": indicators})
+    assert main([paths.get(a, a) for a in INPUT_COMMANDS["fit"]]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"error: layer kinds must be ['activation', 'multiplication', "
+                   f"'summation'], not {kinds} (in structure file {paths['structure']})\n")
 
 
 def test_valid_input_files_run(tmp_path):

@@ -7,7 +7,7 @@ from consol.convexity_probe import (RegionEstimate, analytic_directional_derivs,
                                     init_sweep, loss_second_derivative,
                                     segment_convexity_test, set_weight_vector,
                                     weight_coords)
-from consol.errors import ConsistencyError, StructureError
+from consol.errors import ConsistencyError
 from consol.local_net import (TrainConfig, fit, forward, init_weights,
                               three_layer_structure, trainable_inner_mask)
 from consol.symbols import make_library
@@ -167,19 +167,6 @@ def test_batch_directional_derivs_match_rows_and_finite_differences(case):
     fd2 = (4.0 * d2(h2 / 2) - d2(h2)) / 3.0
     np.testing.assert_allclose(y1, fd1, rtol=1e-6, atol=1e-6)
     np.testing.assert_allclose(y2, fd2, rtol=1e-4, atol=1e-4)
-
-
-def test_directional_derivs_require_single_block():
-    from consol.local_net import (ACTIVATION, MULTIPLICATION, SUMMATION,
-                                  fanout_indicator, make_structure)
-    lib = make_library(["id"])
-    st = make_structure(lib, (1, 1, 1, 1, 1),
-                        (ACTIVATION, MULTIPLICATION, SUMMATION, SUMMATION),
-                        (fanout_indicator(1, 1), np.array([[1]]),
-                         np.array([[1]]), np.array([[1]])))
-    w = init_weights(st, 1.0)
-    with pytest.raises(StructureError):
-        analytic_directional_derivs(st, w, np.array([1.0]), np.array([1.0, 1.0]))
 
 
 def test_loss_curvature_positive_at_optimum():

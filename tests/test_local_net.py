@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as hst
 from consol import local_net, symbols
 from consol.equations import term, canonicalize
 from consol.errors import DomainError, ShapeError, StructureError
-from consol.local_net import (ACTIVATION, MULTIPLICATION, SUMMATION,
+from consol.local_net import (ACTIVATION, MULTIPLICATION, SUMMATION, SUMMATION_STAGE,
                               LocalWeights, TrainConfig, extract_equation,
                               _forward_layers, _step, fanout_indicator, fit,
                               fit_snapped, fit_trace, gradients, init_weights,
@@ -82,14 +82,6 @@ def test_make_structure_rejects_used_empty_product():
     with pytest.raises(StructureError, match="no inputs"):
         make_structure(LIB, (2, 6, 1, 1),
                        (ACTIVATION, MULTIPLICATION, SUMMATION),
-                       (fanout_indicator(2, 3), z_mult, np.array([[1]])))
-
-
-def test_make_structure_rejects_unknown_layer_kind():
-    z_mult = np.zeros((6, 1)); z_mult[0, 0] = 1
-    with pytest.raises(StructureError, match="unknown layer kind 'summaton'"):
-        make_structure(LIB, (2, 6, 1, 1),
-                       (ACTIVATION, MULTIPLICATION, "summaton"),
                        (fanout_indicator(2, 3), z_mult, np.array([[1]])))
 
 
@@ -171,9 +163,9 @@ def test_gradients_match_finite_difference_on_random_structures():
         w = init_weights(st, 1.0)
         mask = trainable_inner_mask(st)
         w.inner[mask] = rng.uniform(0.7, 1.4, mask.sum())
-        for k in st.summation_stages():
-            live = st.indicators[k] == 1
-            w.summations[k][live] = rng.uniform(0.5, 1.5, live.sum())
+        k = SUMMATION_STAGE
+        live = st.indicators[k] == 1
+        w.summations[k][live] = rng.uniform(0.5, 1.5, live.sum())
         try:
             Y = forward(st, w, X) + rng.normal(0, 0.3, (10, st.n_outputs))
             loss, grad = gradients(st, w, (X, Y))
@@ -191,13 +183,12 @@ def test_gradients_match_finite_difference_on_random_structures():
             wm.inner[j] -= h
             fd = (loss_at(wp) - loss_at(wm)) / (2 * h)
             assert grad.inner[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-        for k in st.summation_stages():
-            for i, jj in zip(*np.nonzero(st.indicators[k])):
-                wp, wm = w.copy(), w.copy()
-                wp.summations[k][i, jj] += h
-                wm.summations[k][i, jj] -= h
-                fd = (loss_at(wp) - loss_at(wm)) / (2 * h)
-                assert grad.summations[k][i, jj] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+        for i, jj in zip(*np.nonzero(st.indicators[k])):
+            wp, wm = w.copy(), w.copy()
+            wp.summations[k][i, jj] += h
+            wm.summations[k][i, jj] -= h
+            fd = (loss_at(wp) - loss_at(wm)) / (2 * h)
+            assert grad.summations[k][i, jj] == pytest.approx(fd, rel=1e-5, abs=1e-7)
         checked += 1
 
 
@@ -404,10 +395,10 @@ def _ref_gradients(structure, weights, X, Y):
     loss = float((e ** 2).sum() / (2 * N))
     grad = LocalWeights(np.zeros(structure.layer_sizes[1]),
                         {k: np.zeros(structure.indicators[k].shape)
-                         for k in structure.summation_stages()})
+                         for k in [SUMMATION_STAGE]})
     used = structure.used_masks()
     g = e / N
-    for k in range(structure.n_layers - 1, -1, -1):
+    for k in range(len(structure.layer_kinds) - 1, -1, -1):
         kind = structure.layer_kinds[k]
         z = structure.indicators[k]
         h = hs[k]
@@ -465,22 +456,15 @@ def _draw_block(draw, n_prev):
 @hst.composite
 def fit_case(draw, positive=True):
     """A random valid structure (a random library subset, which may hold no
-    weighted op, one or two multiplication/summation blocks, fan-in up to 8,
-    unused neurons and products that reach no output), its data and
-    weights.  With positive=True every activation stays inside its domain;
-    otherwise inputs may be negative."""
+    weighted op, fan-in up to 8, unused neurons and products that reach no
+    output), its data and weights.  With positive=True every activation
+    stays inside its domain; otherwise inputs may be negative."""
     ops = ALL_OPS if draw(hst.booleans()) else UNWEIGHTED_OPS
     names = draw(hst.lists(hst.sampled_from(ops), min_size=1, max_size=4, unique=True))
     lib = make_library(names)
     n_in = draw(hst.integers(1, 3))
-    sizes, kinds = [n_in, n_in * len(lib)], [ACTIVATION]
-    inds = [fanout_indicator(n_in, len(lib))]
-    for _ in range(draw(hst.integers(1, 2))):
-        z_mult, z_sum = _draw_block(draw, sizes[-1])
-        sizes += [z_mult.shape[1], z_sum.shape[1]]
-        kinds += [MULTIPLICATION, SUMMATION]
-        inds += [z_mult, z_sum]
-    st = make_structure(lib, sizes, kinds, inds)
+    z_mult, z_sum = _draw_block(draw, n_in * len(lib))
+    st = three_layer_structure(lib, n_in, z_mult, z_sum)
     rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
     n = draw(hst.integers(1, 20))
     lo = 0.2 if positive or draw(hst.booleans()) else -2.0
@@ -488,8 +472,8 @@ def fit_case(draw, positive=True):
     Y = rng.normal(0.0, 1.0, (n, st.n_outputs))
     w = init_weights(st, 1.0)
     w.inner[:] = rng.uniform(0.5, 1.5, w.inner.shape)
-    for k in st.summation_stages():
-        w.summations[k] = st.indicators[k] * rng.uniform(-1.5, 1.5, st.indicators[k].shape)
+    z_sum = st.indicators[SUMMATION_STAGE]
+    w.summations[SUMMATION_STAGE] = z_sum * rng.uniform(-1.5, 1.5, z_sum.shape)
     return st, w, X, Y
 
 

@@ -72,6 +72,14 @@ def test_space_rejects_unassigned_stage():
                     searched_stages=(1,))
 
 
+def test_space_rejects_another_layer_layout():
+    # a five-stage space would abort every episode at make_structure
+    with pytest.raises(ValueError, match="layer_kinds must be"):
+        SearchSpace(LIB2, (1, 2, 1, 1, 1, 1),
+                    (ACTIVATION, MULTIPLICATION, SUMMATION, MULTIPLICATION, SUMMATION),
+                    searched_stages=(1, 2, 3, 4))
+
+
 def test_three_layer_space_defaults():
     sp = three_layer_space(LIB2, 3, 2)
     assert sp.layer_sizes == (3, 6, 6, 2)
