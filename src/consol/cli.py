@@ -406,6 +406,10 @@ def cmd_probe(args) -> int:
     raise ConfigError(f"unknown probe kind {args.kind!r}")
 
 
+#: the input files `eval` reads for the NRMSE: all of them or none
+EVAL_NRMSE_INPUTS = ("structure", "weights", "data")
+
+
 def cmd_eval(args) -> int:
     learned = _read_input("equation", args.learned)
     report = {}
@@ -415,7 +419,7 @@ def cmd_eval(args) -> int:
         report["e_c_percent"] = score
         report["matches"] = [m.to_json_obj() for m in matches]
         print(f"E_c {score:.4f}%")
-    if args.structure and args.weights and args.data:
+    if args.structure is not None:  # main() takes all of EVAL_NRMSE_INPUTS or none
         structure = _read_input("structure", args.structure)
         weights = _read_input("weights", args.weights, structure)
         ds = _read_input("dataset", args.data, structure)
@@ -485,11 +489,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    what, needed = None, ()
     if args.command == "probe":
-        missing = [f"--{name}" for name in PROBE_INPUTS[args.kind]
-                   if getattr(args, name) is None]
-        if missing:
-            parser.error(f"probe {args.kind} needs {', '.join(missing)}")
+        what, needed = f"probe {args.kind}", PROBE_INPUTS[args.kind]
+    elif args.command == "eval" and any(getattr(args, name) is not None
+                                        for name in EVAL_NRMSE_INPUTS):
+        what, needed = "eval with an NRMSE", EVAL_NRMSE_INPUTS
+    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
+    if missing:
+        parser.error(f"{what} needs {', '.join(missing)}")
     try:
         return args.func(args)
     except ConsistencyError as exc:

@@ -95,9 +95,9 @@ def icnn_value_and_input_grad(params: IcnnParams, U: np.ndarray):
     U = np.asarray(U, dtype=float)
     vals, zs, sigs = _forward_cached(params.wy, params.wz, params.b, U)
     n_hidden = len(params.wz)
-    # backprop to the input
-    dz = np.tile(params.wz[-1][:, 0], (U.shape[0], 1))
-    g = np.tile(params.wy[-1][:, 0], (U.shape[0], 1))
+    # backprop to the input; the last layer's rows broadcast over the batch
+    dz = params.wz[-1][:, 0]
+    g = params.wy[-1][:, 0]
     for k in range(n_hidden - 1, -1, -1):
         da = dz * sigs[k]  # (B, w_k)
         g = g + da @ params.wy[k].T
@@ -226,7 +226,8 @@ def params_to_json_obj(params: IcnnParams):
 
 def params_from_json_obj(obj) -> IcnnParams:
     """Parameters written by params_to_json_obj; matrices that do not chain
-    into one network with a scalar output raise ShapeError."""
+    into one network with a scalar output raise ShapeError, and a non-finite
+    entry DomainError."""
     def mats(entries):
         return tuple(np.array(e["data"], dtype=float).reshape(e["shape"]) for e in entries)
     wy, wz, b = mats(obj["wy"]), mats(obj["wz"]), mats(obj["b"])
@@ -239,4 +240,6 @@ def params_from_json_obj(obj) -> IcnnParams:
               and all(w.shape == (m, n) for w, m, n in zip(wz, widths, widths[1:])))
     if not ok:
         raise ShapeError("ICNN matrices do not chain into one scalar network")
+    if not all(np.isfinite(a).all() for a in (*wy, *wz, *b)):
+        raise DomainError("ICNN parameters must be finite")
     return IcnnParams(wy, wz, b)

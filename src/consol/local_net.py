@@ -186,10 +186,15 @@ def weights_to_json_obj(weights: LocalWeights):
 
 
 def weights_from_json_obj(obj) -> LocalWeights:
+    """Weights written by weights_to_json_obj; ShapeError unless inner is a
+    vector and each summation entry a matrix, DomainError for a non-finite
+    entry (Python's json reads NaN and Infinity)."""
     inner = np.array(obj["inner"], dtype=float)
     sums = {int(k): np.array(w, dtype=float) for k, w in obj["summations"].items()}
     if inner.ndim != 1 or any(w.ndim != 2 for w in sums.values()):
         raise ShapeError("inner weights must be a vector and summation weights matrices")
+    if not all(np.isfinite(w).all() for w in (inner, *sums.values())):
+        raise DomainError("weights must be finite")
     return LocalWeights(inner, sums)
 
 
@@ -237,38 +242,60 @@ def _check_weights(structure: LocalStructure, weights: LocalWeights) -> None:
                          f"needs {structure.indicators[SUMMATION_STAGE].shape}")
 
 
-def _chain(h: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
-    """The product of columns cols of h, multiplied one column at a time in
-    factor order, as np.prod(h[:, cols], axis=1) does, without the gather."""
-    if len(cols) == 1:
-        return h[:, cols[0]]
-    out = h[:, cols[0]] * h[:, cols[1]]
-    for i in cols[2:]:
-        out *= h[:, i]
+def _chain(cols, factors: tuple[int, ...]) -> np.ndarray:
+    """The product of activation columns cols[i] for i in factors, multiplied
+    one column at a time in factor order, as np.prod(h[:, factors], axis=1)
+    does on the activation matrix h."""
+    if len(factors) == 1:
+        return cols[factors[0]]
+    out = cols[factors[0]] * cols[factors[1]]
+    for i in factors[2:]:
+        out *= cols[i]
     return out
+
+
+def _columns(structure: LocalStructure, weights: LocalWeights, X: np.ndarray):
+    """The forward pass up to the products, one 1-D column per activation:
+    (cols, pre, prods).  cols[j] is activation j (a view of the input column
+    for `id`; a shared zero column for a neuron that reaches no output, which
+    is never evaluated, so its domain is not checked); pre[j] is the
+    pre-activation w*x of each live weighted op, for the backward pass; prods
+    is the (N, n2) product matrix.  Every product with inputs is computed,
+    live or not: `search_mdp.update_frozen_paths` reads each product column.
+    Nothing is written into X or into a column after it is made."""
+    _check_weights(structure, weights)
+    if X.ndim != 2 or X.shape[1] != structure.n_inputs:
+        raise ShapeError(f"input batch must be (N, {structure.n_inputs})")
+    plan = structure.plan
+    cols = [np.zeros(X.shape[0])] * structure.layer_sizes[1]
+    pre = {}
+    for j, op, col, weighted in plan.acts:
+        zarg = X[:, col]
+        if weighted:
+            zarg = pre[j] = weights.inner[j] * zarg
+        symbols.check_domain(op, zarg)
+        cols[j] = symbols.op_value(op.name, zarg)
+    prods = np.zeros((X.shape[0], structure.layer_sizes[2]))
+    for j, factors in plan.products:
+        prods[:, j] = _chain(cols, factors)
+    return cols, pre, prods
+
+
+def _summation_matrix(structure: LocalStructure, weights: LocalWeights) -> np.ndarray:
+    """The masked summation weights: outputs = prods @ this."""
+    return structure.indicators[SUMMATION_STAGE] * weights.summations[SUMMATION_STAGE]
 
 
 def _forward_layers(structure: LocalStructure, weights: LocalWeights, X: np.ndarray):
     """The four layer outputs [X, activations, products, outputs], shape
-    (N, n_k) each; unused activation neurons are 0 and never evaluated (so
-    their domains are not checked).  Every product with inputs is computed,
-    live or not: `search_mdp.update_frozen_paths` reads each product column."""
-    _check_weights(structure, weights)
+    (N, n_k) each, with the activation matrix built from the columns of
+    `_columns`: unused activation neurons are 0."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != structure.n_inputs:
-        raise ShapeError(f"input batch must be (N, {structure.n_inputs})")
-    plan = structure.plan
+    cols, _, prods = _columns(structure, weights, X)
     acts = np.zeros((X.shape[0], structure.layer_sizes[1]))
-    for j, op, col, weighted in plan.acts:
-        v = X[:, col]
-        zarg = weights.inner[j] * v if weighted else v
-        symbols.check_domain(op, zarg)
-        acts[:, j] = symbols.op_value(op.name, zarg)
-    prods = np.zeros((X.shape[0], structure.layer_sizes[2]))
-    for j, sel in plan.products:
-        prods[:, j] = _chain(acts, sel)
-    z = structure.indicators[SUMMATION_STAGE]
-    return [X, acts, prods, prods @ (z * weights.summations[SUMMATION_STAGE])]
+    for j, *_ in structure.plan.acts:
+        acts[:, j] = cols[j]
+    return [X, acts, prods, prods @ _summation_matrix(structure, weights)]
 
 
 def _require_finite(weights: LocalWeights, *data) -> None:
@@ -282,8 +309,8 @@ def forward(structure: LocalStructure, weights: LocalWeights, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     _require_finite(weights, x)
     single = x.ndim == 1
-    hs = _forward_layers(structure, weights, x[None, :] if single else x)
-    y = hs[-1]
+    _, _, prods = _columns(structure, weights, x[None, :] if single else x)
+    y = prods @ _summation_matrix(structure, weights)
     return y[0] if single else y
 
 
@@ -296,33 +323,30 @@ def gradients(structure: LocalStructure, weights: LocalWeights, batch,
     X, Y = _as_xy(batch)
     if X.shape[0] == 0:
         raise ShapeError("batch must be non-empty")
-    hs = _forward_layers(structure, weights, X)
+    cols, pre, prods = _columns(structure, weights, X)
+    w_sum = _summation_matrix(structure, weights)
     N = X.shape[0]
-    Y = Y.reshape(N, structure.n_outputs)
-    e = hs[-1] - Y
+    e = prods @ w_sum - Y.reshape(N, structure.n_outputs)
     loss = float((e ** 2).sum() / (2 * N))
     if max_loss is not None and not loss <= max_loss:
         return loss, None
 
     plan = structure.plan
     inner = np.zeros(structure.layer_sizes[1])
-    z = structure.indicators[SUMMATION_STAGE]
     g = e / N  # dL/dy, carried down only when some inner weight reads it
-    sums = (hs[2].T @ g) * z
+    sums = (prods.T @ g) * structure.indicators[SUMMATION_STAGE]
     if plan.partials:
-        g = g @ (z * weights.summations[SUMMATION_STAGE]).T
-        h = hs[1]
-        g_acts = np.zeros_like(h)
+        g = g @ w_sum.T
+        dh = {}  # dL/dh, one column per factor that some inner weight reads
         for j, partials in plan.partials:
             gj = g[:, j]
             for i, rest in partials:
-                # a lone factor's partial is 1
-                g_acts[:, i] += gj * _chain(h, rest) if rest else gj
+                # a lone factor's partial is 1; the sum starts at 0.0, so a
+                # -0.0 first term reads +0.0, as in a zero-filled matrix
+                dh[i] = dh.get(i, 0.0) + (gj * _chain(cols, rest) if rest else gj)
         for j, op, col, weighted in plan.acts:
             if weighted:
-                v = X[:, col]
-                zarg = weights.inner[j] * v
-                inner[j] = float(np.sum(g_acts[:, j] * v * symbols.op_d1(op.name, zarg)))
+                inner[j] = float(np.sum(dh[j] * X[:, col] * symbols.op_d1(op.name, pre[j])))
     return loss, LocalWeights(inner, {SUMMATION_STAGE: sums})
 
 

@@ -376,6 +376,11 @@ _ICNN_MISMATCH = {"wy": [{"shape": [2, 3], "data": [0.0] * 6},
                   "wz": [{"shape": [4, 1], "data": [0.0] * 4}],
                   "b": [{"shape": [3], "data": [0.0] * 3}, {"shape": [1], "data": [0.0]}]}
 
+_ICNN_FINITE = {"wy": [{"shape": [2, 3], "data": [0.0] * 6},
+                       {"shape": [2, 1], "data": [0.0] * 2}],
+                "wz": [{"shape": [3, 1], "data": [0.0] * 3}],
+                "b": [{"shape": [3], "data": [0.0] * 3}, {"shape": [1], "data": [0.0]}]}
+
 
 @pytest.mark.parametrize("command, option, content, message", [
     ("fit", "structure", [], "wrong shape"),
@@ -395,6 +400,14 @@ _ICNN_MISMATCH = {"wy": [{"shape": [2, 3], "data": [0.0] * 6},
     ("region", "sidecar", {"n_inputs": 1, "meta": {"sigma_y": "x"}}, "sigma_y"),
     ("eval", "sidecar", {"n_inputs": 1, "meta": {"sigma_y": ["x"]}}, "sigma_y"),
     ("fit", "data", "not json but a CSV with a bad row\n1,oops\n", "(in dataset file"),
+    ("eval", "weights", {"inner": [float("nan"), 1.0], "summations": {"2": [[1.0]]}},
+     "weights must be finite"),
+    ("region", "weights", {"inner": [1.0, 1.0], "summations": {"2": [[float("inf")]]}},
+     "weights must be finite"),
+    ("segment", "target",
+     {**_ICNN_FINITE, "b": [{"shape": [3], "data": [0.0, -float("inf"), 0.0]},
+                            {"shape": [1], "data": [0.0]}]},
+     "ICNN parameters must be finite"),
 ])
 def test_input_file_of_the_wrong_shape_exits_3(tmp_path, capsys, command, option,
                                                content, message):
@@ -492,6 +505,28 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["gen-data", "not-a-dataset"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("given, missing", [
+    (("structure", "data"), "--weights"),
+    (("weights",), "--structure, --data"),
+    (("data",), "--structure, --weights"),
+])
+def test_eval_with_part_of_its_nrmse_inputs_is_a_usage_error(tmp_path, capsys, given,
+                                                             missing):
+    """--structure, --weights and --data go together: a partial set is not
+    skipped with an empty report."""
+    paths = valid_inputs(tmp_path)
+    out = str(tmp_path / "eval.json")
+    argv = ["eval", "--learned", paths["learned"], "--out", out]
+    for name in given:
+        argv += [f"--{name}", paths[name]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"eval with an NRMSE needs {missing}" in err and "Traceback" not in err
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("argv, missing", [

@@ -206,6 +206,38 @@ def test_icnn_fit_matches_reference(batch, d_in, widths, lr, epochs, seed):
         assert np.array_equal(a, b)
 
 
+def _ref_value_and_input_grad(params, U):
+    """icnn_value_and_input_grad with the last layer's rows tiled over the
+    batch."""
+    U = np.asarray(U, dtype=float)
+    vals, zs, sigs = _ref_forward_cached(params, U)
+    n_hidden = len(params.wz)
+    dz = np.tile(params.wz[-1][:, 0], (U.shape[0], 1))
+    g = np.tile(params.wy[-1][:, 0], (U.shape[0], 1))
+    for k in range(n_hidden - 1, -1, -1):
+        da = dz * sigs[k]
+        g = g + da @ params.wy[k].T
+        if k > 0:
+            dz = da @ params.wz[k - 1].T
+    return vals, g
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.integers(1, 120), st.integers(1, 12),
+       st.lists(st.integers(1, 20), min_size=1, max_size=3), st.integers(0, 2 ** 32 - 1))
+def test_value_and_input_grad_match_reference(batch, d_in, widths, seed):
+    rng = np.random.default_rng(seed)
+    p = init_icnn(d_in, widths, seed=seed % 1000)
+    p = IcnnParams(tuple(rng.normal(0.0, 2.0, w.shape) for w in p.wy),
+                   tuple(np.abs(rng.normal(0.0, 2.0, w.shape)) for w in p.wz),
+                   tuple(rng.normal(0.0, 1.0, v.shape) for v in p.b))
+    U = rng.uniform(0.0, 1.0, (batch, d_in))
+    vals, g = icnn_value_and_input_grad(p, U)
+    ref_vals, ref_g = _ref_value_and_input_grad(p, U)
+    assert g.shape == (batch, d_in)
+    assert np.array_equal(vals, ref_vals) and np.array_equal(g, ref_g)
+
+
 def test_fit_rejects_empty():
     with pytest.raises(ValueError):
         icnn_fit(init_icnn(2), np.zeros((0, 2)), np.zeros(0), 1e-2, 1)

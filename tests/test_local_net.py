@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, find, given, settings, strategies as hst
 
 from consol import local_net, symbols
 from consol.equations import term, canonicalize
@@ -482,8 +482,39 @@ def _same_weights(a, b):
             and all(np.array_equal(a.summations[k], b.summations[k]) for k in a.summations))
 
 
+def _dead_factor_case():
+    """id/square/cos on two inputs: y = w1 x1 cos(a x2) + w2 x2^2, and a
+    product x1 cos(b x1) that reaches no output, whose cos factor is not
+    live (so the forward pass reads a zero column for it)."""
+    z_mult = np.zeros((6, 3), dtype=int)
+    z_mult[[0, 5], 0] = 1
+    z_mult[[0, 2], 1] = 1
+    z_mult[4, 2] = 1
+    st = three_layer_structure(LIB, 2, z_mult, np.array([[1], [0], [1]]))
+    rng = np.random.default_rng(5)
+    w = init_weights(st, 1.0)
+    w.inner[:] = rng.uniform(0.5, 1.5, w.inner.shape)
+    z_sum = st.indicators[SUMMATION_STAGE]
+    w.summations[SUMMATION_STAGE] = z_sum * rng.uniform(-1.5, 1.5, z_sum.shape)
+    X = rng.uniform(-2.0, 2.0, (7, 2))
+    return st, w, X, rng.normal(0.0, 1.0, (7, 1))
+
+
+def _reads_a_dead_factor(structure):
+    """Some product has a factor activation that reaches no output."""
+    live = structure.used_masks()[1]
+    return any(not live[i] for _, factors in structure.plan.products for i in factors)
+
+
+def test_fit_case_draws_products_with_dead_factors():
+    st = find(fit_case(positive=False), lambda case: _reads_a_dead_factor(case[0]))[0]
+    assert _reads_a_dead_factor(st)
+    assert _reads_a_dead_factor(_dead_factor_case()[0])
+
+
 @settings(max_examples=300, deadline=None)
 @given(fit_case(positive=False), hst.sampled_from([0.0, -1.0, 1.0, np.inf, -np.inf, np.nan]))
+@example(_dead_factor_case(), 0.0)
 def test_gradients_match_reference_kernel(case, shift):
     st, w, X, Y = case
     try:
@@ -507,6 +538,23 @@ def test_gradients_match_reference_kernel(case, shift):
         assert _same_weights(cut_grad, ref_grad)
     else:
         assert cut_grad is None
+
+
+def test_kernel_writes_nothing_into_read_only_data():
+    """`id` activations are views of the input columns and a dead factor
+    reads a shared zero column, so the kernel must not write into any
+    column it did not make: read-only X and Y stay as they were."""
+    st, w, X, Y = _dead_factor_case()
+    X0, Y0 = X.copy(), Y.copy()
+    X.flags.writeable = Y.flags.writeable = False
+    y = forward(st, w, X)
+    loss, grad = gradients(st, w, (X, Y))
+    fitted, losses = fit_trace(st, TrainConfig(epochs=20), (X, Y))
+    assert np.array_equal(X, X0) and np.array_equal(Y, Y0)
+    assert np.array_equal(y, forward(st, w, X0))
+    ref_loss, ref_grad = _ref_gradients(st, w, X0, Y0)
+    assert loss == ref_loss and _same_weights(grad, ref_grad)
+    assert losses == fit_trace(st, TrainConfig(epochs=20), (X0, Y0))[1]
 
 
 def test_gradients_max_loss_skips_backward_on_nan_loss():
