@@ -1,0 +1,139 @@
+"""Equation recovery of the structure search and of the fixed fits, as JSON.
+
+Usage: OPENBLAS_NUM_THREADS=1 python scripts/quality.py > QUALITY.json
+       (about 7 minutes; one BLAS thread, as the benchmark runs, so that a
+       rerun elsewhere sums the same products in the same order)
+
+The rows are fixed (ROWS below) and there are no options.  A search row
+runs `run_search` with the default QLearnConfig (stop rule on, 600-episode
+cap) on the dataset drawn by data seed 0; its seed is the search seed, and
+it records stopped, episodes and best_reward.  A fit row fits the
+generating structure with `fit_snapped`; its seed draws the data alone, and
+the system is always the seed-0 one.  Every row records nrmse_train,
+nrmse_test (null without a test split or when the prediction leaves a
+symbol's domain), e_c in percent against the generator's truth, the
+extracted equation and wall_s.  The summary counts the rows of each name
+with e_c <= 1 % and sums the Syn1 episodes.  Every figure but wall_s
+repeats exactly on a rerun.  One progress line per row goes to stderr.
+"""
+
+import argparse
+import json
+import sys
+import time
+
+import numpy as np
+
+from consol import datasets
+from consol.errors import DomainError
+from consol.local_net import (TrainConfig, extract_equation, fit_snapped, forward,
+                              three_layer_structure)
+from consol.metrics import e_c, nrmse
+from consol.q_learning import QLearnConfig, run_search, three_layer_space
+from consol.search_mdp import ConstraintConfig
+from consol.symbols import make_library
+
+#: (row name, seed); the name is "<dataset>_search" or "<system>_fit"
+ROWS = (*(("syn1_search", s) for s in (1, 2, 3, 4, 5)),
+        *(("syn2_search", s) for s in (1, 2, 3)),
+        ("power_fit", 0), ("power_fit", 5), ("mass_fit", 0), ("mass_fit", 7),
+        *((f"{system}_search", s) for system in ("power", "mass") for s in (1, 2, 3)))
+FIT_EPOCHS = {"power": 500, "mass": 30_000}
+#: an e_c at or below this (percent) counts as an exact recovery
+EXACT_E_C = 1.0
+ID = make_library(["id"])
+
+
+def problem(name, seed):
+    """(train, test or None, truth, generating structure or None, search
+    space, constraints) of a dataset; the seed draws the data alone."""
+    if name.startswith("syn"):
+        which = int(name[3])
+        train, test = datasets.gen_syn(which, 2000, 2000, seed)
+        space = three_layer_space(make_library(datasets.SYN_LIBRARIES[which]), 3, 3)
+        return train, test, datasets.syn_truth(which), None, space, ConstraintConfig()
+    if name == "power":
+        # one fan-in-2 product per voltage pair of the truth
+        spec = datasets.make_power_spec(3, 0)
+        truth = datasets.power_truth(spec)
+        pairs = [[tuple(sorted(i for i, _ in t.factors)) for t in terms]
+                 for terms in truth.outputs]
+        products = list(dict.fromkeys(p for out in pairs for p in out))
+        z_mult = np.zeros((6, len(products)), dtype=int)
+        z_sum = np.zeros((len(products), 6), dtype=int)
+        for j, pair in enumerate(products):
+            z_mult[list(pair), j] = 1
+        for out, out_pairs in enumerate(pairs):
+            z_sum[[products.index(p) for p in out_pairs], out] = 1
+        return (datasets.gen_power(spec, 2000, (-1.0, 1.0), seed), None, truth,
+                three_layer_structure(ID, 6, z_mult, z_sum),
+                three_layer_space(ID, 6, 6, mult_neurons=18),
+                ConstraintConfig(max_factors_per_neuron=8))
+    spec = datasets.make_massdamper_spec(4, 0)
+    train, test = datasets.gen_massdamper(spec, seed=seed)
+    z_sum = (np.abs(spec.system_matrix) > 1e-12).astype(int)
+    return (train, test, datasets.massdamper_truth(spec),
+            three_layer_structure(ID, 4, np.eye(4, dtype=int), z_sum),
+            three_layer_space(ID, 4, 4, mult_neurons=4), ConstraintConfig())
+
+
+def _nrmse(structure, weights, data):
+    if data is None:
+        return None
+    try:
+        return nrmse(forward(structure, weights, data.X), data.Y, data.sigma_y)
+    except DomainError:
+        return None
+
+
+def _scored(row, structure, weights, train, test, truth, t0):
+    eq = extract_equation(structure, weights)
+    return {**row, "nrmse_train": _nrmse(structure, weights, train),
+            "nrmse_test": _nrmse(structure, weights, test),
+            "e_c": e_c(truth, eq)[0], "equation": eq.to_text(),
+            "wall_s": round(time.perf_counter() - t0, 2)}
+
+
+def search_row(dataset, seed):
+    t0 = time.perf_counter()
+    train, test, truth, _, space, constraints = problem(dataset, 0)
+    res = run_search(space, QLearnConfig(), train, constraints, seed=seed)
+    row = {"name": f"{dataset}_search", "seed": seed, "stopped": res.stopped_early,
+           "episodes": len(res.episodes), "best_reward": res.best_reward}
+    return _scored(row, res.best_structure, res.best_weights, train, test, truth, t0)
+
+
+def fit_row(system, seed):
+    t0 = time.perf_counter()
+    train, test, truth, structure, _, _ = problem(system, seed)
+    weights, _ = fit_snapped(structure, TrainConfig(epochs=FIT_EPOCHS[system]),
+                             (train.X, train.Y))
+    return _scored({"name": f"{system}_fit", "seed": seed}, structure, weights,
+                   train, test, truth, t0)
+
+
+def main():
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter
+                            ).parse_args()
+    rows = []
+    for name, seed in ROWS:
+        data, kind = name.split("_")
+        row = (search_row if kind == "search" else fit_row)(data, seed)
+        rows.append(row)
+        search = f", {row['episodes']} episodes, stopped {row['stopped']}" if "stopped" in row else ""
+        print(f"{name} seed {seed}: E_c {row['e_c']:.3f} %{search}, {row['wall_s']:.0f} s",
+              file=sys.stderr, flush=True)
+    names = dict.fromkeys(name for name, _ in ROWS)
+    summary = {
+        "exact_recoveries": {n: sum(r["e_c"] <= EXACT_E_C for r in rows if r["name"] == n)
+                             for n in names},
+        "syn1_episodes": sum(r["episodes"] for r in rows if r["name"] == "syn1_search"),
+    }
+    json.dump({"exact_e_c": EXACT_E_C, "summary": summary, "rows": rows},
+              sys.stdout, indent=1)
+    print()
+
+
+if __name__ == "__main__":
+    main()

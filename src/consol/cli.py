@@ -495,6 +495,8 @@ def main(argv=None) -> int:
     elif args.command == "eval" and any(getattr(args, name) is not None
                                         for name in EVAL_NRMSE_INPUTS):
         what, needed = "eval with an NRMSE", EVAL_NRMSE_INPUTS
+    elif args.command == "eval" and args.truth is None:
+        parser.error("eval needs --truth or --structure, --weights and --data")
     missing = [f"--{name}" for name in needed if getattr(args, name) is None]
     if missing:
         parser.error(f"{what} needs {', '.join(missing)}")

@@ -2,8 +2,8 @@
 
 Segment tests certify convexity of the learned value surrogates; directional
 second derivatives of the fitting loss are computed both by finite
-differences and by an analytic product-chain decomposition (the u/v vectors
-below), and the two must agree or a ConsistencyError is raised.  The same
+differences and analytically by the product rule over each product's
+factors, and the two must agree or a ConsistencyError is raised.  The same
 machinery estimates the curvature ratio eta and the residual bound that
 certify a locally convex region around a fit.
 """
@@ -95,11 +95,12 @@ def analytic_directional_derivs(structure: LocalStructure,
     two (N, n_out) arrays; a single 1-D sample gives (n_out,) arrays, or two
     floats when there is one output.
 
-    For each product neuron j with value u_j, the log-derivative along the
-    line is v_j = sum_i (phi'/phi) * X_i * x and its derivative is
-    v'_j = sum_i ((phi''*phi - phi'^2)/phi^2) * (X_i * x)^2, giving
-    u_j'' = u_j * (v_j^2 + v'_j); the summation layer contributes its own
-    direction components linearly.
+    Each product's value p and its derivatives p', p'' along the line build
+    up factor by factor by the product rule, p'' <- p''f + 2p'f' + pf'',
+    p' <- p'f + pf', p <- pf: a factor phi(w x) with direction component d
+    has f' = phi'(w x) d x and f'' = phi''(w x) (d x)^2, an unweighted one
+    f' = f'' = 0.  Nothing is divided, so a zero factor is an ordinary
+    value.  The summation layer adds its own direction components linearly.
     """
     x = np.asarray(x, dtype=float)
     direction = np.asarray(direction, dtype=float)
@@ -118,34 +119,31 @@ def analytic_directional_derivs(structure: LocalStructure,
     z_mult = structure.indicators[1]
     used = structure.used_masks()
     # x[..., i] is input i of every sample; a 1-D x runs on scalars
-    u, v, vp = np.zeros((3,) + x.shape[:-1] + (structure.layer_sizes[2],))
-    for j in range(u.shape[-1]):
+    p, p1, p2 = np.zeros((3,) + x.shape[:-1] + (structure.layer_sizes[2],))
+    for j in range(p.shape[-1]):
         sel = np.flatnonzero(z_mult[:, j])
         if sel.size == 0 or not used[2][j]:
             continue
-        prod, v_j, vp_j = 1.0, 0.0, 0.0
+        prod, d1_j, d2_j = 1.0, 0.0, 0.0
         for a_idx in sel:
             op = structure.act_op(a_idx)
             xi = x[..., structure.act_input(a_idx)]
             arg = weights.inner[a_idx] * xi if op.has_inner_weight else xi
             symbols.check_domain(op, arg)
-            val = symbols.op_value(op.name, arg)
-            if not val.all():
-                raise DomainError(
-                    f"factor {op.name}(x{structure.act_input(a_idx) + 1}) is zero; "
-                    "the log-product decomposition is undefined")
-            prod = prod * val
+            f = symbols.op_value(op.name, arg)
+            f1 = f2 = 0.0
             if op.has_inner_weight:
-                d1 = symbols.op_d1(op.name, arg)
-                d2 = symbols.op_d2(op.name, arg)
                 dx = inner_dir[a_idx] * xi
-                v_j = v_j + dx * d1 / val
-                vp_j = vp_j + dx * dx * (d2 * val - d1 * d1) / (val * val)
-        u[..., j], v[..., j], vp[..., j] = prod, v_j, vp_j
+                f1 = symbols.op_d1(op.name, arg) * dx
+                f2 = symbols.op_d2(op.name, arg) * dx * dx
+            d2_j = d2_j * f + 2.0 * d1_j * f1 + prod * f2
+            d1_j = d1_j * f + prod * f1
+            prod = prod * f
+        p[..., j], p1[..., j], p2[..., j] = prod, d1_j, d2_j
 
     w_sum = structure.indicators[SUMMATION_STAGE] * weights.summations[SUMMATION_STAGE]
-    y1 = u @ sum_dir + (u * v) @ w_sum
-    y2 = 2.0 * (u * v) @ sum_dir + (u * (v * v + vp)) @ w_sum
+    y1 = p @ sum_dir + p1 @ w_sum
+    y2 = 2.0 * p1 @ sum_dir + p2 @ w_sum
     if x.ndim == 1 and structure.n_outputs == 1:
         return float(y1[0]), float(y2[0])
     return y1, y2

@@ -529,6 +529,33 @@ def test_eval_with_part_of_its_nrmse_inputs_is_a_usage_error(tmp_path, capsys, g
     assert not os.path.exists(out)
 
 
+def test_eval_with_nothing_to_compute_is_a_usage_error(tmp_path, capsys):
+    """Neither --truth nor the NRMSE inputs: a usage error, not an empty report."""
+    paths = valid_inputs(tmp_path)
+    out = str(tmp_path / "eval.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--learned", paths["learned"], "--out", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "eval needs --truth or --structure, --weights and --data" in err
+    assert not os.path.exists(out)
+
+
+def test_probe_region_on_a_zero_input_exits_0(tmp_path):
+    """x^2 at x = 0 is a zero factor; the probe's product rule takes it as
+    an ordinary value."""
+    from consol.datasets import Dataset, save_dataset
+    paths = valid_inputs(tmp_path)
+    X = np.linspace(0.0, 1.0, 20)[:, None]
+    save_dataset(Dataset(X, X ** 2 * np.cos(X)), paths["data"])
+    out = str(tmp_path / "region.json")
+    assert main(["probe", "region", "--structure", paths["structure"],
+                 "--weights", paths["weights"], "--data", paths["data"],
+                 "--n", "5", "--out", out]) == 0
+    report = json.loads(open(out).read())
+    assert np.isfinite(report["eta"]) and report["y_prime_abs"][0] == 0.0
+
+
 @pytest.mark.parametrize("argv, missing", [
     (["probe", "sweep", "--data", "d.csv"], "--structure"),
     (["probe", "segment"], "--target"),

@@ -114,7 +114,9 @@ FULL_LIB = make_library(["id", "square", "sqrt", "log", "cos", "sin"])
 def single_block_case(draw):
     """A random activation/multiplication/summation network on the full
     library, inner weights and inputs chosen so every factor stays inside
-    its domain and away from zero (w*x in [0.1, 0.9])."""
+    its domain (w*x in [0.1, 0.9]).  Some rows hold an exact zero on an
+    input whose factors are all id, square, cos or sin, so a product can
+    hold a factor that is exactly 0."""
     n_in = draw(hst.integers(1, 2))
     n_mult = draw(hst.integers(1, 3))
     n_out = draw(hst.integers(1, 2))
@@ -136,6 +138,11 @@ def single_block_case(draw):
     w.inner[mask] = rng.uniform(0.5, 1.5, mask.sum())
     w.summations[2] = z_sum * rng.uniform(-2.0, 2.0, z_sum.shape)
     X = rng.uniform(0.2, 0.6, (draw(hst.integers(1, 6)), n_in))
+    used = np.flatnonzero(z_mult.any(axis=1))
+    for i in range(n_in):
+        if not any(st.act_input(a) == i and st.act_op(a).name in ("sqrt", "log")
+                   for a in used):
+            X[draw(hst.lists(hst.booleans(), min_size=len(X), max_size=len(X))), i] = 0.0
     d = rng.normal(size=len(weight_coords(st)))
     return st, w, X, d / np.linalg.norm(d)
 
@@ -167,6 +174,16 @@ def test_batch_directional_derivs_match_rows_and_finite_differences(case):
     fd2 = (4.0 * d2(h2 / 2) - d2(h2)) / 3.0
     np.testing.assert_allclose(y1, fd1, rtol=1e-6, atol=1e-6)
     np.testing.assert_allclose(y2, fd2, rtol=1e-4, atol=1e-4)
+
+
+@pytest.mark.parametrize("offset", [1e-8, 1e-4])
+def test_directional_second_derivative_near_a_cos_zero(offset):
+    """Along the cos weight alone, y'' = -w1 x1^2 cos(w2 x2) x2^2; next to a
+    zero of cos that is a small number, not a difference of large ones."""
+    st, w = toy()
+    w.inner[5] = np.pi / 2 + offset
+    _, y2 = analytic_directional_derivs(st, w, np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+    assert y2 == pytest.approx(-3.0 * np.cos(np.pi / 2 + offset), rel=1e-12)
 
 
 def test_loss_curvature_positive_at_optimum():
