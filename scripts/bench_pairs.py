@@ -40,7 +40,8 @@ TRACED_RUNS = 5
 
 
 #: the per-layer metrics recorded from the traced seed-0 runs
-LAYERS = ("local_net.gradients.", "local_net.fit_trace.self_s", "icnn.icnn_fit.")
+LAYERS = ("local_net.gradients.", "local_net.fit_trace.self_s", "local_net.fit_snapped.",
+          "q_learning.phase.polish_s", "icnn.icnn_fit.")
 
 
 def run_once(checkout, workload, seed, seconds, trace=0):

@@ -12,9 +12,13 @@ generating structure with `fit_snapped`; its seed draws the data alone, and
 the system is always the seed-0 one.  Every row records nrmse_train,
 nrmse_test (null without a test split or when the prediction leaves a
 symbol's domain), e_c in percent against the generator's truth, the
-extracted equation and wall_s.  The summary counts the rows of each name
-with e_c <= 1 % and sums the Syn1 episodes.  Every figure but wall_s
-repeats exactly on a rerun.  One progress line per row goes to stderr.
+extracted equation and wall_s.  The mass-damper rows have no test split:
+the second half of the trajectory has settled (its output sigma is 6e-8 to
+8e-7, against 0.02 to 0.07 on the first half), so an NRMSE on it is noise
+over a near-zero scale and says nothing about the equation.  The summary
+counts the rows of each name with e_c <= 1 % and sums the Syn1 episodes.
+Every figure but wall_s repeats exactly on a rerun.  One progress line per
+row goes to stderr.
 """
 
 import argparse
@@ -70,9 +74,9 @@ def problem(name, seed):
                 three_layer_space(ID, 6, 6, mult_neurons=18),
                 ConstraintConfig(max_factors_per_neuron=8))
     spec = datasets.make_massdamper_spec(4, 0)
-    train, test = datasets.gen_massdamper(spec, seed=seed)
+    train, _ = datasets.gen_massdamper(spec, seed=seed)  # the settled half: no test
     z_sum = (np.abs(spec.system_matrix) > 1e-12).astype(int)
-    return (train, test, datasets.massdamper_truth(spec),
+    return (train, None, datasets.massdamper_truth(spec),
             three_layer_structure(ID, 4, np.eye(4, dtype=int), z_sum),
             three_layer_space(ID, 4, 4, mult_neurons=4), ConstraintConfig())
 

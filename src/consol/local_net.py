@@ -6,7 +6,7 @@ equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -39,8 +39,11 @@ class _Plan(NamedTuple):
     """What `forward` and `gradients` need of a structure, worked out once."""
 
     acts: tuple[tuple[int, SymbolOp, int, bool], ...]  # live (j, op, input, weighted)
-    # each product neuron with inputs, as (j, its factors)
+    # each product neuron that reaches an output, as (j, its factors)
     products: tuple[tuple[int, tuple[int, ...]], ...]
+    # each product neuron with inputs that reaches no output, likewise; only
+    # `_forward_layers` computes these, for `search_mdp.update_frozen_paths`
+    dead: tuple[tuple[int, tuple[int, ...]], ...]
     # each live product with a weighted factor, as (j, partials): partials[idx]
     # = (i, the other factors) for each factor i with a live inner weight;
     # empty when no inner weight is live, and the backward pass then stops
@@ -89,7 +92,7 @@ class LocalStructure:
             acts.append((j, op, self.act_input(j), op.has_inner_weight))
         weighted = {j for j, _, _, w in acts if w}
         z = self.indicators[1]
-        products, partials = [], []
+        products, dead, partials = [], [], []
         for j in range(self.layer_sizes[2]):
             sel = tuple(np.flatnonzero(z[:, j]).tolist())
             if not sel:
@@ -97,12 +100,15 @@ class LocalStructure:
                     raise StructureError(f"used multiplication neuron {j} at layer 2 "
                                          "has no inputs")
                 continue
+            if not used[2][j]:
+                dead.append((j, sel))
+                continue
             products.append((j, sel))
             parts = tuple((i, sel[:idx] + sel[idx + 1:])
                           for idx, i in enumerate(sel) if i in weighted)
-            if used[2][j] and parts:
+            if parts:
                 partials.append((j, parts))
-        return _Plan(tuple(acts), tuple(products), tuple(partials))
+        return _Plan(tuple(acts), tuple(products), tuple(dead), tuple(partials))
 
     def to_json_obj(self):
         return {
@@ -260,8 +266,9 @@ def _columns(structure: LocalStructure, weights: LocalWeights, X: np.ndarray):
     for `id`; a shared zero column for a neuron that reaches no output, which
     is never evaluated, so its domain is not checked); pre[j] is the
     pre-activation w*x of each live weighted op, for the backward pass; prods
-    is the (N, n2) product matrix.  Every product with inputs is computed,
-    live or not: `search_mdp.update_frozen_paths` reads each product column.
+    is the (N, n2) product matrix, in which only the products that reach an
+    output are computed: a column that reaches no output stays 0, and its
+    summation weight row is 0 too, so the output matmul keeps its bits.
     Nothing is written into X or into a column after it is made."""
     _check_weights(structure, weights)
     if X.ndim != 2 or X.shape[1] != structure.n_inputs:
@@ -289,9 +296,13 @@ def _summation_matrix(structure: LocalStructure, weights: LocalWeights) -> np.nd
 def _forward_layers(structure: LocalStructure, weights: LocalWeights, X: np.ndarray):
     """The four layer outputs [X, activations, products, outputs], shape
     (N, n_k) each, with the activation matrix built from the columns of
-    `_columns`: unused activation neurons are 0."""
+    `_columns`: unused activation neurons are 0.  Every product with inputs
+    is computed, the ones that reach no output included:
+    `search_mdp.update_frozen_paths` reads each product column."""
     X = np.asarray(X, dtype=float)
     cols, _, prods = _columns(structure, weights, X)
+    for j, factors in structure.plan.dead:
+        prods[:, j] = _chain(cols, factors)
     acts = np.zeros((X.shape[0], structure.layer_sizes[1]))
     for j, *_ in structure.plan.acts:
         acts[:, j] = cols[j]
@@ -314,6 +325,21 @@ def forward(structure: LocalStructure, weights: LocalWeights, x) -> np.ndarray:
     return y[0] if single else y
 
 
+def _residuals(structure: LocalStructure, weights: LocalWeights, X: np.ndarray,
+               Y: np.ndarray):
+    """The forward pass of `_columns` and the output residuals:
+    (cols, pre, prods, w_sum, e), w_sum the masked summation weights and
+    e = outputs - Y of shape (N, n_out)."""
+    cols, pre, prods = _columns(structure, weights, X)
+    w_sum = _summation_matrix(structure, weights)
+    return cols, pre, prods, w_sum, prods @ w_sum - Y.reshape(X.shape[0], structure.n_outputs)
+
+
+def _mse(e: np.ndarray) -> float:
+    """The loss of residuals e, (N, n_out), with the 1/(2N) convention."""
+    return float((e ** 2).sum() / (2 * e.shape[0]))
+
+
 def gradients(structure: LocalStructure, weights: LocalWeights, batch,
               max_loss: float | None = None):
     """Mean-squared-error loss with the 1/(2N) convention and its analytic
@@ -323,11 +349,9 @@ def gradients(structure: LocalStructure, weights: LocalWeights, batch,
     X, Y = _as_xy(batch)
     if X.shape[0] == 0:
         raise ShapeError("batch must be non-empty")
-    cols, pre, prods = _columns(structure, weights, X)
-    w_sum = _summation_matrix(structure, weights)
+    cols, pre, prods, w_sum, e = _residuals(structure, weights, X, Y)
     N = X.shape[0]
-    e = prods @ w_sum - Y.reshape(N, structure.n_outputs)
-    loss = float((e ** 2).sum() / (2 * N))
+    loss = _mse(e)
     if max_loss is not None and not loss <= max_loss:
         return loss, None
 
@@ -410,15 +434,131 @@ def fit(structure: LocalStructure, config: TrainConfig, data,
 
 #: cos/sin inner weights below this magnitude are tried at zero
 SNAP_THRESHOLD = 0.5
+#: bold-driver epochs, at most, before Levenberg-Marquardt in a long fit of
+#: a structure with a live weighted op: LM from the constant start can fall
+#: into the wrong basin (the true Syn1 structure's cos weight went to 0.79)
+WARMUP_EPOCHS = 25
+#: Levenberg-Marquardt iterations of a long fit, at most
+LM_ITERATIONS = 40
+#: the damping of the first LM step; divided by 10 on an accepted step and
+#: multiplied by 10 on a rejected one
+LM_DAMPING = 1e-3
+#: LM stops after this many rejected steps in a row
+LM_REJECTIONS = 10
+#: LM stops after an accepted step lowers the loss by less than this share
+LM_MIN_DECREASE = 1e-12
+#: the damping's diagonal is at least this share of its largest entry, so a
+#: zero column (a cos/sin weight at exactly 0) still gets a damped pivot
+LM_DIAG_FLOOR = 1e-12
+
+
+def _jacobian(structure: LocalStructure, X: np.ndarray, cols, pre, prods,
+              w_sum: np.ndarray) -> np.ndarray:
+    """The per-sample Jacobian of the outputs, (N * n_out, P) with rows in
+    the order of the residuals' ravel(): d y[n, o] / d theta, where theta
+    packs the live inner weights in neuron order, then the live summation
+    weights in row-major order (`_packing`).  Built from the columns of
+    `_columns` by the product rule: d y / d h_i sums, over the live products
+    with factor i, the summation weight times the product of the other
+    factors; nothing is divided, so a zero factor is an ordinary value."""
+    N, n_out = X.shape[0], structure.n_outputs
+    inner, rows, outs = _packing(structure)
+    J = np.zeros((N, n_out, len(inner) + len(rows)))
+    dh = {}
+    for j, partials in structure.plan.partials:
+        for i, rest in partials:
+            d = dh.setdefault(i, np.zeros((N, n_out)))
+            d += (_chain(cols, rest)[:, None] if rest else 1.0) * w_sum[j]
+    for k, (j, op, col) in enumerate(inner):
+        J[:, :, k] = dh[j] * (X[:, col] * symbols.op_d1(op.name, pre[j]))[:, None]
+    J[:, outs, len(inner) + np.arange(len(rows))] = prods[:, rows]
+    return J.reshape(N * n_out, -1)
+
+
+def _packing(structure: LocalStructure):
+    """(inner, rows, outs): the live weighted activations as (j, op, input),
+    and the live summation weights' (product, output) positions."""
+    inner = [(j, op, col) for j, op, col, weighted in structure.plan.acts if weighted]
+    rows, outs = np.nonzero(structure.indicators[SUMMATION_STAGE])
+    return inner, rows, outs
+
+
+def _levenberg_marquardt(structure: LocalStructure, weights: LocalWeights,
+                         X: np.ndarray, Y: np.ndarray):
+    """At most LM_ITERATIONS Levenberg-Marquardt steps from the weights:
+    solve (J^T J + lambda diag(J^T J)) delta = -J^T e, with the diagonal
+    floored (LM_DIAG_FLOOR), and keep a step only when its loss is not
+    higher; a step that leaves a symbol's domain, or whose loss or solve is
+    not finite, is rejected.  Candidate losses come from the forward pass
+    alone.  Stops at loss 0, at a zero gradient, after an accepted step that
+    gains less than LM_MIN_DECREASE of the loss, or after LM_REJECTIONS
+    rejections in a row.  Returns (weights, one loss per iteration)."""
+    inner, rows, outs = _packing(structure)
+    idx = [j for j, _, _ in inner]
+    cols, pre, prods, w_sum, e = _residuals(structure, weights, X, Y)
+    loss, losses = _mse(e), []
+    lam, rejected, solve = LM_DAMPING, 0, True
+    for _ in range(LM_ITERATIONS):
+        if loss == 0.0 or rejected == LM_REJECTIONS:
+            break
+        if solve:
+            J = _jacobian(structure, X, cols, pre, prods, w_sum)
+            A, g = J.T @ J, J.T @ e.ravel()
+            if not g.any():
+                break
+            diag = np.diag(A)
+            diag = np.maximum(diag, LM_DIAG_FLOOR * diag.max())
+            solve = False
+        cand_loss = np.nan
+        try:
+            step = np.linalg.solve(A + lam * np.diag(diag), -g)
+            if np.isfinite(step).all():
+                cand = weights.copy()
+                cand.inner[idx] += step[:len(idx)]
+                cand.summations[SUMMATION_STAGE][rows, outs] += step[len(idx):]
+                state = _residuals(structure, cand, X, Y)
+                cand_loss = _mse(state[-1])
+        except (DomainError, np.linalg.LinAlgError):
+            pass
+        if cand_loss <= loss:
+            stalled = loss - cand_loss < LM_MIN_DECREASE * loss
+            weights, loss, (cols, pre, prods, w_sum, e) = cand, cand_loss, state
+            lam, rejected, solve = lam / 10.0, 0, True
+            losses.append(loss)
+            if stalled:
+                break
+        else:
+            lam, rejected = lam * 10.0, rejected + 1
+            losses.append(loss)
+    return weights, losses
+
+
+def _fit_long(structure: LocalStructure, config: TrainConfig, data,
+              start: LocalWeights | None = None):
+    """The long fit, (weights, losses).  A structure with a live weighted op
+    (cos, sin, sqrt or log) gets min(config.epochs, WARMUP_EPOCHS)
+    bold-driver epochs through `fit_trace`, then `_levenberg_marquardt`; any
+    other structure gets the full config.epochs of `fit_trace`.  The losses
+    never increase."""
+    if not structure.plan.partials:  # no live inner weight
+        return fit_trace(structure, config, data, start=start)
+    warm = replace(config, epochs=min(config.epochs, WARMUP_EPOCHS))
+    w, losses = fit_trace(structure, warm, data, start=start)
+    w, lm_losses = _levenberg_marquardt(structure, w, *_as_xy(data))
+    return w, losses + lm_losses
 
 
 def fit_snapped(structure: LocalStructure, config: TrainConfig, data):
-    """Fit, then try snapping small cos/sin inner weights exactly to zero
-    (their gradient vanishes at zero, so snaps are stable) and refit; a snap
-    is kept only when the loss does not get worse.  This removes the
-    near-unit residual factors that plain descent leaves on a flat plateau,
-    e.g. a spurious cos(0.05*x) riding on an otherwise exact term."""
-    w, loss = fit(structure, config, data)
+    """The long fit (`_fit_long`: a bold-driver warm-up then
+    Levenberg-Marquardt for a structure with a live weighted op, the full
+    bold driver otherwise), then try snapping small cos/sin inner weights
+    exactly to zero (their gradient vanishes at zero, so snaps are stable)
+    and refit the same way; a snap is kept only when the loss does not get
+    worse.  This removes the near-unit residual factors that a fit leaves
+    on a flat plateau, e.g. a spurious cos(0.05*x) riding on an otherwise
+    exact term."""
+    w, losses = _fit_long(structure, config, data)
+    loss = losses[-1]
     mask = trainable_inner_mask(structure)
     tried: set[int] = set()
     while True:
@@ -435,11 +575,11 @@ def fit_snapped(structure: LocalStructure, config: TrainConfig, data):
         snapped = w.copy()
         snapped.inner[j] = 0.0
         try:
-            w2, loss2 = fit(structure, config, data, start=snapped)
+            w2, losses2 = _fit_long(structure, config, data, start=snapped)
         except DomainError:
             continue
-        if loss2 <= loss:
-            w, loss = w2, loss2
+        if losses2[-1] <= loss:
+            w, loss = w2, losses2[-1]
 
 
 def _neuron_terms(structure: LocalStructure, weights: LocalWeights):

@@ -50,8 +50,13 @@ class QLearnConfig:
     retry_cap: int = 20
     opt_restarts: int = 3
     opt_steps: int = 200
+    # the epochs of the long fit (`local_net.fit_snapped`) in the final
+    # polish and the trim; for a structure with a live weighted op they cap
+    # only the bold-driver warm-up before Levenberg-Marquardt; 0: no polish
     final_polish_epochs: int = 500
     promote_threshold: float = 0.6
+    # the epochs of a promoted candidate's long fit, likewise only the
+    # warm-up's cap for a structure with a live weighted op
     promote_epochs: int = 500
     freeze_reward_threshold: float = 0.7
     local_train: TrainConfig = field(default_factory=TrainConfig)

@@ -238,6 +238,35 @@ def test_search_reruns_write_identical_episodes_csv(tmp_path):
     assert texts[0].startswith(b"t,reward,nrmse,rejections,aborted,actions\n")
 
 
+def test_search_reruns_with_long_fits_write_identical_outputs(tmp_path):
+    # every candidate is promoted, so the cos structures take the warm-up
+    # and Levenberg-Marquardt fit in the promotion, the polish and the trim
+    outputs = []
+    for run in ("a", "b"):
+        cfg = {
+            "version": 1,
+            "dataset": {"name": "syn1", "n_train": 200, "n_test": 30},
+            "search": {"max_episodes": 6, "minibatch_size": 4, "q_epochs": 2,
+                       "r_epochs": 2, "final_polish_epochs": 50,
+                       "promote_epochs": 60, "promote_threshold": 0.0},
+            "train": {"epochs": 3},
+            "seeds": {"data": 0, "search": 5, "probe": 0},
+            "out_dir": str(tmp_path / run),
+        }
+        assert main(["search", "--config", write_json(tmp_path / f"{run}.json", cfg)]) == 0
+        files = {}
+        for root, _, names in os.walk(tmp_path / run):
+            for name in names:
+                path = os.path.join(root, name)
+                with open(path, "rb") as fh:
+                    files[os.path.relpath(path, tmp_path / run)] = fh.read()
+        # the report names its own output directory
+        files["report.json"] = files["report.json"].replace(str(tmp_path / run).encode(), b"")
+        outputs.append(files)
+    assert "weights.json" in outputs[0] and "cos(" in outputs[0]["equations.txt"].decode()
+    assert outputs[0] == outputs[1]
+
+
 def test_probe_segment_command(tmp_path):
     params = init_icnn(3, (4, 4), seed=0)
     ppath = write_json(tmp_path / "q.json", params_to_json_obj(params))

@@ -280,9 +280,11 @@ def test_fit_trace_calls_gradients_once_per_epoch_plus_one(monkeypatch):
     calls[0], entries[:] = 0, []
     w, _ = fit_snapped(st, TrainConfig(epochs=400), (X, Y))
     assert w.inner[5] == 0.0  # a snap refit ran
+    # a cos structure: each long fit is a warm-up of min(400, 25) epochs
+    # through fit_trace, then Levenberg-Marquardt, which calls no gradients
     assert len(entries) >= 2
-    assert entries == [401 * n for n in range(len(entries))]
-    assert calls[0] == 401 * len(entries)
+    assert entries == [26 * n for n in range(len(entries))]
+    assert calls[0] == 26 * len(entries)
 
 
 def test_fit_snapped_removes_near_unit_cos_factor():
@@ -500,10 +502,30 @@ def _dead_factor_case():
     return st, w, X, rng.normal(0.0, 1.0, (7, 1))
 
 
+def _dead_product_case():
+    """y = w1 x1 x1^2 + w2 x1 cos(a x2); the products x1^2 cos(a x2) and
+    x1 x2 reach no output but have nonzero columns, since every factor of
+    the first is live and the second reads the live id(x2) of a third,
+    zero-weighted term."""
+    z_mult = np.zeros((6, 5), dtype=int)
+    z_mult[[0, 1], 0] = 1
+    z_mult[[0, 5], 1] = 1
+    z_mult[[1, 5], 2] = 1
+    z_mult[[0, 3], 3] = 1
+    z_mult[3, 4] = 1
+    st = three_layer_structure(LIB, 2, z_mult, np.array([[1], [1], [0], [0], [1]]))
+    rng = np.random.default_rng(6)
+    w = init_weights(st, 1.0)
+    w.inner[:] = rng.uniform(0.5, 1.5, w.inner.shape)
+    w.summations[SUMMATION_STAGE][4, 0] = 0.0
+    X = rng.uniform(-2.0, 2.0, (9, 2))
+    return st, w, X, rng.normal(0.0, 1.0, (9, 1))
+
+
 def _reads_a_dead_factor(structure):
     """Some product has a factor activation that reaches no output."""
     live = structure.used_masks()[1]
-    return any(not live[i] for _, factors in structure.plan.products for i in factors)
+    return any(not live[i] for _, factors in structure.plan.dead for i in factors)
 
 
 def test_fit_case_draws_products_with_dead_factors():
@@ -512,9 +534,25 @@ def test_fit_case_draws_products_with_dead_factors():
     assert _reads_a_dead_factor(_dead_factor_case()[0])
 
 
+def test_fit_case_draws_dead_products_with_live_factors():
+    """Products that reach no output, all of whose factors are live, so
+    their `_forward_layers` column is not 0 while `_columns` leaves it 0."""
+    def dead_live(structure):
+        live = structure.used_masks()[1]
+        return any(all(live[i] for i in factors) for _, factors in structure.plan.dead)
+
+    assert dead_live(find(fit_case(positive=False), lambda case: dead_live(case[0]))[0])
+    st, w, X, _ = _dead_product_case()
+    assert [j for j, _ in st.plan.dead] == [2, 3]
+    assert dead_live(st)
+    prods = local_net._columns(st, w, X)[2]
+    assert not prods[:, [2, 3]].any() and _forward_layers(st, w, X)[2][:, [2, 3]].all()
+
+
 @settings(max_examples=300, deadline=None)
 @given(fit_case(positive=False), hst.sampled_from([0.0, -1.0, 1.0, np.inf, -np.inf, np.nan]))
 @example(_dead_factor_case(), 0.0)
+@example(_dead_product_case(), 0.0)
 def test_gradients_match_reference_kernel(case, shift):
     st, w, X, Y = case
     try:
@@ -526,10 +564,14 @@ def test_gradients_match_reference_kernel(case, shift):
     loss, grad = gradients(st, w, (X, Y))
     assert loss == ref_loss
     assert _same_weights(grad, ref_grad)
-    # every layer, the columns of products that reach no output included
+    # every layer, the columns of products that reach no output included;
+    # the fit kernel's own product matrix leaves those columns 0
     hs, ref_hs = _forward_layers(st, w, X), _ref_forward_layers(st, w, X)
     assert all(np.array_equal(h, ref) for h, ref in zip(hs, ref_hs))
     assert np.array_equal(forward(st, w, X), ref_hs[-1])
+    prods = local_net._columns(st, w, X)[2]
+    live = st.used_masks()[2]
+    assert np.array_equal(prods[:, live], ref_hs[2][:, live]) and not prods[:, ~live].any()
     # max_loss: the backward pass runs exactly when loss <= max_loss
     max_loss = shift if np.isnan(shift) else loss + shift * max(loss, 1.0) * 1e-3
     cut_loss, cut_grad = gradients(st, w, (X, Y), max_loss=max_loss)
@@ -600,3 +642,163 @@ def test_fit_trace_property(case, lr, epochs):
     assert all(b <= a for a, b in zip(losses, losses[1:]))
     assert losses == ref_losses
     assert _same_weights(w, ref_w)
+
+
+# --- the long fit: a bold-driver warm-up, then Levenberg-Marquardt ------------
+
+def _packed(structure, weights):
+    """The weights in the Jacobian's column order: the live inner weights,
+    then the live summation weights."""
+    inner, rows, outs = local_net._packing(structure)
+    return np.concatenate([weights.inner[[j for j, _, _ in inner]],
+                           weights.summations[SUMMATION_STAGE][rows, outs]])
+
+
+def _jacobian_and_residuals(structure, weights, X, Y):
+    cols, pre, prods, w_sum, e = local_net._residuals(structure, weights, X, Y)
+    return local_net._jacobian(structure, X, cols, pre, prods, w_sum), e
+
+
+def _with_zero_inputs(data, case):
+    """The case with some inputs set to exactly 0 when the library has no
+    op whose domain or derivative excludes 0 (sqrt, log)."""
+    st, w, X, Y = case
+    if not {"sqrt", "log"} & set(st.library.names):
+        zero = data.draw(hst.lists(hst.booleans(), min_size=X.size, max_size=X.size))
+        X = np.where(np.reshape(zero, X.shape), 0.0, X)
+    return st, w, X, Y
+
+
+@settings(max_examples=150, deadline=None)
+@given(fit_case(), hst.data())
+def test_jacobian_matches_central_differences(case, data):
+    st, w, X, Y = _with_zero_inputs(data, case)
+    J, _ = _jacobian_and_residuals(st, w, X, Y)
+    inner, rows, outs = local_net._packing(st)
+    assert J.shape == (X.shape[0] * st.n_outputs, len(inner) + len(rows))
+    scale = max(1.0, float(np.abs(forward(st, w, X)).max()))
+    h = 1e-6
+    for k in range(J.shape[1]):
+        ys = []
+        for sign in (1.0, -1.0):
+            wk = w.copy()
+            if k < len(inner):
+                wk.inner[inner[k][0]] += sign * h
+            else:
+                wk.summations[SUMMATION_STAGE][rows[k - len(inner)], outs[k - len(inner)]] += sign * h
+            ys.append(forward(st, wk, X).ravel())
+        fd = (ys[0] - ys[1]) / (2 * h)
+        np.testing.assert_allclose(J[:, k], fd, rtol=1e-5, atol=1e-7 * scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fit_case(), hst.data())
+def test_jacobian_transposed_residuals_are_the_gradient(case, data):
+    # J^T e / N against the backward pass, to 1e-12 of the summed magnitudes
+    st, w, X, Y = _with_zero_inputs(data, case)
+    J, e = _jacobian_and_residuals(st, w, X, Y)
+    _, grad = gradients(st, w, (X, Y))
+    N = X.shape[0]
+    bound = np.abs(J).T @ np.abs(e.ravel()) / N
+    assert np.all(np.abs(J.T @ e.ravel() / N - _packed(st, grad)) <= 1e-12 * bound)
+
+
+def _log_case():
+    """y = 2 log(0.1 x) from the inner weight 1: the full Gauss-Newton step
+    takes the weight below zero, out of the log's domain."""
+    st = three_layer_structure(make_library(["log"]), 1, np.array([[1]]), np.array([[1]]))
+    X = np.linspace(0.5, 1.5, 20)[:, None]
+    return st, init_weights(st, 1.0), X, 2.0 * np.log(0.1 * X)
+
+
+def _sqrt_case():
+    """y = 3 sqrt(2 x): sqrt(w x) times a summation weight is flat along
+    w -> c^2 w, W -> W / c."""
+    st = three_layer_structure(make_library(["sqrt"]), 1, np.array([[1]]), np.array([[1]]))
+    X = np.linspace(0.5, 1.5, 20)[:, None]
+    return st, init_weights(st, 1.0), X, 3.0 * np.sqrt(2.0 * X)
+
+
+def _long_fit_case():
+    """The toy product sq(x1) cos(w x2) fitting 3 x1^2 from a cos weight
+    snapped to exactly 0."""
+    st, w = toy_weights(inner_cos2=0.0)
+    rng = np.random.default_rng(4)
+    X = rng.uniform(1.0, 2.0, (30, 2))
+    return st, w, X, (3.0 * X[:, 0] ** 2)[:, None]
+
+
+@settings(max_examples=80, deadline=None)
+@given(fit_case(), hst.sampled_from([1e-2, 1.0, 10.0]), hst.integers(0, 30), hst.booleans())
+@example(_log_case(), 10.0, 2, False)
+@example(_sqrt_case(), 1e-2, 3, False)
+@example(_long_fit_case(), 1e-2, 25, True)
+def test_long_fit_losses_are_finite_and_non_increasing(case, lr, epochs, snap):
+    st, w, X, Y = case
+    cos = [j for j, op, _, _ in st.plan.acts if op.name == "cos"]
+    if snap and cos:
+        w.inner[cos[0]] = 0.0
+    with np.errstate(all="ignore"):
+        fitted, losses = local_net._fit_long(st, TrainConfig(learning_rate=lr, epochs=epochs),
+                                             (X, Y), start=w)
+    assert np.isfinite(losses).all()
+    assert all(b <= a for a, b in zip(losses, losses[1:]))
+    assert gradients(st, fitted, (X, Y))[0] == losses[-1]
+    if any(weighted for *_, weighted in st.plan.acts):
+        warm = min(epochs, local_net.WARMUP_EPOCHS) + 1
+        assert warm <= len(losses) <= warm + local_net.LM_ITERATIONS
+    else:
+        assert len(losses) == epochs + 1
+    if snap and cos:
+        assert fitted.inner[cos[0]] == 0.0  # a zero column stays at zero
+
+
+def test_long_fit_rejects_steps_that_leave_the_domain(monkeypatch):
+    st, w, X, Y = _log_case()
+    raised, check = [0], symbols.check_domain
+
+    def counted(op, z):
+        try:
+            check(op, z)
+        except DomainError:
+            raised[0] += 1
+            raise
+
+    monkeypatch.setattr(symbols, "check_domain", counted)
+    fitted, losses = local_net._levenberg_marquardt(st, w, X, Y)
+    assert raised[0] >= 1
+    assert losses[0] == local_net._mse(local_net._residuals(st, w, X, Y)[-1])
+    assert all(b <= a for a, b in zip(losses, losses[1:]))
+    assert fitted.inner[0] == pytest.approx(0.1, rel=1e-9)
+    assert losses[-1] < 1e-20
+
+
+def test_long_fit_keeps_the_bold_driver_without_a_weighted_op():
+    z_mult = np.zeros((6, 2)); z_mult[[0, 1], 0] = 1; z_mult[4, 1] = 1
+    st = three_layer_structure(LIB, 2, z_mult, np.array([[1], [1]]))
+    rng = np.random.default_rng(7)
+    X = rng.uniform(0.5, 1.5, (40, 2))
+    Y = (2.0 * X[:, 0] ** 3 - X[:, 1] ** 2)[:, None]
+    config = TrainConfig(epochs=120)
+    w, loss = fit_snapped(st, config, (X, Y))
+    ref_w, ref_losses = fit_trace(st, config, (X, Y))
+    assert loss == ref_losses[-1] and _same_weights(w, ref_w)
+
+
+def test_long_fit_recovers_the_true_syn1_structure():
+    """A regression test for the warm-up: from the constant start 1.0,
+    Levenberg-Marquardt alone takes the cos weight into another basin."""
+    from consol import datasets
+    train, _ = datasets.gen_syn(1, 2000, 2000, 0)
+    z_mult = np.zeros((9, 3), dtype=int)
+    z_mult[[1, 5], 0] = 1  # x1^2 cos(w x2)
+    z_mult[[0, 6], 1] = 1  # x1 x3
+    z_mult[7, 2] = 1       # x3^2
+    st = three_layer_structure(make_library(datasets.SYN_LIBRARIES[1]), 3, z_mult,
+                               np.eye(3, dtype=int))
+    w, loss = fit_snapped(st, TrainConfig(epochs=500), (train.X, train.Y))
+    assert w.inner[5] == pytest.approx(2.5, rel=1e-12)
+    assert loss < 1e-20
+    cold, losses = local_net._levenberg_marquardt(st, init_weights(st, 1.0),
+                                                  train.X, train.Y)
+    assert abs(cold.inner[5] - 2.5) > 1.0 and losses[-1] > 0.1
