@@ -41,7 +41,9 @@ TRACED_RUNS = 5
 
 #: the per-layer metrics recorded from the traced seed-0 runs
 LAYERS = ("local_net.gradients.", "local_net.fit_trace.self_s", "local_net.fit_snapped.",
-          "q_learning.phase.polish_s", "icnn.icnn_fit.")
+          "q_learning.phase.polish_s", "icnn.icnn_fit.", "icnn.minimize_over_box.",
+          "icnn.minimize_over_box_batch.", "icnn.icnn_value_and_input_grad.calls",
+          "q_learning.phase.action_s")
 
 
 def run_once(checkout, workload, seed, seconds, trace=0):

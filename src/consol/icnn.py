@@ -3,8 +3,7 @@
 Passthrough weights are clamped nonnegative after every update and the
 activation is softplus, so the scalar output is convex in the whole input
 vector by construction.  Minimization over the unit box uses projected
-gradient descent with an adaptive step; restart agreement doubles as a
-convexity check.
+gradient descent with an adaptive step, one row per starting point.
 """
 
 from __future__ import annotations
@@ -196,26 +195,25 @@ def minimize_over_box_batch(params: IcnnParams, S: np.ndarray, n_a: int,
 
 def minimize_over_box(params: IcnnParams, s, n_a: int, restarts: int = 3,
                       steps: int = 300, rng=None, pins=None):
-    """Best projected-gradient result across restarts; with a convex
-    objective all restarts agree to within tolerance.  pins is an optional
-    (mask, values) pair of coordinates held fixed."""
+    """Best projected-gradient result across restarts, run as the rows of
+    one batched call: row 0 starts at 0.5, the others at uniform draws from
+    rng, and the first row with the lowest value wins.  pins is an optional
+    (mask, values) pair of coordinates held fixed in every row."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     s = np.asarray(s, dtype=float)
     rng = rng if rng is not None else np.random.default_rng(0)
+    a0 = np.concatenate([np.full((1, n_a), 0.5),
+                         rng.uniform(0.0, 1.0, (restarts - 1, n_a))])
     pin_mask = pin_values = None
-    if pins is not None:
+    if pins is not None:  # one pin row, broadcast over the restarts
         pin_mask = np.asarray(pins[0], dtype=bool).reshape(1, n_a)
         pin_values = np.asarray(pins[1], dtype=float).reshape(1, n_a)
-    best_a, best_val = None, np.inf
-    for r in range(restarts):
-        a0 = np.full((1, n_a), 0.5) if r == 0 else rng.uniform(0.0, 1.0, (1, n_a))
-        a, val = minimize_over_box_batch(params, s[None, :], n_a, steps=steps,
-                                         a0=a0, pin_mask=pin_mask,
-                                         pin_values=pin_values)
-        if val[0] < best_val:
-            best_a, best_val = a[0], float(val[0])
-    return best_a, best_val
+    a, vals = minimize_over_box_batch(params, np.broadcast_to(s, (restarts, s.size)), n_a,
+                                      steps=steps, a0=a0, pin_mask=pin_mask,
+                                      pin_values=pin_values)
+    best = int(np.argmin(vals))
+    return a[best], float(vals[best])
 
 
 def params_to_json_obj(params: IcnnParams):

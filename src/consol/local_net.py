@@ -340,6 +340,16 @@ def _mse(e: np.ndarray) -> float:
     return float((e ** 2).sum() / (2 * e.shape[0]))
 
 
+def _weight_d1(op: SymbolOp, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """phi'(z) at z = w*x, the factor of x in the inner weight's partial
+    x * phi'(w*x).  That partial is 0 where x is 0, but sqrt's phi'(0) is
+    infinite (0 * inf is NaN), so an op with a domain bound reads phi' at
+    z = 1 there; every other entry keeps its bits."""
+    if op.domain_lower is not None:
+        z = np.where(x == 0, 1.0, z)
+    return symbols.op_d1(op.name, z)
+
+
 def gradients(structure: LocalStructure, weights: LocalWeights, batch,
               max_loss: float | None = None):
     """Mean-squared-error loss with the 1/(2N) convention and its analytic
@@ -370,7 +380,7 @@ def gradients(structure: LocalStructure, weights: LocalWeights, batch,
                 dh[i] = dh.get(i, 0.0) + (gj * _chain(cols, rest) if rest else gj)
         for j, op, col, weighted in plan.acts:
             if weighted:
-                inner[j] = float(np.sum(dh[j] * X[:, col] * symbols.op_d1(op.name, pre[j])))
+                inner[j] = float(np.sum(dh[j] * X[:, col] * _weight_d1(op, X[:, col], pre[j])))
     return loss, LocalWeights(inner, {SUMMATION_STAGE: sums})
 
 
@@ -470,7 +480,7 @@ def _jacobian(structure: LocalStructure, X: np.ndarray, cols, pre, prods,
             d = dh.setdefault(i, np.zeros((N, n_out)))
             d += (_chain(cols, rest)[:, None] if rest else 1.0) * w_sum[j]
     for k, (j, op, col) in enumerate(inner):
-        J[:, :, k] = dh[j] * (X[:, col] * symbols.op_d1(op.name, pre[j]))[:, None]
+        J[:, :, k] = dh[j] * (X[:, col] * _weight_d1(op, X[:, col], pre[j]))[:, None]
     J[:, outs, len(inner) + np.arange(len(rows))] = prods[:, rows]
     return J.reshape(N * n_out, -1)
 

@@ -5,8 +5,9 @@ from hypothesis.extra.numpy import arrays, array_shapes
 
 from consol.convexity_probe import segment_convexity_test
 from consol.errors import DomainError, ShapeError
-from consol.icnn import (IcnnParams, _sigmoid, icnn_fit, icnn_forward,
-                         icnn_value_and_input_grad, init_icnn,
+from consol import icnn
+from consol.icnn import (BOX_TOL, IcnnParams, _kkt_residual, _sigmoid, icnn_fit,
+                         icnn_forward, icnn_value_and_input_grad, init_icnn,
                          minimize_over_box, minimize_over_box_batch,
                          params_from_json_obj, params_to_json_obj)
 
@@ -222,15 +223,20 @@ def _ref_value_and_input_grad(params, U):
     return vals, g
 
 
+def _random_icnn(rng, d_in, widths):
+    """An ICNN of the given shape with random weights (passthroughs >= 0)."""
+    p = init_icnn(d_in, widths, seed=0)
+    return IcnnParams(tuple(rng.normal(0.0, 2.0, w.shape) for w in p.wy),
+                      tuple(np.abs(rng.normal(0.0, 2.0, w.shape)) for w in p.wz),
+                      tuple(rng.normal(0.0, 1.0, v.shape) for v in p.b))
+
+
 @settings(deadline=None, max_examples=120)
 @given(st.integers(1, 120), st.integers(1, 12),
        st.lists(st.integers(1, 20), min_size=1, max_size=3), st.integers(0, 2 ** 32 - 1))
 def test_value_and_input_grad_match_reference(batch, d_in, widths, seed):
     rng = np.random.default_rng(seed)
-    p = init_icnn(d_in, widths, seed=seed % 1000)
-    p = IcnnParams(tuple(rng.normal(0.0, 2.0, w.shape) for w in p.wy),
-                   tuple(np.abs(rng.normal(0.0, 2.0, w.shape)) for w in p.wz),
-                   tuple(rng.normal(0.0, 1.0, v.shape) for v in p.b))
+    p = _random_icnn(rng, d_in, widths)
     U = rng.uniform(0.0, 1.0, (batch, d_in))
     vals, g = icnn_value_and_input_grad(p, U)
     ref_vals, ref_g = _ref_value_and_input_grad(p, U)
@@ -280,6 +286,129 @@ def test_minimize_batch_matches_single():
     for i in range(2):
         _, v = minimize_over_box(p, S[i], 4, restarts=1, steps=400)
         assert vals[i] == pytest.approx(v, abs=1e-6)
+
+
+# --- the minimiser --------------------------------------------------------------
+# The per-restart loop and the batched projected descent of the parent
+# commit, kept verbatim: minimize_over_box now runs its restarts as the rows
+# of one batched call, and minimize_over_box_batch (which q_net_update calls)
+# must keep every bit.
+
+def _ref_minimize_over_box_batch(params: IcnnParams, S: np.ndarray, n_a: int,
+                                 steps: int = 200, a0: np.ndarray | None = None,
+                                 pin_mask: np.ndarray | None = None,
+                                 pin_values: np.ndarray | None = None):
+    S = np.asarray(S, dtype=float)
+    B = S.shape[0]
+    a = np.full((B, n_a), 0.5) if a0 is None else np.array(a0, dtype=float)
+    if pin_mask is None:
+        free = np.ones((B, n_a))
+    else:
+        free = 1.0 - pin_mask.astype(float)
+        a = np.where(pin_mask, pin_values, a)
+    step = np.full(B, 0.25)
+    U = np.concatenate([S, a], axis=1)
+    vals, g_full = icnn_value_and_input_grad(params, U)
+    for _ in range(steps):
+        g = g_full[:, S.shape[1]:] * free
+        res = _kkt_residual(a, g, free)
+        if np.abs(res).max() <= BOX_TOL:
+            break
+        cand = np.clip(a - step[:, None] * g, 0.0, 1.0)
+        if pin_mask is not None:
+            cand = np.where(pin_mask, pin_values, cand)
+        cand_vals, cand_g = icnn_value_and_input_grad(
+            params, np.concatenate([S, cand], axis=1))
+        accept = cand_vals <= vals
+        a = np.where(accept[:, None], cand, a)
+        vals = np.where(accept, cand_vals, vals)
+        g_full = np.where(accept[:, None], cand_g, g_full)
+        step = np.where(accept, step * 1.2, step * 0.5)
+    return a, vals
+
+
+def _ref_minimize_over_box(params: IcnnParams, s, n_a: int, restarts: int = 3,
+                           steps: int = 300, rng=None, pins=None):
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    s = np.asarray(s, dtype=float)
+    rng = rng if rng is not None else np.random.default_rng(0)
+    pin_mask = pin_values = None
+    if pins is not None:
+        pin_mask = np.asarray(pins[0], dtype=bool).reshape(1, n_a)
+        pin_values = np.asarray(pins[1], dtype=float).reshape(1, n_a)
+    best_a, best_val = None, np.inf
+    for r in range(restarts):
+        a0 = np.full((1, n_a), 0.5) if r == 0 else rng.uniform(0.0, 1.0, (1, n_a))
+        a, val = minimize_over_box_batch(params, s[None, :], n_a, steps=steps,
+                                         a0=a0, pin_mask=pin_mask,
+                                         pin_values=pin_values)
+        if val[0] < best_val:
+            best_a, best_val = a[0], float(val[0])
+    return best_a, best_val
+
+
+@st.composite
+def box_case(draw):
+    """A random ICNN over (state, action), a state and optional pins."""
+    d_in = draw(st.integers(1, 12))
+    n_a = draw(st.integers(1, d_in))
+    widths = draw(st.lists(st.integers(1, 20), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p = _random_icnn(rng, d_in, widths)
+    s = rng.uniform(0.0, 1.0, d_in - n_a)
+    pins = None
+    if draw(st.booleans()):
+        pins = (rng.uniform(0.0, 1.0, n_a) < 0.4, rng.uniform(0.0, 1.0, n_a))
+    return p, s, n_a, pins
+
+
+@settings(deadline=None, max_examples=150)
+@given(box_case(), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_minimize_over_box_matches_per_restart_reference(case, restarts, seed):
+    p, s, n_a, pins = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    a, val = minimize_over_box(p, s, n_a, restarts=restarts, steps=400, rng=rng, pins=pins)
+    ref_a, ref_val = _ref_minimize_over_box(p, s, n_a, restarts=restarts, steps=400,
+                                            rng=ref_rng, pins=pins)
+    assert a.shape == (n_a,) and np.all((0.0 <= a) & (a <= 1.0))
+    if pins is not None:
+        assert np.array_equal(a[pins[0]], pins[1][pins[0]])
+    # the restarts' starting points are the same draws from the same stream
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert val == pytest.approx(ref_val, abs=1e-6)
+    assert val == pytest.approx(icnn_forward(p, s, a), abs=1e-12, rel=1e-12)
+
+
+def test_minimize_over_box_tie_returns_first_row(monkeypatch):
+    rows = np.arange(8.0).reshape(4, 2)
+
+    def fixed(params, S, n_a, steps, a0, pin_mask, pin_values):
+        assert S.shape == (4, 3) and a0.shape == (4, 2)
+        return rows, np.array([2.0, 1.0, 0.5, 0.5])
+
+    monkeypatch.setattr(icnn, "minimize_over_box_batch", fixed)
+    a, val = minimize_over_box(init_icnn(5), np.zeros(3), 2, restarts=4)
+    assert np.array_equal(a, rows[2]) and val == 0.5
+
+
+@settings(deadline=None, max_examples=150)
+@given(box_case(), st.integers(1, 40), st.sampled_from([1, 5, 50, 200]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_minimize_over_box_batch_matches_reference(case, batch, steps, start, seed):
+    p, _, n_a, pins = case
+    rng = np.random.default_rng(seed)
+    S = rng.uniform(0.0, 1.0, (batch, p.d_in - n_a))
+    a0 = rng.uniform(0.0, 1.0, (batch, n_a)) if start else None
+    pin_mask = pin_values = None
+    if pins is not None:  # a pin row per state, as q_net_update builds them
+        pin_mask = rng.uniform(0.0, 1.0, (batch, n_a)) < 0.4
+        pin_values = rng.uniform(0.0, 1.0, (batch, n_a))
+    a, vals = minimize_over_box_batch(p, S, n_a, steps=steps, a0=a0, pin_mask=pin_mask,
+                                      pin_values=pin_values)
+    ref_a, ref_vals = _ref_minimize_over_box_batch(p, S, n_a, steps=steps, a0=a0,
+                                                   pin_mask=pin_mask, pin_values=pin_values)
+    assert np.array_equal(a, ref_a) and np.array_equal(vals, ref_vals)
 
 
 def test_params_json_roundtrip():
