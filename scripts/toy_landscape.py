@@ -5,7 +5,7 @@ start, and reports which starts reach the global optimum.  Also probes the
 curvature at the fitted optimum: directional second derivatives of the loss
 along random unit directions, and the convex-region membership estimate.
 
-Usage: python scripts/toy_landscape.py [--grid -10..10] [--epochs 1000]
+Usage: python scripts/toy_landscape.py [--grid=-10..10] [--epochs 1000]
 """
 
 import argparse
@@ -33,7 +33,7 @@ def toy_problem(n=200, seed=0):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--grid", default="-10..10")
+    ap.add_argument("--grid", type=parse_grid, default="-10..10")
     ap.add_argument("--epochs", type=int, default=1000)
     ap.add_argument("--lr", type=float, default=1e-2)
     ap.add_argument("--directions", type=int, default=100)
@@ -42,7 +42,7 @@ def main():
     structure, X, Y = toy_problem()
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs)
 
-    rows = init_sweep(structure, (X, Y), parse_grid(args.grid), cfg)
+    rows = init_sweep(structure, (X, Y), args.grid, cfg)
     print("w0     final_loss  converged")
     for w0, loss in rows:
         print(f"{w0:5.1f}  {loss:10.3g}  {'yes' if loss < 1e-6 else 'no'}")

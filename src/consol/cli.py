@@ -23,12 +23,11 @@ import numpy as np
 
 from . import datasets, local_net
 from .convexity_probe import (estimate_region, init_sweep,
-                              loss_second_derivative, segment_convexity_test,
-                              weight_coords)
+                              loss_second_derivative, segment_convexity_test)
 from .equations import equation_from_json_obj
 from .errors import ConsistencyError, ConsolError, DomainError, ShapeError
 from .icnn import icnn_forward, params_from_json_obj, params_to_json_obj
-from .local_net import (TrainConfig, structure_from_json_obj,
+from .local_net import (TrainConfig, get_weight_vector, structure_from_json_obj,
                         weights_from_json_obj, weights_to_json_obj)
 from .metrics import e_c, nrmse
 from .q_learning import QLearnConfig, SearchSpace, run_search, three_layer_space
@@ -343,11 +342,23 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def parse_grid(text: str):
-    if ".." in text:
-        lo, hi = text.split("..")
-        return [float(v) for v in range(int(lo), int(hi) + 1)]
-    return [float(v) for v in text.split(",")]
+def parse_grid(text: str) -> list[float]:
+    """The w0 grid of `probe sweep`, the argparse type of --grid: "lo..hi"
+    is every integer from lo to hi (lo <= hi), anything else a
+    comma-separated list of finite numbers."""
+    try:
+        if ".." in text:
+            lo, hi = (int(v) for v in text.split(".."))
+            grid = [float(v) for v in range(lo, hi + 1)]
+        else:
+            grid = [float(v) for v in text.split(",")]
+    except ValueError:
+        grid = []
+    if not grid or not np.isfinite(grid).all():
+        raise argparse.ArgumentTypeError(
+            f"expected lo..hi with integers lo <= hi, or a comma-separated list "
+            f"of finite numbers, not {text!r}")
+    return grid
 
 
 #: the input files each probe kind reads, by option name
@@ -361,7 +372,7 @@ def cmd_probe(args) -> int:
         structure = _read_input("structure", args.structure)
         train = _read_input("dataset", args.data, structure)
         cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs)
-        rows = init_sweep(structure, (train.X, train.Y), parse_grid(args.grid), cfg)
+        rows = init_sweep(structure, (train.X, train.Y), args.grid, cfg)
         csv = "w0,final_loss\n" + "".join(f"{w0:.17g},{loss:.17g}\n" for w0, loss in rows)
         if args.out:
             atomic_write(args.out, csv)
@@ -391,7 +402,7 @@ def cmd_probe(args) -> int:
         return 0
     if args.kind == "second-deriv":
         rng = np.random.default_rng(args.seed or 0)
-        n_w = len(weight_coords(structure))
+        n_w = len(get_weight_vector(structure, weights))
         lines = ["direction,d2_loss"]
         for i in range(args.n):
             d = rng.normal(size=n_w)
@@ -466,7 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--weights")
     pr.add_argument("--data")
     pr.add_argument("--target", help="ICNN parameter JSON (segment probe)")
-    pr.add_argument("--grid", default="-10..10")
+    pr.add_argument("--grid", type=parse_grid, default="-10..10",
+                    help="w0 grid: lo..hi or a,b,...; write --grid=-10..10, since "
+                         "a value that starts with '-' is read as an option")
     pr.add_argument("--n", type=int, default=100)
     pr.add_argument("--tol", type=float, default=1e-9)
     pr.add_argument("--lr", type=float, default=1e-2)
@@ -492,6 +505,8 @@ def main(argv=None) -> int:
     what, needed = None, ()
     if args.command == "probe":
         what, needed = f"probe {args.kind}", PROBE_INPUTS[args.kind]
+        if args.n < 1:
+            parser.error(f"probe --n must be at least 1, not {args.n}")
     elif args.command == "eval" and any(getattr(args, name) is not None
                                         for name in EVAL_NRMSE_INPUTS):
         what, needed = "eval with an NRMSE", EVAL_NRMSE_INPUTS

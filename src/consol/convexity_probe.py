@@ -17,17 +17,20 @@ import numpy as np
 from . import local_net, symbols
 from .errors import ConsistencyError, DegenerateError, DomainError
 from .local_net import (SUMMATION_STAGE, LocalStructure, LocalWeights, TrainConfig,
-                        _as_xy, trainable_inner_mask)
+                        _as_xy, get_weight_vector, set_weight_vector)
 
 
 def segment_convexity_test(f, lower, upper, n_triples: int, tol: float,
                            seed: int = 0) -> int:
     """Count violations of f(l*u + (1-l)*v) <= l*f(u) + (1-l)*f(v) + tol
-    over random segment triples in the box [lower, upper]."""
+    over random segment triples in the box [lower, upper].  A non-finite
+    tol raises ValueError: a NaN one would pass every triple."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise ValueError("box bounds must be finite")
+    if not np.isfinite(tol):
+        raise ValueError(f"tolerance must be finite, not {tol!r}")
     rng = np.random.default_rng(seed)
     violations = 0
     for _ in range(n_triples):
@@ -40,48 +43,6 @@ def segment_convexity_test(f, lower, upper, n_triples: int, tol: float,
     return violations
 
 
-# ---------------------------------------------------------------------------
-# weight vectorization: trainable inner weights first, then live summation
-# weights in row-major order.
-
-def weight_coords(structure: LocalStructure):
-    coords = [("inner", j) for j in np.flatnonzero(trainable_inner_mask(structure))]
-    k = SUMMATION_STAGE
-    z = structure.indicators[k]
-    for i in range(z.shape[0]):
-        for j in range(z.shape[1]):
-            if z[i, j] == 1:
-                coords.append(("sum", k, i, j))
-    return coords
-
-
-def get_weight_vector(structure: LocalStructure, weights: LocalWeights) -> np.ndarray:
-    vec = []
-    for c in weight_coords(structure):
-        if c[0] == "inner":
-            vec.append(weights.inner[c[1]])
-        else:
-            _, k, i, j = c
-            vec.append(weights.summations[k][i, j])
-    return np.array(vec, dtype=float)
-
-
-def set_weight_vector(structure: LocalStructure, weights: LocalWeights,
-                      vec) -> LocalWeights:
-    vec = np.asarray(vec, dtype=float)
-    coords = weight_coords(structure)
-    if vec.shape != (len(coords),):
-        raise ValueError(f"expected weight vector of length {len(coords)}")
-    out = weights.copy()
-    for c, v in zip(coords, vec):
-        if c[0] == "inner":
-            out.inner[c[1]] = v
-        else:
-            _, k, i, j = c
-            out.summations[k][i, j] = v
-    return out
-
-
 def _loss(structure, weights, X, Y) -> float:
     pred = local_net.forward(structure, weights, X)
     e = pred - np.asarray(Y, dtype=float).reshape(pred.shape)
@@ -91,9 +52,10 @@ def _loss(structure, weights, X, Y) -> float:
 def analytic_directional_derivs(structure: LocalStructure,
                                 weights: LocalWeights, x, direction):
     """First and second derivative of the network output along a straight
-    line in weight space, at step zero.  A batch x of shape (N, n_in) gives
-    two (N, n_out) arrays; a single 1-D sample gives (n_out,) arrays, or two
-    floats when there is one output.
+    line in weight space, at step zero; the direction is a flat vector in
+    the order of `local_net.get_weight_vector`.  A batch x of shape
+    (N, n_in) gives two (N, n_out) arrays; a single 1-D sample gives
+    (n_out,) arrays, or two floats when there is one output.
 
     Each product's value p and its derivatives p', p'' along the line build
     up factor by factor by the product rule, p'' <- p''f + 2p'f' + pf'',
@@ -103,18 +65,11 @@ def analytic_directional_derivs(structure: LocalStructure,
     value.  The summation layer adds its own direction components linearly.
     """
     x = np.asarray(x, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    coords = weight_coords(structure)
-    if direction.shape != (len(coords),):
-        raise ValueError(f"direction must have length {len(coords)}")
-    inner_dir = np.zeros(structure.layer_sizes[1])
-    sum_dir = np.zeros(structure.indicators[SUMMATION_STAGE].shape)
-    for c, d in zip(coords, direction):
-        if c[0] == "inner":
-            inner_dir[c[1]] = d
-        else:
-            _, k, i, j = c
-            sum_dir[i, j] = d
+    z_sum = structure.indicators[SUMMATION_STAGE]
+    zero = LocalWeights(np.zeros(structure.layer_sizes[1]),
+                        {SUMMATION_STAGE: np.zeros(z_sum.shape)})
+    unpacked = set_weight_vector(structure, zero, direction)
+    inner_dir, sum_dir = unpacked.inner, unpacked.summations[SUMMATION_STAGE]
 
     z_mult = structure.indicators[1]
     used = structure.used_masks()
@@ -141,7 +96,7 @@ def analytic_directional_derivs(structure: LocalStructure,
             prod = prod * f
         p[..., j], p1[..., j], p2[..., j] = prod, d1_j, d2_j
 
-    w_sum = structure.indicators[SUMMATION_STAGE] * weights.summations[SUMMATION_STAGE]
+    w_sum = z_sum * weights.summations[SUMMATION_STAGE]
     y1 = p @ sum_dir + p1 @ w_sum
     y2 = 2.0 * p1 @ sum_dir + p2 @ w_sum
     if x.ndim == 1 and structure.n_outputs == 1:
@@ -223,7 +178,7 @@ def estimate_region(structure: LocalStructure, weights: LocalWeights, data,
     min|y'|^2 / (eta * max|y'|) > max residual."""
     X, Y = _as_xy(data)
     rng = np.random.default_rng(seed)
-    n_w = len(weight_coords(structure))
+    n_w = len(get_weight_vector(structure, weights))
     pred = local_net.forward(structure, weights, X)
     resid = np.abs(pred - Y.reshape(pred.shape)).max()
     per_sample_min = np.full(X.shape[0], np.inf)

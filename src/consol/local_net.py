@@ -39,6 +39,9 @@ class _Plan(NamedTuple):
     """What `forward` and `gradients` need of a structure, worked out once."""
 
     acts: tuple[tuple[int, SymbolOp, int, bool], ...]  # live (j, op, input, weighted)
+    # the live weighted activations, in neuron order: the inner half of the
+    # flat weight vector (`get_weight_vector`)
+    inner: tuple[int, ...]
     # each product neuron that reaches an output, as (j, its factors)
     products: tuple[tuple[int, tuple[int, ...]], ...]
     # each product neuron with inputs that reaches no output, likewise; only
@@ -90,7 +93,7 @@ class LocalStructure:
         for j in np.flatnonzero(used[1]).tolist():
             op = self.act_op(j)
             acts.append((j, op, self.act_input(j), op.has_inner_weight))
-        weighted = {j for j, _, _, w in acts if w}
+        inner = tuple(j for j, _, _, w in acts if w)
         z = self.indicators[1]
         products, dead, partials = [], [], []
         for j in range(self.layer_sizes[2]):
@@ -105,10 +108,10 @@ class LocalStructure:
                 continue
             products.append((j, sel))
             parts = tuple((i, sel[:idx] + sel[idx + 1:])
-                          for idx, i in enumerate(sel) if i in weighted)
+                          for idx, i in enumerate(sel) if i in inner)
             if parts:
                 partials.append((j, parts))
-        return _Plan(tuple(acts), tuple(products), tuple(dead), tuple(partials))
+        return _Plan(tuple(acts), inner, tuple(products), tuple(dead), tuple(partials))
 
     def to_json_obj(self):
         return {
@@ -217,21 +220,40 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
 
 
-def trainable_inner_mask(structure: LocalStructure) -> np.ndarray:
-    used = structure.used_masks()[1]
-    mask = np.zeros(structure.layer_sizes[1], dtype=bool)
-    for j in range(structure.layer_sizes[1]):
-        mask[j] = used[j] and structure.act_op(j).has_inner_weight
-    return mask
-
-
 def init_weights(structure: LocalStructure, init_value: float) -> LocalWeights:
     inner = np.ones(structure.layer_sizes[1], dtype=float)
-    inner[trainable_inner_mask(structure)] = init_value
+    inner[list(structure.plan.inner)] = init_value
     z = structure.indicators[SUMMATION_STAGE]
     w = np.full(z.shape, float(init_value))
     w[z == 0] = 0.0
     return LocalWeights(inner, {SUMMATION_STAGE: w})
+
+
+def get_weight_vector(structure: LocalStructure, weights: LocalWeights) -> np.ndarray:
+    """The live weights as one flat vector: the live inner weights in neuron
+    order (`plan.inner`), then the live summation weights in row-major
+    order.  This is the column order of `_jacobian` and the coordinates of
+    the probe's directions."""
+    live = structure.indicators[SUMMATION_STAGE] == 1
+    return np.concatenate([weights.inner[list(structure.plan.inner)],
+                           weights.summations[SUMMATION_STAGE][live]])
+
+
+def set_weight_vector(structure: LocalStructure, weights: LocalWeights,
+                      vec) -> LocalWeights:
+    """A copy of the weights with the live weights read from a flat vector
+    in the order of `get_weight_vector`; the dead weights keep their values.
+    ValueError when the vector has the wrong length."""
+    vec = np.asarray(vec, dtype=float)
+    inner = list(structure.plan.inner)
+    live = structure.indicators[SUMMATION_STAGE] == 1
+    n = len(inner) + int(live.sum())
+    if vec.shape != (n,):
+        raise ValueError(f"expected weight vector of length {n}")
+    out = weights.copy()
+    out.inner[inner] = vec[:len(inner)]
+    out.summations[SUMMATION_STAGE][live] = vec[len(inner):]
+    return out
 
 
 def _check_weights(structure: LocalStructure, weights: LocalWeights) -> None:
@@ -466,31 +488,24 @@ def _jacobian(structure: LocalStructure, X: np.ndarray, cols, pre, prods,
               w_sum: np.ndarray) -> np.ndarray:
     """The per-sample Jacobian of the outputs, (N * n_out, P) with rows in
     the order of the residuals' ravel(): d y[n, o] / d theta, where theta
-    packs the live inner weights in neuron order, then the live summation
-    weights in row-major order (`_packing`).  Built from the columns of
-    `_columns` by the product rule: d y / d h_i sums, over the live products
-    with factor i, the summation weight times the product of the other
-    factors; nothing is divided, so a zero factor is an ordinary value."""
+    is `get_weight_vector`'s packing.  Built from the columns of `_columns`
+    by the product rule: d y / d h_i sums, over the live products with
+    factor i, the summation weight times the product of the other factors;
+    nothing is divided, so a zero factor is an ordinary value."""
     N, n_out = X.shape[0], structure.n_outputs
-    inner, rows, outs = _packing(structure)
+    inner = structure.plan.inner
+    rows, outs = np.nonzero(structure.indicators[SUMMATION_STAGE])
     J = np.zeros((N, n_out, len(inner) + len(rows)))
     dh = {}
     for j, partials in structure.plan.partials:
         for i, rest in partials:
             d = dh.setdefault(i, np.zeros((N, n_out)))
             d += (_chain(cols, rest)[:, None] if rest else 1.0) * w_sum[j]
-    for k, (j, op, col) in enumerate(inner):
-        J[:, :, k] = dh[j] * (X[:, col] * _weight_d1(op, X[:, col], pre[j]))[:, None]
+    for k, j in enumerate(inner):
+        x = X[:, structure.act_input(j)]
+        J[:, :, k] = dh[j] * (x * _weight_d1(structure.act_op(j), x, pre[j]))[:, None]
     J[:, outs, len(inner) + np.arange(len(rows))] = prods[:, rows]
     return J.reshape(N * n_out, -1)
-
-
-def _packing(structure: LocalStructure):
-    """(inner, rows, outs): the live weighted activations as (j, op, input),
-    and the live summation weights' (product, output) positions."""
-    inner = [(j, op, col) for j, op, col, weighted in structure.plan.acts if weighted]
-    rows, outs = np.nonzero(structure.indicators[SUMMATION_STAGE])
-    return inner, rows, outs
 
 
 def _levenberg_marquardt(structure: LocalStructure, weights: LocalWeights,
@@ -503,8 +518,6 @@ def _levenberg_marquardt(structure: LocalStructure, weights: LocalWeights,
     alone.  Stops at loss 0, at a zero gradient, after an accepted step that
     gains less than LM_MIN_DECREASE of the loss, or after LM_REJECTIONS
     rejections in a row.  Returns (weights, one loss per iteration)."""
-    inner, rows, outs = _packing(structure)
-    idx = [j for j, _, _ in inner]
     cols, pre, prods, w_sum, e = _residuals(structure, weights, X, Y)
     loss, losses = _mse(e), []
     lam, rejected, solve = LM_DAMPING, 0, True
@@ -512,6 +525,7 @@ def _levenberg_marquardt(structure: LocalStructure, weights: LocalWeights,
         if loss == 0.0 or rejected == LM_REJECTIONS:
             break
         if solve:
+            theta = get_weight_vector(structure, weights)
             J = _jacobian(structure, X, cols, pre, prods, w_sum)
             A, g = J.T @ J, J.T @ e.ravel()
             if not g.any():
@@ -523,9 +537,7 @@ def _levenberg_marquardt(structure: LocalStructure, weights: LocalWeights,
         try:
             step = np.linalg.solve(A + lam * np.diag(diag), -g)
             if np.isfinite(step).all():
-                cand = weights.copy()
-                cand.inner[idx] += step[:len(idx)]
-                cand.summations[SUMMATION_STAGE][rows, outs] += step[len(idx):]
+                cand = set_weight_vector(structure, weights, theta + step)
                 state = _residuals(structure, cand, X, Y)
                 cand_loss = _mse(state[-1])
         except (DomainError, np.linalg.LinAlgError):
@@ -569,15 +581,11 @@ def fit_snapped(structure: LocalStructure, config: TrainConfig, data):
     exact term."""
     w, losses = _fit_long(structure, config, data)
     loss = losses[-1]
-    mask = trainable_inner_mask(structure)
+    snappable = [j for j, op, _, _ in structure.plan.acts if op.name in ("cos", "sin")]
     tried: set[int] = set()
     while True:
-        cands = [
-            (abs(w.inner[j]), j)
-            for j in np.flatnonzero(mask)
-            if structure.act_op(j).name in ("cos", "sin")
-            and j not in tried and 0.0 < abs(w.inner[j]) < SNAP_THRESHOLD
-        ]
+        cands = [(abs(w.inner[j]), j) for j in snappable
+                 if j not in tried and 0.0 < abs(w.inner[j]) < SNAP_THRESHOLD]
         if not cands:
             return w, loss
         _, j = min(cands)

@@ -1,13 +1,14 @@
 import json
 import os
+import shlex
 
 import numpy as np
 import pytest
 
-from consol.cli import (ConfigError, atomic_write, build_dataset,
+from consol.cli import (ConfigError, atomic_write, build_dataset, build_parser,
                         default_config, load_config, main, parse_grid)
 from consol.datasets import load_dataset
-from consol.icnn import init_icnn, params_to_json_obj
+from consol.icnn import IcnnParams, init_icnn, params_to_json_obj
 from consol.local_net import TrainConfig, three_layer_structure
 from consol.q_learning import QLearnConfig
 from consol.search_mdp import ConstraintConfig
@@ -23,6 +24,21 @@ def write_json(path, obj):
 def test_parse_grid_range_and_list():
     assert parse_grid("-2..2") == [-2.0, -1.0, 0.0, 1.0, 2.0]
     assert parse_grid("0.5,1.5") == [0.5, 1.5]
+
+
+def test_readme_cli_lines_parse():
+    """Every `consol` line of README's CLI block parses; nothing runs."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("consol ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
 
 
 def test_atomic_write_creates_dirs(tmp_path):
@@ -278,6 +294,26 @@ def test_probe_segment_command(tmp_path):
     assert rep["violations"] == 0
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_probe_segment_with_a_non_finite_tol_exits_3(tmp_path, capsys, tol):
+    """Negative passthrough weights make the ICNN non-convex, which the
+    segment test shows at the default tol; a NaN or infinite tol would pass
+    every triple."""
+    params = init_icnn(3, (4, 4), seed=0)
+    params = IcnnParams(tuple(3.0 * w for w in params.wy),
+                        tuple(-30.0 * w for w in params.wz), params.b)
+    ppath = write_json(tmp_path / "q.json", params_to_json_obj(params))
+    out = str(tmp_path / "seg.json")
+    assert main(["probe", "segment", "--target", ppath, "--n", "500", "--out", out]) == 0
+    assert json.loads(open(out).read())["violations"] > 0
+    os.remove(out)
+    assert main(["probe", "segment", "--target", ppath, "--n", "500", "--tol", tol,
+                 "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert "tolerance must be finite" in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
 def test_probe_sweep_command(tmp_path):
     lib = make_library(["square", "cos"])
     z_mult = np.array([[1], [1]])
@@ -517,6 +553,36 @@ def test_structure_of_another_shape_exits_3(tmp_path, capsys, kinds, sizes, indi
     err = capsys.readouterr().err
     assert err == (f"error: layer kinds must be ['activation', 'multiplication', "
                    f"'summation'], not {kinds} (in structure file {paths['structure']})\n")
+
+
+@pytest.mark.parametrize("kind", ["segment", "region", "second-deriv"])
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_probe_count_below_1_is_a_usage_error(tmp_path, capsys, kind, n):
+    """Zero directions or triples would report nothing found."""
+    paths = valid_inputs(tmp_path)
+    argv = [paths.get(a, a) for a in INPUT_COMMANDS[kind]]
+    argv[argv.index("--n") + 1] = n
+    out = str(tmp_path / "probe.out")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "probe --n must be at least 1" in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("grid", ["1.5..3", "a,b", "", "5..1", "1..2..3", "1,nan"])
+def test_probe_sweep_bad_grid_is_a_usage_error(tmp_path, capsys, grid):
+    paths = valid_inputs(tmp_path)
+    argv = [paths.get(a, a) for a in INPUT_COMMANDS["sweep"]]
+    argv[argv.index("--grid") + 1] = grid
+    out = str(tmp_path / "sweep.csv")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --grid" in err and "Traceback" not in err
+    assert not os.path.exists(out)
 
 
 def test_valid_input_files_run(tmp_path):

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from consol.convexity_probe import (RegionEstimate, analytic_directional_derivs,
-                                    estimate_region, get_weight_vector,
-                                    init_sweep, loss_second_derivative,
-                                    segment_convexity_test, set_weight_vector,
-                                    weight_coords)
+                                    estimate_region, init_sweep,
+                                    loss_second_derivative, segment_convexity_test)
 from consol.errors import ConsistencyError
-from consol.local_net import (TrainConfig, fit, forward, init_weights,
-                              three_layer_structure, trainable_inner_mask)
+from consol.local_net import (TrainConfig, fit, forward, get_weight_vector,
+                              init_weights, set_weight_vector,
+                              three_layer_structure)
 from consol.symbols import make_library
 
 
@@ -57,12 +56,19 @@ def test_segment_test_rejects_bad_box():
                                np.array([1.0]), 10, 1e-9)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_segment_test_rejects_a_non_finite_tolerance(tol):
+    """A NaN or infinite tol passes every triple, so a non-convex f would
+    show no violations."""
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        segment_convexity_test(lambda u: float(np.sin(4 * u).sum()),
+                               -np.ones(2), np.ones(2), 2000, tol)
+
+
 def test_weight_vector_order_and_roundtrip():
     st, w = toy()
-    coords = weight_coords(st)
     # trainable inner weights first, then live summation entries
-    assert coords[0] == ("inner", 5)
-    assert coords[1] == ("sum", 2, 0, 0)
+    assert st.plan.inner == (5,)
     vec = get_weight_vector(st, w)
     assert vec.tolist() == [2.5, 3.0]
     w2 = set_weight_vector(st, w, [1.1, 2.2])
@@ -134,8 +140,8 @@ def single_block_case(draw):
     st = three_layer_structure(FULL_LIB, n_in, z_mult, z_sum)
     rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
     w = init_weights(st, 1.0)
-    mask = trainable_inner_mask(st)
-    w.inner[mask] = rng.uniform(0.5, 1.5, mask.sum())
+    inner = list(st.plan.inner)
+    w.inner[inner] = rng.uniform(0.5, 1.5, len(inner))
     w.summations[2] = z_sum * rng.uniform(-2.0, 2.0, z_sum.shape)
     X = rng.uniform(0.2, 0.6, (draw(hst.integers(1, 6)), n_in))
     used = np.flatnonzero(z_mult.any(axis=1))
@@ -143,7 +149,7 @@ def single_block_case(draw):
         if not any(st.act_input(a) == i and st.act_op(a).name in ("sqrt", "log")
                    for a in used):
             X[draw(hst.lists(hst.booleans(), min_size=len(X), max_size=len(X))), i] = 0.0
-    d = rng.normal(size=len(weight_coords(st)))
+    d = rng.normal(size=len(get_weight_vector(st, w)))
     return st, w, X, d / np.linalg.norm(d)
 
 

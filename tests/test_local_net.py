@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, find, given, settings, strategies as hst
 
 from consol import local_net, symbols
+from consol.convexity_probe import analytic_directional_derivs
 from consol.equations import term, canonicalize
 from consol.errors import DomainError, ShapeError, StructureError
 from consol.local_net import (ACTIVATION, MULTIPLICATION, SUMMATION, SUMMATION_STAGE,
@@ -10,7 +11,7 @@ from consol.local_net import (ACTIVATION, MULTIPLICATION, SUMMATION, SUMMATION_S
                               _forward_layers, _step, fanout_indicator, fit,
                               fit_snapped, fit_trace, gradients, init_weights,
                               make_structure, structure_from_json_obj,
-                              three_layer_structure, trainable_inner_mask, forward,
+                              three_layer_structure, forward,
                               weights_from_json_obj, weights_to_json_obj)
 from consol.symbols import make_library
 
@@ -161,8 +162,8 @@ def test_gradients_match_finite_difference_on_random_structures():
         st = random_structure(rng)
         X = rng.uniform(1.0, 2.0, (10, st.n_inputs))
         w = init_weights(st, 1.0)
-        mask = trainable_inner_mask(st)
-        w.inner[mask] = rng.uniform(0.7, 1.4, mask.sum())
+        inner = list(st.plan.inner)
+        w.inner[inner] = rng.uniform(0.7, 1.4, len(inner))
         k = SUMMATION_STAGE
         live = st.indicators[k] == 1
         w.summations[k][live] = rng.uniform(0.5, 1.5, live.sum())
@@ -177,7 +178,7 @@ def test_gradients_match_finite_difference_on_random_structures():
             l, _ = gradients(st, wt, (X, Y))
             return l
 
-        for j in np.flatnonzero(mask):
+        for j in inner:
             wp, wm = w.copy(), w.copy()
             wp.inner[j] += h
             wm.inner[j] -= h
@@ -646,14 +647,6 @@ def test_fit_trace_property(case, lr, epochs):
 
 # --- the long fit: a bold-driver warm-up, then Levenberg-Marquardt ------------
 
-def _packed(structure, weights):
-    """The weights in the Jacobian's column order: the live inner weights,
-    then the live summation weights."""
-    inner, rows, outs = local_net._packing(structure)
-    return np.concatenate([weights.inner[[j for j, _, _ in inner]],
-                           weights.summations[SUMMATION_STAGE][rows, outs]])
-
-
 def _jacobian_and_residuals(structure, weights, X, Y):
     cols, pre, prods, w_sum, e = local_net._residuals(structure, weights, X, Y)
     return local_net._jacobian(structure, X, cols, pre, prods, w_sum), e
@@ -675,18 +668,14 @@ def _with_zero_inputs(data, case):
 def test_jacobian_matches_central_differences(case, data):
     st, w, X, Y = _with_zero_inputs(data, case)
     J, _ = _jacobian_and_residuals(st, w, X, Y)
-    inner, rows, outs = local_net._packing(st)
-    assert J.shape == (X.shape[0] * st.n_outputs, len(inner) + len(rows))
+    theta = local_net.get_weight_vector(st, w)
+    assert J.shape == (X.shape[0] * st.n_outputs, len(theta))
     scale = max(1.0, float(np.abs(forward(st, w, X)).max()))
     h = 1e-6
     for k in range(J.shape[1]):
         ys = []
         for sign in (1.0, -1.0):
-            wk = w.copy()
-            if k < len(inner):
-                wk.inner[inner[k][0]] += sign * h
-            else:
-                wk.summations[SUMMATION_STAGE][rows[k - len(inner)], outs[k - len(inner)]] += sign * h
+            wk = local_net.set_weight_vector(st, w, theta + sign * h * np.eye(len(theta))[k])
             ys.append(forward(st, wk, X).ravel())
         fd = (ys[0] - ys[1]) / (2 * h)
         np.testing.assert_allclose(J[:, k], fd, rtol=1e-5, atol=1e-7 * scale)
@@ -701,7 +690,53 @@ def test_jacobian_transposed_residuals_are_the_gradient(case, data):
     _, grad = gradients(st, w, (X, Y))
     N = X.shape[0]
     bound = np.abs(J).T @ np.abs(e.ravel()) / N
-    assert np.all(np.abs(J.T @ e.ravel() / N - _packed(st, grad)) <= 1e-12 * bound)
+    assert np.all(np.abs(J.T @ e.ravel() / N - local_net.get_weight_vector(st, grad))
+                  <= 1e-12 * bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fit_case(), hst.data())
+def test_weight_vector_round_trip_keeps_dead_weights(case, data):
+    """get(set(w, v)) == v; set writes only the live weights: the weighted
+    ops of activations that reach an output, then the connected summation
+    weights."""
+    st, w, X, Y = case
+    z_sum = st.indicators[SUMMATION_STAGE]
+    w.summations[SUMMATION_STAGE] += (z_sum == 0) * 7.0  # dead entries nonzero
+    used = st.used_masks()[1]
+    live_inner = [j for j in range(st.layer_sizes[1])
+                  if used[j] and st.act_op(j).has_inner_weight]
+    assert list(st.plan.inner) == live_inner
+    theta = local_net.get_weight_vector(st, w)
+    assert theta.tolist() == (w.inner[live_inner].tolist()
+                              + w.summations[SUMMATION_STAGE][z_sum == 1].tolist())
+    v = np.array(data.draw(hst.lists(hst.floats(-5.0, 5.0), min_size=len(theta),
+                                     max_size=len(theta))))
+    w2 = local_net.set_weight_vector(st, w, v)
+    assert np.array_equal(local_net.get_weight_vector(st, w2), v)
+    assert np.array_equal(local_net.get_weight_vector(st, w), theta)
+    dead = np.ones(st.layer_sizes[1], dtype=bool)
+    dead[live_inner] = False
+    assert np.array_equal(w2.inner[dead], w.inner[dead])
+    assert np.array_equal(w2.summations[SUMMATION_STAGE][z_sum == 0],
+                          w.summations[SUMMATION_STAGE][z_sum == 0])
+    with pytest.raises(ValueError, match=f"length {len(theta)}"):
+        local_net.set_weight_vector(st, w, np.append(v, 0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fit_case(), hst.integers(0, 2 ** 32 - 1))
+def test_probe_first_derivative_is_the_jacobian_along_the_direction(case, seed):
+    """The probe's y' along a direction d is J d, to 1e-12 of the summed
+    magnitudes: the probe and the Levenberg-Marquardt Jacobian read one
+    packing."""
+    st, w, X, Y = case
+    J, _ = _jacobian_and_residuals(st, w, X, Y)
+    d = np.random.default_rng(seed).normal(size=J.shape[1])
+    y1, _ = analytic_directional_derivs(st, w, X, d)
+    shape = (X.shape[0], st.n_outputs)
+    bound = (np.abs(J) @ np.abs(d)).reshape(shape)
+    assert np.all(np.abs(y1 - (J @ d).reshape(shape)) <= 1e-12 * bound)
 
 
 def _log_case():
