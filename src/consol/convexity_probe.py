@@ -62,7 +62,9 @@ def analytic_directional_derivs(structure: LocalStructure,
     p' <- p'f + pf', p <- pf: a factor phi(w x) with direction component d
     has f' = phi'(w x) d x and f'' = phi''(w x) (d x)^2, an unweighted one
     f' = f'' = 0.  Nothing is divided, so a zero factor is an ordinary
-    value.  The summation layer adds its own direction components linearly.
+    value; where x is 0, f' and f'' are 0 also under sqrt, whose phi' and
+    phi'' are infinite there.  The summation layer adds its own direction
+    components linearly.
     """
     x = np.asarray(x, dtype=float)
     z_sum = structure.indicators[SUMMATION_STAGE]
@@ -89,8 +91,9 @@ def analytic_directional_derivs(structure: LocalStructure,
             f1 = f2 = 0.0
             if op.has_inner_weight:
                 dx = inner_dir[a_idx] * xi
-                f1 = symbols.op_d1(op.name, arg) * dx
-                f2 = symbols.op_d2(op.name, arg) * dx * dx
+                z = local_net._weight_arg(op, xi, arg)
+                f1 = symbols.op_d1(op.name, z) * dx
+                f2 = symbols.op_d2(op.name, z) * dx * dx
             d2_j = d2_j * f + 2.0 * d1_j * f1 + prod * f2
             d1_j = d1_j * f + prod * f1
             prod = prod * f
@@ -133,7 +136,8 @@ def loss_second_derivative(structure: LocalStructure, weights: LocalWeights,
                            data, direction, fd_step: float = 1e-3,
                            rtol: float = 1e-4) -> float:
     """d^2/dt^2 of the fitting loss along a weight-space direction, computed
-    analytically and cross-checked against central finite differences."""
+    analytically and cross-checked against central finite differences; a
+    non-finite value of either raises ConsistencyError."""
     X, Y = _as_xy(data)
     direction = np.asarray(direction, dtype=float)
     if not direction.any():
@@ -141,7 +145,7 @@ def loss_second_derivative(structure: LocalStructure, weights: LocalWeights,
     analytic = _analytic_d2_loss(structure, weights, X, Y, direction)
     fd = _fd_d2_loss(structure, weights, X, Y, direction, fd_step)
     scale = max(1.0, abs(analytic), abs(fd))
-    if abs(analytic - fd) > rtol * scale:
+    if not (np.isfinite(analytic) and np.isfinite(fd) and abs(analytic - fd) <= rtol * scale):
         raise ConsistencyError(
             f"directional second derivative mismatch: analytic {analytic!r} "
             f"vs finite-difference {fd!r}")
@@ -175,7 +179,8 @@ def estimate_region(structure: LocalStructure, weights: LocalWeights, data,
                     n_directions: int, seed: int = 0) -> RegionEstimate:
     """Sample unit directions, collect |y'| and |y''| over the data, estimate
     eta = max |y''|/|y'| and test the sufficient condition
-    min|y'|^2 / (eta * max|y'|) > max residual."""
+    min|y'|^2 / (eta * max|y'|) > max residual.  A non-finite y' or y''
+    raises DegenerateError."""
     X, Y = _as_xy(data)
     rng = np.random.default_rng(seed)
     n_w = len(get_weight_vector(structure, weights))
@@ -189,6 +194,9 @@ def estimate_region(structure: LocalStructure, weights: LocalWeights, data,
         d = rng.normal(size=n_w)
         d /= np.linalg.norm(d)
         y1, y2 = analytic_directional_derivs(structure, weights, X, d)
+        if not (np.isfinite(y1).all() and np.isfinite(y2).all()):
+            raise DegenerateError("a directional derivative is not finite; "
+                                  "the curvature ratio is undefined here")
         mag = np.abs(y1)
         per_sample_min = np.minimum(per_sample_min, mag.min(axis=1))
         overall_max = max(overall_max, float(mag.max()))

@@ -2,13 +2,15 @@
 
 Passthrough weights are clamped nonnegative after every update and the
 activation is softplus, so the scalar output is convex in the whole input
-vector by construction.  Minimization over the unit box uses projected
-gradient descent with an adaptive step, one row per starting point.
+vector by construction.  A batch enters every layer in one matmul, and one
+backward pass serves the fit, the input gradient and the minimization over
+the unit box: projected gradient descent with an adaptive step, one row per
+starting point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,30 +21,41 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def _sigmoid(x):
-    """1 / (1 + exp(-x)), from exp(-|x|) so that neither branch overflows."""
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+def _sigmoid_of_softplus(z):
+    """sigma(a) from z = softplus(a) as 1 - exp(-z): no overflow, no cancellation."""
+    return -np.expm1(-z)
 
 
 @dataclass(frozen=True)
 class IcnnParams:
     """wy: input-injection matrices (one per hidden layer plus output);
-    wz: nonnegative passthrough matrices; b: biases."""
+    wz: nonnegative passthrough matrices; b: biases.  wy and b are views of
+    the column blocks `cols` of one (d_in, sum of widths) matrix WY and one
+    vector `bias`, which the constructor packs from copies."""
 
     wy: tuple[np.ndarray, ...]
     wz: tuple[np.ndarray, ...]
     b: tuple[np.ndarray, ...]
+    WY: np.ndarray = field(init=False, repr=False, compare=False)
+    bias: np.ndarray = field(init=False, repr=False, compare=False)
+    cols: tuple[slice, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        WY = np.concatenate(self.wy, axis=1, dtype=float)
+        bias = np.concatenate(self.b, dtype=float)
+        edges = np.cumsum([0] + [w.shape[1] for w in self.wy]).tolist()
+        cols = tuple(slice(lo, hi) for lo, hi in zip(edges, edges[1:]))
+        for name, value in (("WY", WY), ("bias", bias), ("cols", cols),
+                            ("wy", tuple(WY[:, c] for c in cols)),
+                            ("b", tuple(bias[c] for c in cols)), ("wz", tuple(self.wz))):
+            object.__setattr__(self, name, value)
 
     @property
     def d_in(self) -> int:
-        return self.wy[0].shape[0]
+        return self.WY.shape[0]
 
     def copy(self) -> "IcnnParams":
-        return IcnnParams(tuple(w.copy() for w in self.wy),
-                          tuple(w.copy() for w in self.wz),
-                          tuple(v.copy() for v in self.b))
+        return IcnnParams(self.wy, tuple(w.copy() for w in self.wz), self.b)
 
     def min_wz(self) -> float:
         return float(min(w.min() for w in self.wz))
@@ -61,18 +74,25 @@ def init_icnn(d_in: int, widths=(16, 16), seed: int = 0) -> IcnnParams:
     return IcnnParams(tuple(wy), tuple(wz), tuple(b))
 
 
-def _forward_cached(wy, wz, b, U: np.ndarray):
-    zs, sigs = [], []
-    a = U @ wy[0] + b[0]
-    zs.append(_softplus(a))
-    sigs.append(_sigmoid(a))
-    n_hidden = len(wz)
-    for k in range(1, n_hidden):
-        a = zs[-1] @ wz[k - 1] + U @ wy[k] + b[k]
-        zs.append(_softplus(a))
-        sigs.append(_sigmoid(a))
-    out = zs[-1] @ wz[-1] + U @ wy[-1] + b[-1]
-    return out[:, 0], zs, sigs
+def _forward(p: IcnnParams, U: np.ndarray):
+    """Output values and every hidden layer's softplus output; one matmul
+    injects the input into all layers."""
+    P = U @ p.WY + p.bias
+    zs = [_softplus(P[:, p.cols[0]])]
+    for wz, c in zip(p.wz, p.cols[1:-1]):
+        zs.append(_softplus(zs[-1] @ wz + P[:, c]))
+    return (zs[-1] @ p.wz[-1])[:, 0] + P[:, -1], zs
+
+
+def _backward(p: IcnnParams, zs, d_out) -> np.ndarray:
+    """The derivative of a loss in every layer's pre-activation, as the
+    column blocks `cols` of one (B, sum of widths) array, given its
+    derivative d_out in the output (per row, or one scalar for all)."""
+    DA = np.empty((zs[0].shape[0], p.bias.size))
+    DA[:, -1] = d_out
+    for k in range(len(zs) - 1, -1, -1):
+        DA[:, p.cols[k]] = (DA[:, p.cols[k + 1]] @ p.wz[k].T) * _sigmoid_of_softplus(zs[k])
+    return DA
 
 
 def icnn_forward(params: IcnnParams, s, a=None) -> float | np.ndarray:
@@ -85,28 +105,18 @@ def icnn_forward(params: IcnnParams, s, a=None) -> float | np.ndarray:
     U = u[None, :] if single else u
     if U.shape[1] != params.d_in:
         raise ShapeError(f"input dim {U.shape[1]} != network dim {params.d_in}")
-    vals, _, _ = _forward_cached(params.wy, params.wz, params.b, U)
+    vals, _ = _forward(params, U)
     return float(vals[0]) if single else vals
 
 
 def icnn_value_and_input_grad(params: IcnnParams, U: np.ndarray):
     """Batched value f(u) and gradient df/du."""
     U = np.asarray(U, dtype=float)
-    vals, zs, sigs = _forward_cached(params.wy, params.wz, params.b, U)
-    n_hidden = len(params.wz)
-    # backprop to the input; the last layer's rows broadcast over the batch
-    dz = params.wz[-1][:, 0]
-    g = params.wy[-1][:, 0]
-    for k in range(n_hidden - 1, -1, -1):
-        da = dz * sigs[k]  # (B, w_k)
-        g = g + da @ params.wy[k].T
-        if k > 0:
-            dz = da @ params.wz[k - 1].T
-    return vals, g
+    vals, zs = _forward(params, U)
+    return vals, _backward(params, zs, 1.0) @ params.WY.T
 
 
-def icnn_fit(params: IcnnParams, U, targets, lr: float,
-             epochs: int) -> IcnnParams:
+def icnn_fit(params: IcnnParams, U, targets, lr: float, epochs: int) -> IcnnParams:
     """Full-batch gradient descent on mean-squared error, one step per
     epoch; passthrough weights are clamped to >= 0 after every step.
     Returns a new parameter snapshot; raises DomainError if the fit
@@ -116,29 +126,20 @@ def icnn_fit(params: IcnnParams, U, targets, lr: float,
     if U.shape[0] == 0:
         raise ValueError("no training samples")
     p = params.copy()
-    wy, wz, b = list(p.wy), list(p.wz), list(p.b)
-    n_hidden = len(wz)
+    WY, bias = p.WY, p.bias
+    UT = np.ascontiguousarray(U.T)
+    scale = 2.0 * lr / len(U)  # lr times d MSE / d out, per unit residual
     for _ in range(epochs):
-        vals, zs, sigs = _forward_cached(wy, wz, b, U)
-        r = (2.0 / len(U)) * (vals - t)  # d MSE / d out
-        # each layer is stepped in place once the backward pass has read it
-        dz = np.outer(r, wz[-1][:, 0])
-        wz[-1] -= lr * (zs[-1].T @ r[:, None])
-        np.maximum(wz[-1], 0.0, out=wz[-1])
-        wy[-1] -= lr * (U.T @ r[:, None])
-        b[-1] -= lr * r.sum()
-        for k in range(n_hidden - 1, -1, -1):
-            da = dz * sigs[k]
-            wy[k] -= lr * (U.T @ da)
-            b[k] -= lr * da.sum(axis=0)
-            if k > 0:
-                g_wz = zs[k - 1].T @ da
-                dz = da @ wz[k - 1].T
-                wz[k - 1] -= lr * g_wz
-                np.maximum(wz[k - 1], 0.0, out=wz[k - 1])
-    if not all(np.isfinite(a).all() for a in (*wy, *wz, *b)):
+        vals, zs = _forward(p, U)
+        DA = _backward(p, zs, scale * (vals - t))
+        WY -= UT @ DA
+        bias -= DA.sum(axis=0)
+        for wz, z, c in zip(p.wz, zs, p.cols[1:]):
+            wz -= z.T @ DA[:, c]
+            np.maximum(wz, 0.0, out=wz)
+    if not all(np.isfinite(a).all() for a in (WY, bias, *p.wz)):
         raise DomainError("icnn_fit diverged to a non-finite parameter")
-    return IcnnParams(tuple(wy), tuple(wz), tuple(b))
+    return p
 
 
 #: the largest KKT residual at which projected descent over the box stops
@@ -173,8 +174,7 @@ def minimize_over_box_batch(params: IcnnParams, S: np.ndarray, n_a: int,
         free = 1.0 - pin_mask.astype(float)
         a = np.where(pin_mask, pin_values, a)
     step = np.full(B, 0.25)
-    U = np.concatenate([S, a], axis=1)
-    vals, g_full = icnn_value_and_input_grad(params, U)
+    vals, g_full = icnn_value_and_input_grad(params, np.concatenate([S, a], axis=1))
     for _ in range(steps):
         g = g_full[:, S.shape[1]:] * free
         res = _kkt_residual(a, g, free)
@@ -183,8 +183,7 @@ def minimize_over_box_batch(params: IcnnParams, S: np.ndarray, n_a: int,
         cand = np.clip(a - step[:, None] * g, 0.0, 1.0)
         if pin_mask is not None:
             cand = np.where(pin_mask, pin_values, cand)
-        cand_vals, cand_g = icnn_value_and_input_grad(
-            params, np.concatenate([S, cand], axis=1))
+        cand_vals, cand_g = icnn_value_and_input_grad(params, np.concatenate([S, cand], axis=1))
         accept = cand_vals <= vals
         a = np.where(accept[:, None], cand, a)
         vals = np.where(accept, cand_vals, vals)

@@ -362,14 +362,17 @@ def _mse(e: np.ndarray) -> float:
     return float((e ** 2).sum() / (2 * e.shape[0]))
 
 
+def _weight_arg(op: SymbolOp, x, z):
+    """z = w*x, where phi' and phi'' are read for the inner weight's partials
+    x phi'(w x) and x^2 phi''(w x).  Those are 0 where x is 0, but sqrt's
+    phi' and phi'' at 0 are infinite (0 * inf is NaN), so an op with a
+    domain bound reads them at z = 1 there; every other entry keeps its bits."""
+    return np.where(x == 0, 1.0, z) if op.domain_lower is not None else z
+
+
 def _weight_d1(op: SymbolOp, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """phi'(z) at z = w*x, the factor of x in the inner weight's partial
-    x * phi'(w*x).  That partial is 0 where x is 0, but sqrt's phi'(0) is
-    infinite (0 * inf is NaN), so an op with a domain bound reads phi' at
-    z = 1 there; every other entry keeps its bits."""
-    if op.domain_lower is not None:
-        z = np.where(x == 0, 1.0, z)
-    return symbols.op_d1(op.name, z)
+    """phi'(z) at z = w*x, the factor of x in the inner weight's partial."""
+    return symbols.op_d1(op.name, _weight_arg(op, x, z))
 
 
 def gradients(structure: LocalStructure, weights: LocalWeights, batch,

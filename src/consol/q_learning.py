@@ -424,7 +424,8 @@ def run_search(space: SearchSpace, cfg: QLearnConfig, data,
                seed: int = 0, keep_snapshots: bool = False) -> SearchResult:
     """Episode loop with replay, target copies every target_update_interval
     episodes, early stop at |R_t - 1| <= stop_lambda, and a long final refit
-    of the best structure."""
+    of the best structure.  A Q update whose fit diverges to a non-finite
+    parameter (DomainError) leaves the Q network as it was."""
     rng = np.random.default_rng(seed)
     constraints = constraints or ConstraintConfig()
     X, Y, sigma_y = _episode_data(data)
@@ -455,7 +456,10 @@ def run_search(space: SearchSpace, cfg: QLearnConfig, data,
         # differently, and these rewards feed the Q fit
         buffer.push(out.u_relaxed, out.s_next, out.stage_next,
                     [reward_of(rnet, u) for u in out.u_relaxed])
-        qnet = q_net_update(qnet, target, buffer, cfg, space, constraints)
+        try:
+            qnet = q_net_update(qnet, target, buffer, cfg, space, constraints)
+        except DomainError:
+            pass  # the bootstrap targets are unbounded; a diverged fit keeps the old network
         if t % cfg.target_update_interval == 0:
             target = qnet.copy()
             if keep_snapshots:

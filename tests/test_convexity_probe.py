@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from consol import convexity_probe
 from consol.convexity_probe import (RegionEstimate, analytic_directional_derivs,
                                     estimate_region, init_sweep,
                                     loss_second_derivative, segment_convexity_test)
-from consol.errors import ConsistencyError
+from consol.errors import ConsistencyError, DegenerateError
 from consol.local_net import (TrainConfig, fit, forward, get_weight_vector,
                               init_weights, set_weight_vector,
                               three_layer_structure)
@@ -215,6 +216,52 @@ def test_loss_curvature_consistency_guard_triggers():
         # analytic value
         loss_second_derivative(st, w, (X, Y), np.array([1.0, 0.0]),
                                fd_step=2.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["_analytic_d2_loss", "_fd_d2_loss"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_loss_curvature_rejects_a_non_finite_value(monkeypatch, which, value):
+    """abs(a - fd) > rtol * scale is False for a NaN, and for an infinite
+    fd against a finite analytic value, so neither may pass as agreement."""
+    st, w, X, Y, _ = toy_fit(n=20)
+    monkeypatch.setattr(convexity_probe, which, lambda *args: value)
+    with pytest.raises(ConsistencyError):
+        loss_second_derivative(st, w, (X, Y), np.array([1.0, 0.0]))
+
+
+def test_probe_at_a_zero_input_under_sqrt_is_finite():
+    """y = 2 sqrt(1.7 x) with x = 0 in the data: y' and y'' there are 0 (the
+    partials carry a factor x), not 0 * inf = NaN, so the curvature check
+    and the region estimate see finite numbers."""
+    st = three_layer_structure(make_library(["sqrt"]), 1, np.array([[1]]), np.array([[1]]))
+    X = np.linspace(0.0, 1.5, 20)[:, None]
+    Y = 2.0 * np.sqrt(1.7 * X)
+    w = init_weights(st, 1.0)
+    d = np.array([0.6, 0.8])
+    with np.errstate(all="raise"):
+        y1, y2 = analytic_directional_derivs(st, w, X, d)
+        assert analytic_directional_derivs(st, w, X[0], d) == (0.0, 0.0)
+        curvature = loss_second_derivative(st, w, (X, Y), d)
+        est = estimate_region(st, w, (X, Y), n_directions=5, seed=0)
+    assert y1[0, 0] == y2[0, 0] == 0.0
+    assert np.isfinite(y1).all() and np.isfinite(y2).all() and np.isfinite(curvature)
+    assert np.isfinite(est.y_prime_abs).all() and est.y_prime_abs[0] == 0.0
+
+
+def test_probe_at_a_subnormal_input_under_sqrt_is_an_error():
+    """At x = 1e-310, sqrt's phi''(w x) overflows to inf, so y'' is not
+    finite: the curvature check raises rather than return inf, and the
+    region estimate raises rather than report an infinite eta."""
+    st = three_layer_structure(make_library(["sqrt"]), 1, np.array([[1]]), np.array([[1]]))
+    X = np.linspace(0.0, 1.5, 20)[:, None]
+    X[0] = 1e-310
+    Y = 2.0 * np.sqrt(1.7 * X)
+    w = init_weights(st, 1.0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ConsistencyError):
+            loss_second_derivative(st, w, (X, Y), np.array([0.6, 0.8]))
+        with pytest.raises(DegenerateError, match="not finite"):
+            estimate_region(st, w, (X, Y), n_directions=3, seed=0)
 
 
 def test_estimate_region_membership_at_optimum():

@@ -6,9 +6,9 @@ from hypothesis.extra.numpy import arrays, array_shapes
 from consol.convexity_probe import segment_convexity_test
 from consol.errors import DomainError, ShapeError
 from consol import icnn
-from consol.icnn import (BOX_TOL, IcnnParams, _kkt_residual, _sigmoid, icnn_fit,
-                         icnn_forward, icnn_value_and_input_grad, init_icnn,
-                         minimize_over_box, minimize_over_box_batch,
+from consol.icnn import (BOX_TOL, IcnnParams, _kkt_residual, _sigmoid_of_softplus,
+                         _softplus, icnn_fit, icnn_forward, icnn_value_and_input_grad,
+                         init_icnn, minimize_over_box, minimize_over_box_batch,
                          params_from_json_obj, params_to_json_obj)
 
 
@@ -109,8 +109,10 @@ def test_fit_at_extreme_rates_raises_or_stays_finite_and_convex(seed, lr, epochs
 
 
 # --- reference kernel ---------------------------------------------------------
-# The masked sigmoid and the per-epoch icnn_fit that the one-pass versions
-# replaced, kept verbatim as the reference they must match bit for bit.
+# The masked sigmoid, the per-layer forward and backward passes and the
+# per-epoch icnn_fit that the packed kernel replaced.  The packed kernel
+# injects the input into every layer in one matmul and sums in another
+# order, so it matches these to a tolerance, not bit for bit.
 
 def _ref_sigmoid(x):
     out = np.empty_like(x)
@@ -170,38 +172,69 @@ def _ref_icnn_fit(params, U, targets, lr, epochs):
     return IcnnParams(tuple(wy), tuple(wz), tuple(b))
 
 
+def _assert_close(out, ref, rtol=1e-12):
+    """Equal to rtol of the array's largest magnitude (at least 1)."""
+    assert out.shape == ref.shape
+    if ref.size:
+        assert np.abs(out - ref).max() <= rtol * max(1.0, np.abs(ref).max())
+
+
+def _sigmoid(x):
+    return _sigmoid_of_softplus(_softplus(x))
+
+
+def _within_ulps(out, ref, n):
+    """Equal where ref is NaN or infinite, else within n units in the last
+    place of ref."""
+    assert np.array_equal(np.isnan(out), np.isnan(ref))
+    fin = np.isfinite(ref)
+    assert np.array_equal(out[~fin], ref[~fin], equal_nan=True)
+    with np.errstate(over="ignore"):  # the spacing of the largest float is inf
+        assert np.all(np.abs(out[fin] - ref[fin]) <= n * np.spacing(np.abs(ref[fin])))
+
+
 @settings(deadline=None, max_examples=200)
 @given(arrays(np.float64, array_shapes(max_dims=2, max_side=40),
               elements=st.floats(allow_nan=True, allow_infinity=True)),
        st.integers(0, 2 ** 32 - 1))
 def test_sigmoid_matches_reference(x, seed):
-    # hypothesis draws the edge values (+-inf, NaN, huge, subnormal) ...
-    assert np.array_equal(_sigmoid(x), _ref_sigmoid(x), equal_nan=True)
-    # ... and a normal draw the values activations take
+    """sigma read from softplus as 1 - exp(-softplus(a)) is the masked
+    sigmoid to 4 ulps: hypothesis draws the edge values (+-inf, NaN, huge,
+    subnormal), and a normal draw the values activations take."""
     y = np.random.default_rng(seed).normal(0.0, 10.0, (37, 11))
-    assert np.array_equal(_sigmoid(y), _ref_sigmoid(y))
+    with np.errstate(all="ignore"):
+        for v in (x, y):
+            _within_ulps(_sigmoid(v), _ref_sigmoid(v), 4)
+
+
+@settings(deadline=None, max_examples=200)
+@given(arrays(np.float64, array_shapes(max_dims=2, max_side=40),
+              elements=st.floats(allow_nan=True, allow_infinity=True)))
+def test_softplus_is_accurate_at_every_float(x):
+    # max(x, 0) + log1p(exp(-|x|)): no overflow, no cancellation
+    with np.errstate(all="ignore"):
+        ref = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+        out = _softplus(x)
+    _within_ulps(out, ref, 4)
+    assert np.all(out[~np.isnan(x)] >= 0.0)
 
 
 @settings(deadline=None, max_examples=120)
 @given(st.integers(1, 120), st.integers(1, 12),
        st.lists(st.integers(1, 20), min_size=1, max_size=3),
-       st.sampled_from([1e-4, 1e-2, 0.3, 10.0, 1e6]), st.integers(0, 12),
+       st.sampled_from([1e-4, 1e-2, 0.1, 0.3]), st.integers(0, 12),
        st.integers(0, 2 ** 32 - 1))
 def test_icnn_fit_matches_reference(batch, d_in, widths, lr, epochs, seed):
+    # stable rates only: test_fit_at_extreme_rates_raises_or_stays_finite_and_convex
+    # covers the rest, where any two summation orders part ways
     rng = np.random.default_rng(seed)
     p = init_icnn(d_in, widths, seed=seed % 1000)
     U = rng.uniform(0.0, 1.0, (batch, d_in))
     t = rng.normal(0.0, 5.0, batch)
-    with np.errstate(all="ignore"):
-        try:
-            ref = _ref_icnn_fit(p, U, t, lr, epochs)
-        except DomainError:
-            with pytest.raises(DomainError):
-                icnn_fit(p, U, t, lr, epochs)
-            return
-        out = icnn_fit(p, U, t, lr, epochs)
+    out = icnn_fit(p, U, t, lr, epochs)
+    ref = _ref_icnn_fit(p, U, t, lr, epochs)
     for a, b in zip(out.wy + out.wz + out.b, ref.wy + ref.wz + ref.b):
-        assert np.array_equal(a, b)
+        _assert_close(a, b)
     fresh = init_icnn(d_in, widths, seed=seed % 1000)  # p is not written
     for a, b in zip(p.wy + p.wz + p.b, fresh.wy + fresh.wz + fresh.b):
         assert np.array_equal(a, b)
@@ -240,8 +273,37 @@ def test_value_and_input_grad_match_reference(batch, d_in, widths, seed):
     U = rng.uniform(0.0, 1.0, (batch, d_in))
     vals, g = icnn_value_and_input_grad(p, U)
     ref_vals, ref_g = _ref_value_and_input_grad(p, U)
-    assert g.shape == (batch, d_in)
-    assert np.array_equal(vals, ref_vals) and np.array_equal(g, ref_g)
+    _assert_close(vals, ref_vals)
+    _assert_close(g, ref_g)
+    # the value comes from the one forward pass icnn_forward runs
+    assert np.array_equal(vals, icnn_forward(p, U))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 40), st.integers(1, 12),
+       st.lists(st.integers(1, 20), min_size=1, max_size=3),
+       st.sampled_from([1e-3, 1e-1, 1.0, 1e3]), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_fit_steps_one_epoch_at_a_time_and_keeps_passthroughs_nonnegative(
+        batch, d_in, widths, lr, epochs, seed):
+    """An n-epoch fit is n one-epoch fits, each leaving every wz >= 0, and
+    a rerun gives the same bytes."""
+    rng = np.random.default_rng(seed)
+    p = _random_icnn(rng, d_in, widths)
+    U = rng.uniform(0.0, 1.0, (batch, d_in))
+    t = rng.normal(0.0, 5.0, batch)
+    with np.errstate(all="ignore"):
+        try:
+            out = icnn_fit(p, U, t, lr, epochs)
+        except DomainError:
+            return
+        step = p
+        for _ in range(epochs):
+            step = icnn_fit(step, U, t, lr, 1)
+            assert all((w >= 0.0).all() for w in step.wz)
+        again = icnn_fit(p, U, t, lr, epochs)
+    for a, b, c in zip(out.wy + out.wz + out.b, step.wy + step.wz + step.b,
+                       again.wy + again.wz + again.b):
+        assert a.tobytes() == b.tobytes() == c.tobytes()
 
 
 def test_fit_rejects_empty():
@@ -289,15 +351,17 @@ def test_minimize_batch_matches_single():
 
 
 # --- the minimiser --------------------------------------------------------------
-# The per-restart loop and the batched projected descent of the parent
-# commit, kept verbatim: minimize_over_box now runs its restarts as the rows
-# of one batched call, and minimize_over_box_batch (which q_net_update calls)
-# must keep every bit.
+# The per-restart loop and the batched projected descent of earlier commits:
+# minimize_over_box runs its restarts as the rows of one batched call, and
+# minimize_over_box_batch (which q_net_update calls) keeps every bit of the
+# loop given the same kernel, and its values to a tolerance given the
+# reference kernel.
 
 def _ref_minimize_over_box_batch(params: IcnnParams, S: np.ndarray, n_a: int,
                                  steps: int = 200, a0: np.ndarray | None = None,
                                  pin_mask: np.ndarray | None = None,
-                                 pin_values: np.ndarray | None = None):
+                                 pin_values: np.ndarray | None = None,
+                                 value_and_grad=icnn_value_and_input_grad):
     S = np.asarray(S, dtype=float)
     B = S.shape[0]
     a = np.full((B, n_a), 0.5) if a0 is None else np.array(a0, dtype=float)
@@ -308,7 +372,7 @@ def _ref_minimize_over_box_batch(params: IcnnParams, S: np.ndarray, n_a: int,
         a = np.where(pin_mask, pin_values, a)
     step = np.full(B, 0.25)
     U = np.concatenate([S, a], axis=1)
-    vals, g_full = icnn_value_and_input_grad(params, U)
+    vals, g_full = value_and_grad(params, U)
     for _ in range(steps):
         g = g_full[:, S.shape[1]:] * free
         res = _kkt_residual(a, g, free)
@@ -317,8 +381,7 @@ def _ref_minimize_over_box_batch(params: IcnnParams, S: np.ndarray, n_a: int,
         cand = np.clip(a - step[:, None] * g, 0.0, 1.0)
         if pin_mask is not None:
             cand = np.where(pin_mask, pin_values, cand)
-        cand_vals, cand_g = icnn_value_and_input_grad(
-            params, np.concatenate([S, cand], axis=1))
+        cand_vals, cand_g = value_and_grad(params, np.concatenate([S, cand], axis=1))
         accept = cand_vals <= vals
         a = np.where(accept[:, None], cand, a)
         vals = np.where(accept, cand_vals, vals)
@@ -378,6 +441,10 @@ def test_minimize_over_box_matches_per_restart_reference(case, restarts, seed):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert val == pytest.approx(ref_val, abs=1e-6)
     assert val == pytest.approx(icnn_forward(p, s, a), abs=1e-12, rel=1e-12)
+    # a rerun from the same stream gives the same bytes
+    again_a, again_val = minimize_over_box(p, s, n_a, restarts=restarts, steps=400,
+                                           rng=np.random.default_rng(seed), pins=pins)
+    assert again_a.tobytes() == a.tobytes() and again_val == val
 
 
 def test_minimize_over_box_tie_returns_first_row(monkeypatch):
@@ -409,6 +476,10 @@ def test_minimize_over_box_batch_matches_reference(case, batch, steps, start, se
     ref_a, ref_vals = _ref_minimize_over_box_batch(p, S, n_a, steps=steps, a0=a0,
                                                    pin_mask=pin_mask, pin_values=pin_values)
     assert np.array_equal(a, ref_a) and np.array_equal(vals, ref_vals)
+    _, old_vals = _ref_minimize_over_box_batch(p, S, n_a, steps=steps, a0=a0,
+                                               pin_mask=pin_mask, pin_values=pin_values,
+                                               value_and_grad=_ref_value_and_input_grad)
+    _assert_close(vals, old_vals, rtol=1e-10)
 
 
 def test_params_json_roundtrip():

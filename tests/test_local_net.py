@@ -739,6 +739,42 @@ def test_probe_first_derivative_is_the_jacobian_along_the_direction(case, seed):
     assert np.all(np.abs(y1 - (J @ d).reshape(shape)) <= 1e-12 * bound)
 
 
+def _sqrt_zero_case():
+    """One sqrt neuron on linspace(0, 1.5, 20): the first input is exactly 0,
+    where sqrt's phi' and phi'' are infinite."""
+    st = three_layer_structure(make_library(["sqrt"]), 1, np.array([[1]]), np.array([[1]]))
+    X = np.linspace(0.0, 1.5, 20)[:, None]
+    return st, init_weights(st, 1.0), X, 2.0 * np.sqrt(1.7 * X)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fit_case(), hst.data())
+@example(_sqrt_zero_case(), None)
+def test_probe_derivatives_match_central_differences(case, data):
+    """The probe's y' and y'' along a random direction match central
+    differences of the forward pass (y'' from a Richardson pair), inputs
+    that are exactly 0 under a live sqrt included."""
+    st, w, X, Y = case if data is None else _with_zero_inputs(data, case)
+    theta = local_net.get_weight_vector(st, w)
+    seed = 0 if data is None else data.draw(hst.integers(0, 2 ** 32 - 1))
+    d = np.random.default_rng(seed).normal(size=len(theta))
+    d /= np.linalg.norm(d)
+    with np.errstate(all="raise"):
+        y1, y2 = analytic_directional_derivs(st, w, X, d)
+
+    def out(t):
+        return forward(st, local_net.set_weight_vector(st, w, theta + t * d), X)
+
+    def d2(h):
+        return (out(h) - 2.0 * out(0.0) + out(-h)) / (h * h)
+
+    scale = max(1.0, float(np.abs(out(0.0)).max()))
+    fd1 = (out(1e-5) - out(-1e-5)) / 2e-5
+    fd2 = (4.0 * d2(5e-4) - d2(1e-3)) / 3.0
+    np.testing.assert_allclose(y1, fd1, rtol=1e-6, atol=1e-7 * scale)
+    np.testing.assert_allclose(y2, fd2, rtol=1e-4, atol=1e-4 * scale)
+
+
 def _log_case():
     """y = 2 log(0.1 x) from the inner weight 1: the full Gauss-Newton step
     takes the weight below zero, out of the log's domain."""

@@ -11,7 +11,7 @@ from consol.q_learning import (DOMAIN_FAILURE_NRMSE, QLearnConfig,
                                ReplayBuffer, SearchSpace, greedy_action,
                                reward_net_update, reward_of, rollout_episode,
                                run_search, three_layer_space, trim_structure)
-from consol.errors import EpisodeAborted
+from consol.errors import DomainError, EpisodeAborted
 from consol.search_mdp import (ActionVec, ConstraintConfig, StateVec,
                                action_from_indicator, check_constraints,
                                initial_state, transition)
@@ -292,6 +292,25 @@ def test_run_search_counts_episodes_and_snapshots():
     names = [n for n, _ in res.icnn_snapshots]
     assert names[0] == "init_q" and names[1] == "init_r"
     assert names[-2:] == ["final_q", "final_r"]
+
+
+def test_run_search_keeps_the_q_network_when_its_fit_diverges(monkeypatch):
+    """The fitted-Q targets are unbounded, so a Q fit can overflow (power-flow
+    searches do); the search keeps its Q network and its episodes."""
+    def diverged(*args):
+        raise DomainError("icnn_fit diverged to a non-finite parameter")
+
+    monkeypatch.setattr(q_learning, "q_net_update", diverged)
+    cfg = QLearnConfig(max_episodes=4, minibatch_size=4, stop_lambda=1e-12,
+                       q_epochs=20, r_epochs=20, local_train=TrainConfig(epochs=40),
+                       promote_epochs=0, final_polish_epochs=0)
+    res = run_search(toy_space(), cfg, toy_data(80), ConstraintConfig(), seed=0,
+                     keep_snapshots=True)
+    assert len(res.episodes) == 4
+    init_q = dict(res.icnn_snapshots)["init_q"]
+    for a, b in zip(res.qnet.wy + res.qnet.wz + res.qnet.b,
+                    init_q.wy + init_q.wz + init_q.b):
+        assert np.array_equal(a, b)
 
 
 def test_trim_structure_drops_spurious_term():
