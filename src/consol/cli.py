@@ -152,9 +152,17 @@ def atomic_json(path: str, obj) -> None:
 DATASET_NAMES = ("syn1", "syn2", "pow", "mas")
 
 
+#: the fewest n_nodes of a system with a line in it; with fewer, the power
+#: grid has no outputs and the mass-damper chain only zero ones
+MIN_NODES = {"pow": 2, "mas": 1}
+
+
 def build_dataset(name: str, seed: int, n: int = 2000, n_nodes: int = 3,
                   snr_db=None):
     """Generate (train, test, truth) for a named benchmark system."""
+    if name in MIN_NODES and n_nodes < MIN_NODES[name]:
+        raise ConfigError(f"n_nodes must be at least {MIN_NODES[name]} for {name}, "
+                          f"not {n_nodes}")
     if name in ("syn1", "syn2"):
         which = int(name[-1])
         train, test = datasets.gen_syn(which, n, n, seed)

@@ -120,7 +120,8 @@ def icnn_fit(params: IcnnParams, U, targets, lr: float, epochs: int) -> IcnnPara
     """Full-batch gradient descent on mean-squared error, one step per
     epoch; passthrough weights are clamped to >= 0 after every step.
     Returns a new parameter snapshot; raises DomainError if the fit
-    diverged to a non-finite parameter."""
+    diverged to a non-finite parameter (the overflow on the way there is
+    that error, not a warning)."""
     U = np.asarray(U, dtype=float)
     t = np.asarray(targets, dtype=float).ravel()
     if U.shape[0] == 0:
@@ -129,14 +130,15 @@ def icnn_fit(params: IcnnParams, U, targets, lr: float, epochs: int) -> IcnnPara
     WY, bias = p.WY, p.bias
     UT = np.ascontiguousarray(U.T)
     scale = 2.0 * lr / len(U)  # lr times d MSE / d out, per unit residual
-    for _ in range(epochs):
-        vals, zs = _forward(p, U)
-        DA = _backward(p, zs, scale * (vals - t))
-        WY -= UT @ DA
-        bias -= DA.sum(axis=0)
-        for wz, z, c in zip(p.wz, zs, p.cols[1:]):
-            wz -= z.T @ DA[:, c]
-            np.maximum(wz, 0.0, out=wz)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            vals, zs = _forward(p, U)
+            DA = _backward(p, zs, scale * (vals - t))
+            WY -= UT @ DA
+            bias -= DA.sum(axis=0)
+            for wz, z, c in zip(p.wz, zs, p.cols[1:]):
+                wz -= z.T @ DA[:, c]
+                np.maximum(wz, 0.0, out=wz)
     if not all(np.isfinite(a).all() for a in (WY, bias, *p.wz)):
         raise DomainError("icnn_fit diverged to a non-finite parameter")
     return p

@@ -142,6 +142,18 @@ def test_gen_data_command(tmp_path):
     assert len(truth["outputs"]) == 3
 
 
+@pytest.mark.parametrize("name,n_nodes", [("pow", 0), ("pow", 1), ("mas", 0)])
+def test_gen_data_with_too_few_nodes_exits_3_and_writes_nothing(tmp_path, capsys,
+                                                                 name, n_nodes):
+    # one power node has no line (all-zero outputs), none has no columns;
+    # a mass-damper chain needs a line past its first mass
+    out = tmp_path / "data"
+    assert main(["gen-data", name, "--n-nodes", str(n_nodes), "--n", "20",
+                 "--out", str(out)]) == 3
+    assert "n_nodes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_data_records_snr(tmp_path):
     out = str(tmp_path / "data")
     assert main(["gen-data", "syn1", "--n", "30", "--snr", "100",

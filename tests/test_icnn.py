@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,7 +101,8 @@ def test_fit_at_extreme_rates_raises_or_stays_finite_and_convex(seed, lr, epochs
     U = rng.uniform(0, 1, (20, 3))
     t = rng.normal(0.0, 10.0, 20)
     try:
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             out = icnn_fit(p, U, t, lr=lr, epochs=3 * epochs)
     except DomainError:
         return

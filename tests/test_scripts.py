@@ -34,15 +34,23 @@ def load_quality():
 
 
 #: the keys of a QUALITY.json row, as scripts/quality.py documents them
-FIT_KEYS = {"name", "seed", "nrmse_train", "nrmse_test", "e_c", "equation", "wall_s"}
-SEARCH_KEYS = FIT_KEYS | {"stopped", "episodes", "best_reward"}
+FIT_KEYS = {"name", "seed", "nrmse_train", "nrmse_test", "e_c", "equation", "eta",
+            "membership", "wall_s"}
+SEARCH_KEYS = FIT_KEYS | {"stopped", "episodes", "best_reward", "segment_violations"}
+TOY_KEYS = FIT_KEYS | {"w0_converged", "min_d2"}
 
 
-def test_quality_power_fit_recovers_and_repeats():
+def row_keys(name):
+    return (SEARCH_KEYS if name.endswith("_search") else
+            TOY_KEYS if name == "toy_fit" else FIT_KEYS)
+
+
+@pytest.mark.parametrize("system,seed", [("power", 0), ("toy", 0)])
+def test_quality_fit_recovers_and_repeats(system, seed):
     quality = load_quality()
-    first, second = (quality.fit_row("power", 0) for _ in range(2))
-    assert first["e_c"] <= quality.EXACT_E_C
-    assert set(first) == FIT_KEYS and first["nrmse_test"] is None
+    first, second = (quality.fit_row(system, seed) for _ in range(2))
+    assert first["e_c"] <= quality.EXACT_E_C and first["membership"]
+    assert set(first) == row_keys(first["name"]) and first["nrmse_test"] is None
     del first["wall_s"], second["wall_s"]
     assert first == second
 
@@ -54,5 +62,5 @@ def test_quality_json_has_one_row_per_planned_row():
         doc = json.load(fh)
     assert [(r["name"], r["seed"]) for r in doc["rows"]] == list(quality.ROWS)
     for row in doc["rows"]:
-        assert set(row) == (SEARCH_KEYS if row["name"].endswith("_search") else FIT_KEYS)
+        assert set(row) == row_keys(row["name"])
     assert set(doc["summary"]["exact_recoveries"]) == {name for name, _ in quality.ROWS}
