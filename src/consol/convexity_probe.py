@@ -24,7 +24,8 @@ def segment_convexity_test(f, lower, upper, n_triples: int, tol: float,
                            seed: int = 0) -> int:
     """Count violations of f(l*u + (1-l)*v) <= l*f(u) + (1-l)*f(v) + tol
     over random segment triples in the box [lower, upper].  A non-finite
-    tol raises ValueError: a NaN one would pass every triple."""
+    tol raises ValueError and a non-finite f value DomainError: a comparison
+    with NaN or inf is False, so either would pass every triple."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
@@ -37,16 +38,20 @@ def segment_convexity_test(f, lower, upper, n_triples: int, tol: float,
         u = rng.uniform(lower, upper)
         v = rng.uniform(lower, upper)
         lam = rng.uniform()
-        mid = f(lam * u + (1.0 - lam) * v)
-        if mid > lam * f(u) + (1.0 - lam) * f(v) + tol:
+        with np.errstate(all="ignore"):
+            mid, fu, fv = f(lam * u + (1.0 - lam) * v), f(u), f(v)
+        if not np.isfinite([mid, fu, fv]).all():
+            raise DomainError(f"f is not finite on a probed segment: {mid}, {fu}, {fv}")
+        if mid > lam * fu + (1.0 - lam) * fv + tol:
             violations += 1
     return violations
 
 
-def _loss(structure, weights, X, Y) -> float:
-    pred = local_net.forward(structure, weights, X)
-    e = pred - np.asarray(Y, dtype=float).reshape(pred.shape)
-    return float((e ** 2).sum() / (2 * X.shape[0]))
+def _checked_residuals(structure, weights, X, Y) -> np.ndarray:
+    """The output residuals outputs - Y, (N, n_out); DomainError for a
+    non-finite input or weight, as `local_net.forward` raises."""
+    local_net._require_finite(weights, X)
+    return local_net._residuals(structure, weights, X, Y)[-1]
 
 
 def analytic_directional_derivs(structure: LocalStructure,
@@ -57,7 +62,8 @@ def analytic_directional_derivs(structure: LocalStructure,
     (N, n_in) gives two (N, n_out) arrays; a single 1-D sample gives
     (n_out,) arrays, or two floats when there is one output.
 
-    Each product's value p and its derivatives p', p'' along the line build
+    Forward mode on the fit plan: the values of `local_net._columns`, then
+    each product's value p and its derivatives p', p'' along the line build
     up factor by factor by the product rule, p'' <- p''f + 2p'f' + pf'',
     p' <- p'f + pf', p <- pf: a factor phi(w x) with direction component d
     has f' = phi'(w x) d x and f'' = phi''(w x) (d x)^2, an unweighted one
@@ -67,43 +73,35 @@ def analytic_directional_derivs(structure: LocalStructure,
     components linearly.
     """
     x = np.asarray(x, dtype=float)
-    z_sum = structure.indicators[SUMMATION_STAGE]
+    X = x[None, :] if x.ndim == 1 else x
     zero = LocalWeights(np.zeros(structure.layer_sizes[1]),
-                        {SUMMATION_STAGE: np.zeros(z_sum.shape)})
+                        {SUMMATION_STAGE: np.zeros(structure.indicators[SUMMATION_STAGE].shape)})
     unpacked = set_weight_vector(structure, zero, direction)
     inner_dir, sum_dir = unpacked.inner, unpacked.summations[SUMMATION_STAGE]
 
-    z_mult = structure.indicators[1]
-    used = structure.used_masks()
-    # x[..., i] is input i of every sample; a 1-D x runs on scalars
-    p, p1, p2 = np.zeros((3,) + x.shape[:-1] + (structure.layer_sizes[2],))
-    for j in range(p.shape[-1]):
-        sel = np.flatnonzero(z_mult[:, j])
-        if sel.size == 0 or not used[2][j]:
-            continue
+    cols, pre, p = local_net._columns(structure, weights, X)
+    f1s, f2s = {}, {}  # f' and f'' of each live weighted activation
+    for j, op, col, weighted in structure.plan.acts:
+        if weighted:
+            dx = inner_dir[j] * X[:, col]
+            z = local_net._weight_arg(op, X[:, col], pre[j])
+            f1s[j] = symbols.op_d1(op.name, z) * dx
+            f2s[j] = symbols.op_d2(op.name, z) * dx * dx
+    p1, p2 = np.zeros((2,) + p.shape)
+    for j, factors in structure.plan.products:
         prod, d1_j, d2_j = 1.0, 0.0, 0.0
-        for a_idx in sel:
-            op = structure.act_op(a_idx)
-            xi = x[..., structure.act_input(a_idx)]
-            arg = weights.inner[a_idx] * xi if op.has_inner_weight else xi
-            symbols.check_domain(op, arg)
-            f = symbols.op_value(op.name, arg)
-            f1 = f2 = 0.0
-            if op.has_inner_weight:
-                dx = inner_dir[a_idx] * xi
-                z = local_net._weight_arg(op, xi, arg)
-                f1 = symbols.op_d1(op.name, z) * dx
-                f2 = symbols.op_d2(op.name, z) * dx * dx
+        for i in factors:
+            f, f1, f2 = cols[i], f1s.get(i, 0.0), f2s.get(i, 0.0)
             d2_j = d2_j * f + 2.0 * d1_j * f1 + prod * f2
             d1_j = d1_j * f + prod * f1
             prod = prod * f
-        p[..., j], p1[..., j], p2[..., j] = prod, d1_j, d2_j
+        p1[:, j], p2[:, j] = d1_j, d2_j
 
-    w_sum = z_sum * weights.summations[SUMMATION_STAGE]
+    w_sum = local_net._summation_matrix(structure, weights)
     y1 = p @ sum_dir + p1 @ w_sum
     y2 = 2.0 * p1 @ sum_dir + p2 @ w_sum
-    if x.ndim == 1 and structure.n_outputs == 1:
-        return float(y1[0]), float(y2[0])
+    if x.ndim == 1:
+        return (float(y1[0, 0]), float(y2[0, 0])) if structure.n_outputs == 1 else (y1[0], y2[0])
     return y1, y2
 
 
@@ -111,8 +109,7 @@ def _analytic_d2_loss(structure, weights, X, Y, direction) -> float:
     # per sample, not one batch call: the landscape_probe benchmark keeps
     # every job's timings, so a job this much faster raises its peak memory
     # past the bound; batch here once that benchmark streams its timings
-    pred = local_net.forward(structure, weights, X)
-    e = pred - Y.reshape(pred.shape)
+    e = _checked_residuals(structure, weights, X, Y)
     total = 0.0
     for i in range(X.shape[0]):
         y1, y2 = analytic_directional_derivs(structure, weights, X[i], direction)
@@ -122,8 +119,9 @@ def _analytic_d2_loss(structure, weights, X, Y, direction) -> float:
 
 def _fd_d2_loss(structure, weights, X, Y, direction, h: float) -> float:
     def at(t):
-        vec = get_weight_vector(structure, weights) + t * direction
-        return _loss(structure, set_weight_vector(structure, weights, vec), X, Y)
+        w = set_weight_vector(structure, weights, get_weight_vector(structure, weights)
+                              + t * direction)
+        return local_net._mse(_checked_residuals(structure, w, X, Y))
 
     def d2(step):
         return (at(step) - 2.0 * at(0.0) + at(-step)) / (step * step)
@@ -173,19 +171,23 @@ class RegionEstimate:
 
 #: |y'| at or below this counts as no information on the curvature ratio
 REGION_GUARD = 1e-10
+#: a largest residual at or below this many spacings of max|Y| is rounding:
+#: the fit is exact, and the region test then needs only a positive bound
+EXACT_FIT_ULPS = 4
 
 
 def estimate_region(structure: LocalStructure, weights: LocalWeights, data,
                     n_directions: int, seed: int = 0) -> RegionEstimate:
     """Sample unit directions, collect |y'| and |y''| over the data, estimate
     eta = max |y''|/|y'| and test the sufficient condition
-    min|y'|^2 / (eta * max|y'|) > max residual.  A non-finite y' or y''
-    raises DegenerateError."""
+    min|y'|^2 / (eta * max|y'|) > max residual.  At an exact fit (a max
+    residual within EXACT_FIT_ULPS spacings of max|Y|) the bound need only
+    be positive: two rounding-sized numbers say nothing when compared.  A
+    non-finite y' or y'' raises DegenerateError."""
     X, Y = _as_xy(data)
     rng = np.random.default_rng(seed)
     n_w = len(get_weight_vector(structure, weights))
-    pred = local_net.forward(structure, weights, X)
-    resid = np.abs(pred - Y.reshape(pred.shape)).max()
+    resid = np.abs(_checked_residuals(structure, weights, X, Y)).max()
     per_sample_min = np.full(X.shape[0], np.inf)
     overall_max = 0.0
     eta = 0.0
@@ -209,9 +211,10 @@ def estimate_region(structure: LocalStructure, weights: LocalWeights, data,
             "all directional first derivatives below the guard; "
             "the curvature ratio is undefined here")
     lhs = per_sample_min.min() ** 2 / (eta * overall_max) if eta > 0 else np.inf
+    exact = resid <= EXACT_FIT_ULPS * np.spacing(np.abs(Y).max())
     return RegionEstimate(eta=eta, y_prime_abs=per_sample_min,
                           max_residual=float(resid),
-                          membership=bool(lhs > resid))
+                          membership=bool(lhs > (0.0 if exact else resid)))
 
 
 def init_sweep(structure: LocalStructure, data, w0_grid,

@@ -45,7 +45,7 @@ class _Plan(NamedTuple):
     # each product neuron that reaches an output, as (j, its factors)
     products: tuple[tuple[int, tuple[int, ...]], ...]
     # each product neuron with inputs that reaches no output, likewise; only
-    # `_forward_layers` computes these, for `search_mdp.update_frozen_paths`
+    # `_all_products` computes these, for `search_mdp.update_frozen_paths`
     dead: tuple[tuple[int, tuple[int, ...]], ...]
     # each live product with a weighted factor, as (j, partials): partials[idx]
     # = (i, the other factors) for each factor i with a live inner weight;
@@ -315,20 +315,16 @@ def _summation_matrix(structure: LocalStructure, weights: LocalWeights) -> np.nd
     return structure.indicators[SUMMATION_STAGE] * weights.summations[SUMMATION_STAGE]
 
 
-def _forward_layers(structure: LocalStructure, weights: LocalWeights, X: np.ndarray):
-    """The four layer outputs [X, activations, products, outputs], shape
-    (N, n_k) each, with the activation matrix built from the columns of
-    `_columns`: unused activation neurons are 0.  Every product with inputs
-    is computed, the ones that reach no output included:
-    `search_mdp.update_frozen_paths` reads each product column."""
-    X = np.asarray(X, dtype=float)
-    cols, _, prods = _columns(structure, weights, X)
+def _all_products(structure: LocalStructure, weights: LocalWeights, X) -> np.ndarray:
+    """The (N, n2) product matrix of `_columns` with every product that has
+    inputs computed, the ones that reach no output included: the freezing
+    step (`search_mdp.update_frozen_paths`) and `q_learning.trim_structure`
+    read each product column.  A factor that reaches no output reads the
+    zero column, and a product without inputs stays 0."""
+    cols, _, prods = _columns(structure, weights, np.asarray(X, dtype=float))
     for j, factors in structure.plan.dead:
         prods[:, j] = _chain(cols, factors)
-    acts = np.zeros((X.shape[0], structure.layer_sizes[1]))
-    for j, *_ in structure.plan.acts:
-        acts[:, j] = cols[j]
-    return [X, acts, prods, prods @ _summation_matrix(structure, weights)]
+    return prods
 
 
 def _require_finite(weights: LocalWeights, *data) -> None:

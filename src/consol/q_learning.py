@@ -371,7 +371,7 @@ def trim_structure(structure: LocalStructure, cfg: QLearnConfig, data,
     while True:
         z = structure.indicators[SUMMATION_STAGE]
         try:
-            h = local_net._forward_layers(structure, weights, X)[-2]
+            h = local_net._all_products(structure, weights, X)
         except DomainError:
             return structure, weights, score
         w = weights.summations[SUMMATION_STAGE]
@@ -466,9 +466,8 @@ def run_search(space: SearchSpace, cfg: QLearnConfig, data,
                 snapshots.append((f"target_t{t}", target.copy()))
         if out.reward > cfg.freeze_reward_threshold:
             try:
-                hs = local_net._forward_layers(out.structure, out.weights, X)
-                constraints = update_frozen_paths(constraints, out.structure,
-                                                 hs[-2], Y)
+                prods = local_net._all_products(out.structure, out.weights, X)
+                constraints = update_frozen_paths(constraints, out.structure, prods, Y)
             except DomainError:
                 pass
         episodes.append(out.log)

@@ -326,6 +326,22 @@ def test_probe_segment_with_a_non_finite_tol_exits_3(tmp_path, capsys, tol):
     assert not os.path.exists(out)
 
 
+def test_probe_segment_on_an_overflowing_icnn_exits_3(tmp_path, capsys):
+    """Weights of 1e300 pass the file check but overflow the forward pass to
+    inf; a comparison with inf is False, so the test would certify the
+    network with 0 violations."""
+    mat = lambda shape, v: {"shape": list(shape), "data": [v] * int(np.prod(shape))}
+    obj = {"wy": [mat((2, 2), 1e300), mat((2, 1), -1e300)], "wz": [mat((2, 1), 1e300)],
+           "b": [mat((2,), 0.0), mat((1,), 0.0)]}
+    ppath = write_json(tmp_path / "huge.json", obj)
+    out = str(tmp_path / "seg.json")
+    assert main(["probe", "segment", "--target", ppath, "--n", "100", "--out", out]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "not finite" in lines[0]
+    assert "violations" not in captured.out and not os.path.exists(out)
+
+
 def test_probe_sweep_command(tmp_path):
     lib = make_library(["square", "cos"])
     z_mult = np.array([[1], [1]])

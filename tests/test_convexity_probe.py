@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
 
-from consol import convexity_probe
+from consol import convexity_probe, local_net, symbols
 from consol.convexity_probe import (RegionEstimate, analytic_directional_derivs,
                                     estimate_region, init_sweep,
                                     loss_second_derivative, segment_convexity_test)
-from consol.errors import ConsistencyError, DegenerateError
-from consol.local_net import (TrainConfig, fit, forward, get_weight_vector,
-                              init_weights, set_weight_vector,
+from consol.errors import ConsistencyError, DegenerateError, DomainError
+from consol.local_net import (SUMMATION_STAGE, LocalWeights, TrainConfig, fit, forward,
+                              get_weight_vector, init_weights, set_weight_vector,
                               three_layer_structure)
 from consol.symbols import make_library
+from test_local_net import _dead_factor_case, _dead_product_case, fit_case
 
 
 LIB = make_library(["id", "square", "cos"])
@@ -64,6 +65,15 @@ def test_segment_test_rejects_a_non_finite_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance must be finite"):
         segment_convexity_test(lambda u: float(np.sin(4 * u).sum()),
                                -np.ones(2), np.ones(2), 2000, tol)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_segment_test_rejects_a_non_finite_value(bad):
+    """A comparison with NaN or inf is False, so a function that returns one
+    would pass every triple."""
+    with pytest.raises(DomainError, match="not finite"):
+        segment_convexity_test(lambda u: bad if u[0] > 0.5 else float((u ** 2).sum()),
+                               -np.ones(2), np.ones(2), 2000, 1e-9)
 
 
 def test_weight_vector_order_and_roundtrip():
@@ -183,6 +193,93 @@ def test_batch_directional_derivs_match_rows_and_finite_differences(case):
     np.testing.assert_allclose(y2, fd2, rtol=1e-4, atol=1e-4)
 
 
+# --- reference kernel ---------------------------------------------------------
+# The per-product loop that the kernel on the fit plan replaced, kept verbatim
+# as the reference it must match bit for bit.
+
+def _ref_directional_derivs(structure, weights, x, direction):
+    x = np.asarray(x, dtype=float)
+    z_sum = structure.indicators[SUMMATION_STAGE]
+    zero = LocalWeights(np.zeros(structure.layer_sizes[1]),
+                        {SUMMATION_STAGE: np.zeros(z_sum.shape)})
+    unpacked = set_weight_vector(structure, zero, direction)
+    inner_dir, sum_dir = unpacked.inner, unpacked.summations[SUMMATION_STAGE]
+
+    z_mult = structure.indicators[1]
+    used = structure.used_masks()
+    # x[..., i] is input i of every sample; a 1-D x runs on scalars
+    p, p1, p2 = np.zeros((3,) + x.shape[:-1] + (structure.layer_sizes[2],))
+    for j in range(p.shape[-1]):
+        sel = np.flatnonzero(z_mult[:, j])
+        if sel.size == 0 or not used[2][j]:
+            continue
+        prod, d1_j, d2_j = 1.0, 0.0, 0.0
+        for a_idx in sel:
+            op = structure.act_op(a_idx)
+            xi = x[..., structure.act_input(a_idx)]
+            arg = weights.inner[a_idx] * xi if op.has_inner_weight else xi
+            symbols.check_domain(op, arg)
+            f = symbols.op_value(op.name, arg)
+            f1 = f2 = 0.0
+            if op.has_inner_weight:
+                dx = inner_dir[a_idx] * xi
+                z = local_net._weight_arg(op, xi, arg)
+                f1 = symbols.op_d1(op.name, z) * dx
+                f2 = symbols.op_d2(op.name, z) * dx * dx
+            d2_j = d2_j * f + 2.0 * d1_j * f1 + prod * f2
+            d1_j = d1_j * f + prod * f1
+            prod = prod * f
+        p[..., j], p1[..., j], p2[..., j] = prod, d1_j, d2_j
+
+    w_sum = z_sum * weights.summations[SUMMATION_STAGE]
+    y1 = p @ sum_dir + p1 @ w_sum
+    y2 = 2.0 * p1 @ sum_dir + p2 @ w_sum
+    if x.ndim == 1 and structure.n_outputs == 1:
+        return float(y1[0]), float(y2[0])
+    return y1, y2
+
+
+def _with_direction(case):
+    st, w, X, _ = case
+    d = np.random.default_rng(8).normal(size=len(get_weight_vector(st, w)))
+    return st, w, X, d
+
+
+@hst.composite
+def probe_case(draw):
+    """A `fit_case` draw (inputs may leave a domain; dead factors and dead
+    products), with some inputs set to exactly 0, under sqrt too, and a
+    random direction."""
+    st, w, X, _ = draw(fit_case(positive=False))
+    X = X.copy()
+    X[np.array(draw(hst.lists(hst.booleans(), min_size=X.size, max_size=X.size)))
+      .reshape(X.shape)] = 0.0
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    return st, w, X, rng.normal(size=len(get_weight_vector(st, w)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(probe_case())
+@example(_with_direction(_dead_factor_case()))
+@example(_with_direction(_dead_product_case()))
+def test_directional_derivs_match_reference_kernel(case):
+    """The kernel on the fit plan gives the reference's bits (NaN where it
+    gives NaN), for a batch and for one 1-D sample, and raises the same
+    exception type where it raises."""
+    st, w, X, d = case
+    for x in (X, X[0]):
+        try:
+            ref = _ref_directional_derivs(st, w, x, d)
+        except DomainError:
+            with pytest.raises(DomainError):
+                analytic_directional_derivs(st, w, x, d)
+            continue
+        got = analytic_directional_derivs(st, w, x, d)
+        for a, b in zip(got, ref):
+            assert type(a) is type(b) and np.shape(a) == np.shape(b)
+            assert np.array_equal(a, b, equal_nan=True)
+
+
 @pytest.mark.parametrize("offset", [1e-8, 1e-4])
 def test_directional_second_derivative_near_a_cos_zero(offset):
     """Along the cos weight alone, y'' = -w1 x1^2 cos(w2 x2) x2^2; next to a
@@ -271,6 +368,42 @@ def test_estimate_region_membership_at_optimum():
     assert est.membership
     assert est.eta > 0.0
     assert est.max_residual < 1e-8
+
+
+def _syn1_truth(n=1000):
+    """The true Syn1 structure at its true weights on n training rows: an
+    exact fit, whose largest residual (1.8e-15 against max|Y| of 16) is
+    rounding."""
+    from consol import datasets
+    train, _ = datasets.gen_syn(1, n, 10, 0)
+    z_mult = np.zeros((9, 3), dtype=int)
+    z_mult[[1, 5], 0] = 1  # x1^2 cos(2.5 x2)
+    z_mult[[0, 6], 1] = 1  # x1 x3
+    z_mult[7, 2] = 1       # x3^2
+    st = three_layer_structure(make_library(datasets.SYN_LIBRARIES[1]), 3, z_mult,
+                               np.eye(3, dtype=int))
+    w = init_weights(st, 1.0)
+    w.inner[5] = 2.5
+    w.summations[SUMMATION_STAGE][:] = np.diag([3.0, 4.0, 3.0])
+    return st, w, train.X, train.Y
+
+
+def test_estimate_region_counts_a_rounding_residual_as_an_exact_fit():
+    """The sufficient condition min|y'|^2/(eta max|y'|) > max residual
+    compares two rounding-sized numbers at an exact fit, so membership
+    depended on the direction draw (false at region seeds 0 and 4 here); a
+    residual within EXACT_FIT_ULPS spacings of max|Y| needs only a positive
+    bound.  The residual is still reported raw, and a fit whose cos weight
+    is off by 1e-9 keeps the plain comparison and is no member."""
+    st, w, X, Y = _syn1_truth()
+    floor = convexity_probe.EXACT_FIT_ULPS * np.spacing(np.abs(Y).max())
+    off = w.copy()
+    off.inner[5] = 2.5 * (1.0 + 1e-9)
+    for seed in range(6):
+        est = estimate_region(st, w, (X, Y), n_directions=20, seed=seed)
+        assert 0.0 < est.max_residual <= floor and est.membership
+        est = estimate_region(st, off, (X, Y), n_directions=20, seed=seed)
+        assert est.max_residual > 1e3 * floor and not est.membership
 
 
 def test_estimate_region_matches_per_sample_loop():

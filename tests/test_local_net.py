@@ -8,7 +8,7 @@ from consol.equations import term, canonicalize
 from consol.errors import DomainError, ShapeError, StructureError
 from consol.local_net import (ACTIVATION, MULTIPLICATION, SUMMATION, SUMMATION_STAGE,
                               LocalWeights, TrainConfig, extract_equation,
-                              _forward_layers, _step, fanout_indicator, fit,
+                              _all_products, _step, fanout_indicator, fit,
                               fit_snapped, fit_trace, gradients, init_weights,
                               make_structure, structure_from_json_obj,
                               three_layer_structure, forward,
@@ -537,7 +537,7 @@ def test_fit_case_draws_products_with_dead_factors():
 
 def test_fit_case_draws_dead_products_with_live_factors():
     """Products that reach no output, all of whose factors are live, so
-    their `_forward_layers` column is not 0 while `_columns` leaves it 0."""
+    their `_all_products` column is not 0 while `_columns` leaves it 0."""
     def dead_live(structure):
         live = structure.used_masks()[1]
         return any(all(live[i] for i in factors) for _, factors in structure.plan.dead)
@@ -547,7 +547,7 @@ def test_fit_case_draws_dead_products_with_live_factors():
     assert [j for j, _ in st.plan.dead] == [2, 3]
     assert dead_live(st)
     prods = local_net._columns(st, w, X)[2]
-    assert not prods[:, [2, 3]].any() and _forward_layers(st, w, X)[2][:, [2, 3]].all()
+    assert not prods[:, [2, 3]].any() and _all_products(st, w, X)[:, [2, 3]].all()
 
 
 @settings(max_examples=300, deadline=None)
@@ -565,10 +565,10 @@ def test_gradients_match_reference_kernel(case, shift):
     loss, grad = gradients(st, w, (X, Y))
     assert loss == ref_loss
     assert _same_weights(grad, ref_grad)
-    # every layer, the columns of products that reach no output included;
+    # every product column, those of products that reach no output included;
     # the fit kernel's own product matrix leaves those columns 0
-    hs, ref_hs = _forward_layers(st, w, X), _ref_forward_layers(st, w, X)
-    assert all(np.array_equal(h, ref) for h, ref in zip(hs, ref_hs))
+    ref_hs = _ref_forward_layers(st, w, X)
+    assert np.array_equal(_all_products(st, w, X), ref_hs[2])
     assert np.array_equal(forward(st, w, X), ref_hs[-1])
     prods = local_net._columns(st, w, X)[2]
     live = st.used_masks()[2]
