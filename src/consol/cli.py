@@ -369,64 +369,74 @@ def parse_grid(text: str) -> list[float]:
     return grid
 
 
-#: the input files each probe kind reads, by option name
-PROBE_INPUTS = {"sweep": ("structure", "data"), "segment": ("target",),
-                "region": ("structure", "weights", "data"),
-                "second-deriv": ("structure", "weights", "data")}
+def positive_int(text: str) -> int:
+    """The type of a probe's --n: zero directions or triples find nothing."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
+    return int(text)
 
 
-def cmd_probe(args) -> int:
-    if args.kind == "sweep":
-        structure = _read_input("structure", args.structure)
-        train = _read_input("dataset", args.data, structure)
-        cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs)
-        rows = init_sweep(structure, (train.X, train.Y), args.grid, cfg)
-        csv = "w0,final_loss\n" + "".join(f"{w0:.17g},{loss:.17g}\n" for w0, loss in rows)
-        if args.out:
-            atomic_write(args.out, csv)
-        print(csv, end="")
-        return 0
-    if args.kind == "segment":
-        params = _read_input("ICNN parameter", args.target)
-        d = params.d_in
-        violations = segment_convexity_test(
-            lambda u: icnn_forward(params, u), np.zeros(d), np.ones(d),
-            args.n, args.tol, seed=args.seed or 0)
-        print(f"violations: {violations}")
-        if args.out:
-            atomic_json(args.out, {"n_triples": args.n, "tol": args.tol,
-                                   "violations": violations})
-        return 0
+def cmd_probe_sweep(args) -> int:
     structure = _read_input("structure", args.structure)
-    weights = _read_input("weights", args.weights, structure)
     train = _read_input("dataset", args.data, structure)
-    if args.kind == "region":
-        est = estimate_region(structure, weights, (train.X, train.Y),
-                              args.n, seed=args.seed or 0)
-        print(f"eta {est.eta:.6g}, max residual {est.max_residual:.6g}, "
-              f"membership {est.membership}")
-        if args.out:
-            atomic_json(args.out, est.to_json_obj())
-        return 0
-    if args.kind == "second-deriv":
-        rng = np.random.default_rng(args.seed or 0)
-        n_w = len(get_weight_vector(structure, weights))
-        lines = ["direction,d2_loss"]
-        for i in range(args.n):
-            d = rng.normal(size=n_w)
-            d /= np.linalg.norm(d)
-            val = loss_second_derivative(structure, weights, (train.X, train.Y), d)
-            lines.append(f"{i},{val:.17g}")
-        csv = "\n".join(lines) + "\n"
-        if args.out:
-            atomic_write(args.out, csv)
-        print(csv, end="")
-        return 0
-    raise ConfigError(f"unknown probe kind {args.kind!r}")
+    cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs)
+    rows = init_sweep(structure, (train.X, train.Y), args.grid, cfg)
+    csv = "w0,final_loss\n" + "".join(f"{w0:.17g},{loss:.17g}\n" for w0, loss in rows)
+    if args.out:
+        atomic_write(args.out, csv)
+    print(csv, end="")
+    return 0
 
 
-#: the input files `eval` reads for the NRMSE: all of them or none
-EVAL_NRMSE_INPUTS = ("structure", "weights", "data")
+def cmd_probe_segment(args) -> int:
+    params = _read_input("ICNN parameter", args.target)
+    d = params.d_in
+    violations = segment_convexity_test(
+        lambda u: icnn_forward(params, u), np.zeros(d), np.ones(d),
+        args.n, args.tol, seed=args.seed)
+    print(f"violations: {violations}")
+    if args.out:
+        atomic_json(args.out, {"n_triples": args.n, "tol": args.tol,
+                               "violations": violations})
+    return 0
+
+
+#: the files of a fitted network; `probe region`, `probe second-deriv` and
+#: the NRMSE of `eval` read all three
+FITTED_INPUTS = ("structure", "weights", "data")
+
+
+def _read_fitted(args):
+    """The structure, and the weights and dataset checked against it."""
+    structure = _read_input("structure", args.structure)
+    return (structure, _read_input("weights", args.weights, structure),
+            _read_input("dataset", args.data, structure))
+
+
+def cmd_probe_region(args) -> int:
+    structure, weights, train = _read_fitted(args)
+    est = estimate_region(structure, weights, (train.X, train.Y), args.n, seed=args.seed)
+    print(f"eta {est.eta:.6g}, max residual {est.max_residual:.6g}, "
+          f"membership {est.membership}")
+    if args.out:
+        atomic_json(args.out, est.to_json_obj())
+    return 0
+
+
+def cmd_probe_second_deriv(args) -> int:
+    structure, weights, train = _read_fitted(args)
+    rng = np.random.default_rng(args.seed)
+    n_w = len(get_weight_vector(structure, weights))
+    csv = "direction,d2_loss\n"
+    for i in range(args.n):
+        d = rng.normal(size=n_w)
+        d /= np.linalg.norm(d)
+        val = loss_second_derivative(structure, weights, (train.X, train.Y), d)
+        csv += f"{i},{val:.17g}\n"
+    if args.out:
+        atomic_write(args.out, csv)
+    print(csv, end="")
+    return 0
 
 
 def cmd_eval(args) -> int:
@@ -438,16 +448,25 @@ def cmd_eval(args) -> int:
         report["e_c_percent"] = score
         report["matches"] = [m.to_json_obj() for m in matches]
         print(f"E_c {score:.4f}%")
-    if args.structure is not None:  # main() takes all of EVAL_NRMSE_INPUTS or none
-        structure = _read_input("structure", args.structure)
-        weights = _read_input("weights", args.weights, structure)
-        ds = _read_input("dataset", args.data, structure)
+    if args.structure is not None:  # main() takes all of FITTED_INPUTS or none
+        structure, weights, ds = _read_fitted(args)
         pred = local_net.forward(structure, weights, ds.X)
         report["nrmse"] = nrmse(pred, ds.Y, ds.sigma_y)
         print(f"NRMSE {report['nrmse']:.6g}")
     if args.out:
         atomic_json(args.out, report)
     return 0
+
+
+def _command(subparsers, name: str, func, *inputs: str, **kw) -> argparse.ArgumentParser:
+    """The subparser of a command that runs func: its input files, each a
+    required option, and --out."""
+    c = subparsers.add_parser(name, **kw)
+    for option in inputs:
+        c.add_argument(f"--{option}", required=True)
+    c.add_argument("--out", default=None)
+    c.set_defaults(func=func)
+    return c
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,65 +483,44 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n-nodes", type=int, default=3)
     g.set_defaults(func=cmd_gen_data)
 
-    s = sub.add_parser("search", help="run the structure search")
-    s.add_argument("--config", required=True)
+    s = _command(sub, "search", cmd_search, "config", help="run the structure search")
     s.add_argument("--seed", type=int, default=None, help="override the search seed")
-    s.add_argument("--out", default=None)
-    s.set_defaults(func=cmd_search)
 
-    f = sub.add_parser("fit", help="fit a fixed structure")
-    f.add_argument("--structure", required=True)
-    f.add_argument("--data", required=True)
+    f = _command(sub, "fit", cmd_fit, "structure", "data", help="fit a fixed structure")
     f.add_argument("--lr", type=float, default=1e-2)
     f.add_argument("--epochs", type=int, default=500)
     f.add_argument("--init", type=float, default=1.0)
-    f.add_argument("--out", default=None)
-    f.set_defaults(func=cmd_fit)
 
     pr = sub.add_parser("probe", help="landscape and convexity probes")
-    pr.add_argument("kind", choices=tuple(PROBE_INPUTS))
-    pr.add_argument("--structure")
-    pr.add_argument("--weights")
-    pr.add_argument("--data")
-    pr.add_argument("--target", help="ICNN parameter JSON (segment probe)")
-    pr.add_argument("--grid", type=parse_grid, default="-10..10",
+    kinds = pr.add_subparsers(dest="kind", required=True)
+    sw = _command(kinds, "sweep", cmd_probe_sweep, "structure", "data")
+    sw.add_argument("--grid", type=parse_grid, default="-10..10",
                     help="w0 grid: lo..hi or a,b,...; write --grid=-10..10, since "
                          "a value that starts with '-' is read as an option")
-    pr.add_argument("--n", type=int, default=100)
-    pr.add_argument("--tol", type=float, default=1e-9)
-    pr.add_argument("--lr", type=float, default=1e-2)
-    pr.add_argument("--epochs", type=int, default=500)
-    pr.add_argument("--seed", type=int, default=None)
-    pr.add_argument("--out", default=None)
-    pr.set_defaults(func=cmd_probe)
+    sw.add_argument("--lr", type=float, default=1e-2)
+    sw.add_argument("--epochs", type=int, default=500)
+    sg = _command(kinds, "segment", cmd_probe_segment, "target")
+    sg.add_argument("--tol", type=float, default=1e-9)
+    for k in (sg, _command(kinds, "region", cmd_probe_region, *FITTED_INPUTS),
+              _command(kinds, "second-deriv", cmd_probe_second_deriv, *FITTED_INPUTS)):
+        k.add_argument("--n", type=positive_int, default=100)
+        k.add_argument("--seed", type=int, default=0)
 
-    e = sub.add_parser("eval", help="score a learned equation")
-    e.add_argument("--learned", required=True)
-    e.add_argument("--truth", default=None)
-    e.add_argument("--structure", default=None)
-    e.add_argument("--weights", default=None)
-    e.add_argument("--data", default=None)
-    e.add_argument("--out", default=None)
-    e.set_defaults(func=cmd_eval)
+    e = _command(sub, "eval", cmd_eval, "learned", help="score a learned equation")
+    for name in ("truth",) + FITTED_INPUTS:
+        e.add_argument(f"--{name}", default=None)
     return p
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    what, needed = None, ()
-    if args.command == "probe":
-        what, needed = f"probe {args.kind}", PROBE_INPUTS[args.kind]
-        if args.n < 1:
-            parser.error(f"probe --n must be at least 1, not {args.n}")
-    elif args.command == "eval" and any(getattr(args, name) is not None
-                                        for name in EVAL_NRMSE_INPUTS):
-        what, needed = "eval with an NRMSE", EVAL_NRMSE_INPUTS
-    elif args.command == "eval" and args.truth is None:
-        parser.error("eval needs --truth or --structure, --weights and --data")
-    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
-    if missing:
-        parser.error(f"{what} needs {', '.join(missing)}")
+    if args.command == "eval":
+        missing = [f"--{name}" for name in FITTED_INPUTS if getattr(args, name) is None]
+        if 0 < len(missing) < len(FITTED_INPUTS):
+            parser.error(f"eval with an NRMSE needs {', '.join(missing)}")
+        if missing and args.truth is None:
+            parser.error("eval needs --truth or --structure, --weights and --data")
     try:
         return args.func(args)
     except ConsistencyError as exc:

@@ -214,8 +214,10 @@ class TrainConfig:
     init_value: float = 1.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # a NaN or infinite rate rejects every step, so a fit returns its start
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and positive, "
+                             f"not {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
 

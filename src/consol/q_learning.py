@@ -66,8 +66,14 @@ class QLearnConfig:
             raise ValueError("gamma must be in (0, 1)")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
-        if self.stop_lambda <= 0:
-            raise ValueError("stop_lambda must be positive")
+        # rewards lie in (0, 1], so a lambda of 1 or more stops at once, and
+        # the trim's NRMSE bound lambda / (1 - lambda) needs lambda < 1
+        if not 0.0 < self.stop_lambda < 1.0:
+            raise ValueError(f"stop_lambda must be in (0, 1), not {self.stop_lambda}")
+        for name in ("q_lr", "r_lr"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"not {getattr(self, name)}")
         if self.target_update_interval < 1:
             raise ValueError("target_update_interval must be >= 1")
 

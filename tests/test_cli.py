@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shlex
@@ -595,7 +596,7 @@ def test_probe_count_below_1_is_a_usage_error(tmp_path, capsys, kind, n):
         main(argv + ["--out", out])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "probe --n must be at least 1" in err and "Traceback" not in err
+    assert "argument --n: must be at least 1" in err and "Traceback" not in err
     assert not os.path.exists(out)
 
 
@@ -690,4 +691,66 @@ def test_probe_without_its_inputs_is_a_usage_error(capsys, argv, missing):
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"needs {missing}" in err and "Traceback" not in err
+    assert f"the following arguments are required: {missing}" in err
+    assert "Traceback" not in err
+
+
+#: the options each probe kind reads, and so accepts
+PROBE_OPTIONS = {
+    "sweep": {"--structure", "--data", "--grid", "--lr", "--epochs", "--out"},
+    "segment": {"--target", "--n", "--tol", "--seed", "--out"},
+    "region": {"--structure", "--weights", "--data", "--n", "--seed", "--out"},
+    "second-deriv": {"--structure", "--weights", "--data", "--n", "--seed", "--out"},
+}
+
+
+def test_each_probe_kind_declares_the_options_it_reads():
+    [commands] = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    [kinds] = [a for a in commands.choices["probe"]._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    assert set(kinds.choices) == set(PROBE_OPTIONS)
+    for kind, parser in kinds.choices.items():
+        declared = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert declared == PROBE_OPTIONS[kind], kind
+
+
+@pytest.mark.parametrize("kind, option", [
+    (kind, option) for kind in PROBE_OPTIONS
+    for option in sorted(set().union(*PROBE_OPTIONS.values()) - PROBE_OPTIONS[kind])])
+def test_probe_option_of_another_kind_is_a_usage_error(tmp_path, capsys, kind, option):
+    """An option the kind does not read is refused, not parsed and ignored."""
+    paths = valid_inputs(tmp_path)
+    value = {"--grid": "1,2", "--lr": "0.01", "--epochs": "2", "--n": "2",
+             "--tol": "1e-9", "--seed": "0"}.get(option) or paths[option[2:]]
+    out = str(tmp_path / "probe.out")
+    argv = [paths.get(a, a) for a in INPUT_COMMANDS[kind]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, value, "--out", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {option} " in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("block, message", [
+    ({"search": {"stop_lambda": 1.0}}, "stop_lambda must be in (0, 1), not 1.0"),
+    ({"search": {"stop_lambda": float("nan")}}, "stop_lambda must be in (0, 1), not nan"),
+    ({"search": {"q_lr": 0}}, "q_lr must be finite and positive, not 0"),
+    ({"search": {"r_lr": float("inf")}}, "r_lr must be finite and positive, not inf"),
+    ({"train": {"learning_rate": float("nan")}},
+     "learning_rate must be finite and positive, not nan"),
+    ({"train": {"learning_rate": -1.0}},
+     "learning_rate must be finite and positive, not -1.0"),
+])
+def test_search_with_an_out_of_range_rate_or_stop_lambda_exits_3(tmp_path, capsys,
+                                                                  block, message):
+    """A lambda of 1 divided by zero in the trim; a NaN learning rate rejected
+    every step, so each scoring fit returned its start."""
+    out = tmp_path / "run"
+    cfg = {"version": 1, "dataset": {"name": "syn1", "n_train": 60, "n_test": 30},
+           "out_dir": str(out), **block}
+    assert main(["search", "--config", write_json(tmp_path / "c.json", cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not out.exists()

@@ -223,6 +223,13 @@ def test_fit_trace_rejects_nan_step():
     assert all(b <= a for a, b in zip(losses, losses[1:]))
 
 
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+def test_train_config_rejects_a_rate_that_is_not_finite_and_positive(rate):
+    # a NaN or infinite rate rejects every bold-driver step
+    with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+        TrainConfig(learning_rate=rate)
+
+
 def test_fit_recovers_toy_coefficients():
     st, _ = toy_weights()
     rng = np.random.default_rng(2)

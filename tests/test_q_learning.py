@@ -54,6 +54,18 @@ def test_config_validation():
         QLearnConfig(target_update_interval=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("stop_lambda", 1.0), ("stop_lambda", 2.0), ("stop_lambda", float("nan")),
+    ("stop_lambda", float("inf")), ("q_lr", 0.0), ("q_lr", -1.0), ("q_lr", float("nan")),
+    ("r_lr", float("inf")), ("r_lr", float("nan")),
+])
+def test_config_rejects_a_stop_lambda_or_rate_out_of_range(field, value):
+    # rewards lie in (0, 1], so a lambda of 1 stops at the first episode and
+    # the trim's bound lambda / (1 - lambda) divides by zero
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        QLearnConfig(**{field: value})
+
+
 def test_space_dimensions():
     sp = toy_space()
     assert sp.n_stages == 3
