@@ -25,9 +25,10 @@ when the estimate is degenerate) and wall_s.  The mass-damper rows have no
 test split: the second half of the trajectory has settled (its output
 sigma is 6e-8 to 8e-7, against 0.02 to 0.07 on the first half), so an
 NRMSE on it is noise over a near-zero scale and says nothing about the
-equation.  The summary counts the rows of each name with e_c <= 1 %, sums
-the Syn1 episodes and sums segment_violations.  Every figure but wall_s
-repeats exactly on a rerun.  One progress line per row goes to stderr.
+equation.  The summary (`summarize`) counts the rows of each name with
+e_c <= 1 %, sums the Syn1 episodes and sums segment_violations.  Every
+figure but wall_s repeats exactly on a rerun.  One progress line per row
+goes to stderr.
 """
 
 import os
@@ -174,6 +175,17 @@ def fit_row(system, seed):
     return _scored(row, structure, weights, train, test, truth, t0)
 
 
+def summarize(rows):
+    """The count of rows of each name with e_c <= EXACT_E_C, the summed Syn1
+    search episodes and the summed segment violations."""
+    return {
+        "exact_recoveries": {n: sum(r["e_c"] <= EXACT_E_C for r in rows if r["name"] == n)
+                             for n in dict.fromkeys(name for name, _ in ROWS)},
+        "syn1_episodes": sum(r["episodes"] for r in rows if r["name"] == "syn1_search"),
+        "segment_violations": sum(r.get("segment_violations", 0) for r in rows),
+    }
+
+
 def main():
     argparse.ArgumentParser(description=__doc__,
                             formatter_class=argparse.RawDescriptionHelpFormatter
@@ -188,14 +200,7 @@ def main():
         print(f"{name} seed {seed}: E_c {row['e_c']:.3f} %{search}, "
               f"membership {row['membership']}, {row['wall_s']:.0f} s",
               file=sys.stderr, flush=True)
-    names = dict.fromkeys(name for name, _ in ROWS)
-    summary = {
-        "exact_recoveries": {n: sum(r["e_c"] <= EXACT_E_C for r in rows if r["name"] == n)
-                             for n in names},
-        "syn1_episodes": sum(r["episodes"] for r in rows if r["name"] == "syn1_search"),
-        "segment_violations": sum(r.get("segment_violations", 0) for r in rows),
-    }
-    json.dump({"exact_e_c": EXACT_E_C, "summary": summary, "rows": rows},
+    json.dump({"exact_e_c": EXACT_E_C, "summary": summarize(rows), "rows": rows},
               sys.stdout, indent=1)
     print()
 

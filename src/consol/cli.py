@@ -295,9 +295,16 @@ _JSON_READERS = {
 
 
 def _check_fits(structure, kind: str, obj) -> None:
-    """ShapeError unless the weights or dataset obj fit the structure."""
+    """ShapeError unless the weights or dataset obj fit the structure;
+    ValueError for a sqrt neuron's inner weight other than 1: the network
+    ignores it, so a file that sets one (older versions wrote them) would
+    score another equation."""
     if kind == "weights":
         local_net._check_weights(structure, obj)
+        bad = [float(w) for j, w in enumerate(obj.inner)
+               if w != 1.0 and structure.act_op(j).name == "sqrt"]
+        if bad:
+            raise ValueError(f"sqrt takes no inner weight, but a sqrt neuron has {bad[0]}")
         return
     shape = (obj.X.shape[1], obj.Y.shape[1])
     if shape != (structure.n_inputs, structure.n_outputs):

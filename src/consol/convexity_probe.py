@@ -68,9 +68,8 @@ def analytic_directional_derivs(structure: LocalStructure,
     p' <- p'f + pf', p <- pf: a factor phi(w x) with direction component d
     has f' = phi'(w x) d x and f'' = phi''(w x) (d x)^2, an unweighted one
     f' = f'' = 0.  Nothing is divided, so a zero factor is an ordinary
-    value; where x is 0, f' and f'' are 0 also under sqrt, whose phi' and
-    phi'' are infinite there.  The summation layer adds its own direction
-    components linearly.
+    value.  The summation layer adds its own direction components
+    linearly.
     """
     x = np.asarray(x, dtype=float)
     X = x[None, :] if x.ndim == 1 else x
@@ -84,9 +83,8 @@ def analytic_directional_derivs(structure: LocalStructure,
     for j, op, col, weighted in structure.plan.acts:
         if weighted:
             dx = inner_dir[j] * X[:, col]
-            z = local_net._weight_arg(op, X[:, col], pre[j])
-            f1s[j] = symbols.op_d1(op.name, z) * dx
-            f2s[j] = symbols.op_d2(op.name, z) * dx * dx
+            f1s[j] = symbols.op_d1(op.name, pre[j]) * dx
+            f2s[j] = symbols.op_d2(op.name, pre[j]) * dx * dx
     p1, p2 = np.zeros((2,) + p.shape)
     for j, factors in structure.plan.products:
         prod, d1_j, d2_j = 1.0, 0.0, 0.0

@@ -61,7 +61,7 @@ def _factor_from_json_obj(f) -> Factor:
     except ValueError as exc:
         raise ValueError(f"factor {f}: {exc}") from None
     w = f.get("inner_weight")
-    if w is not None and not op.has_inner_weight:
+    if w is not None and op.name in ("id", "square"):  # sqrt(w*x) folds to sqrt(w)*sqrt(x)
         raise ValueError(f"factor {f}: {op.name} takes no inner weight")
     inp = f["input"]
     if type(inp) is not int or inp < 0:
@@ -71,8 +71,7 @@ def _factor_from_json_obj(f) -> Factor:
 
 def equation_from_json_obj(obj) -> CanonicalEquation:
     """Read an equation object into canonical form; a factor whose op is no
-    symbol, or that weights a symbol without an inner weight, raises
-    ValueError."""
+    symbol, or that weights x or x^2, raises ValueError."""
     return canonicalize([
         [(t["coefficient"], [_factor_from_json_obj(f) for f in t["factors"]])
          for t in tl]

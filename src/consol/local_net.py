@@ -360,19 +360,6 @@ def _mse(e: np.ndarray) -> float:
     return float((e ** 2).sum() / (2 * e.shape[0]))
 
 
-def _weight_arg(op: SymbolOp, x, z):
-    """z = w*x, where phi' and phi'' are read for the inner weight's partials
-    x phi'(w x) and x^2 phi''(w x).  Those are 0 where x is 0, but sqrt's
-    phi' and phi'' at 0 are infinite (0 * inf is NaN), so an op with a
-    domain bound reads them at z = 1 there; every other entry keeps its bits."""
-    return np.where(x == 0, 1.0, z) if op.domain_lower is not None else z
-
-
-def _weight_d1(op: SymbolOp, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """phi'(z) at z = w*x, the factor of x in the inner weight's partial."""
-    return symbols.op_d1(op.name, _weight_arg(op, x, z))
-
-
 def gradients(structure: LocalStructure, weights: LocalWeights, batch,
               max_loss: float | None = None):
     """Mean-squared-error loss with the 1/(2N) convention and its analytic
@@ -403,7 +390,7 @@ def gradients(structure: LocalStructure, weights: LocalWeights, batch,
                 dh[i] = dh.get(i, 0.0) + (gj * _chain(cols, rest) if rest else gj)
         for j, op, col, weighted in plan.acts:
             if weighted:
-                inner[j] = float(np.sum(dh[j] * X[:, col] * _weight_d1(op, X[:, col], pre[j])))
+                inner[j] = float(np.sum(dh[j] * X[:, col] * symbols.op_d1(op.name, pre[j])))
     return loss, LocalWeights(inner, {SUMMATION_STAGE: sums})
 
 
@@ -504,7 +491,7 @@ def _jacobian(structure: LocalStructure, X: np.ndarray, cols, pre, prods,
             d += (_chain(cols, rest)[:, None] if rest else 1.0) * w_sum[j]
     for k, j in enumerate(inner):
         x = X[:, structure.act_input(j)]
-        J[:, :, k] = dh[j] * (x * _weight_d1(structure.act_op(j), x, pre[j]))[:, None]
+        J[:, :, k] = dh[j] * (x * symbols.op_d1(structure.act_op(j).name, pre[j]))[:, None]
     J[:, outs, len(inner) + np.arange(len(rows))] = prods[:, rows]
     return J.reshape(N * n_out, -1)
 
@@ -559,7 +546,7 @@ def _levenberg_marquardt(structure: LocalStructure, weights: LocalWeights,
 def _fit_long(structure: LocalStructure, config: TrainConfig, data,
               start: LocalWeights | None = None):
     """The long fit, (weights, losses).  A structure with a live weighted op
-    (cos, sin, sqrt or log) gets min(config.epochs, WARMUP_EPOCHS)
+    (cos, sin or log) gets min(config.epochs, WARMUP_EPOCHS)
     bold-driver epochs through `fit_trace`, then `_levenberg_marquardt`; any
     other structure gets the full config.epochs of `fit_trace`.  The losses
     never increase."""

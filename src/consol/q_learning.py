@@ -74,8 +74,14 @@ class QLearnConfig:
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive, "
                                  f"not {getattr(self, name)}")
-        if self.target_update_interval < 1:
-            raise ValueError("target_update_interval must be >= 1")
+        for name in ("max_episodes", "target_update_interval", "buffer_capacity",
+                     "minibatch_size", "opt_restarts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, not {getattr(self, name)}")
+        for name in ("retry_cap", "q_epochs", "r_epochs", "opt_steps", "promote_epochs",
+                     "final_polish_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, not {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

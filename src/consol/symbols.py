@@ -1,9 +1,10 @@
 """Symbolic activation pool: the unary functions available to the first
 network layer, with values, first/second derivatives and domain guards.
 
-Ops whose usual written form carries a scalar inside the function
-(cos(w*x), sin(w*x), log(w*x), sqrt(w*x)) expose a learnable inner weight;
-x and x^2 do not, their scale lives in the downstream summation weights.
+cos(w*x), sin(w*x) and log(w*x) carry a learnable inner weight, and their
+table rows give the derivatives phi' and phi'' that its partials read; x,
+x^2 and sqrt(x) do not, their scale lives in the downstream summation
+weights (sqrt(w*x) = sqrt(w)*sqrt(x)), so their rows give no derivatives.
 """
 
 from __future__ import annotations
@@ -19,31 +20,24 @@ LOG_DOMAIN_EPS = 1e-12
 
 
 class _OpRow(NamedTuple):
-    has_inner_weight: bool
     domain_lower: float | None
-    value: Callable      # phi(z)
-    d1: Callable         # phi'(z)
-    d2: Callable         # phi''(z), z already a float array
+    value: Callable             # phi(z)
+    d1: Callable | None = None  # phi'(z), given exactly for a weighted op
+    d2: Callable | None = None  # phi''(z), z already a float array
 
 
 _OP_TABLE = {
-    "id": _OpRow(False, None, lambda z: z,
-                 lambda z: np.ones_like(np.asarray(z, dtype=float)),
-                 np.zeros_like),
-    "square": _OpRow(False, None, lambda z: z * z, lambda z: 2.0 * z,
-                     lambda z: 2.0 * np.ones_like(z)),
-    "sqrt": _OpRow(True, 0.0, np.sqrt, lambda z: 0.5 / np.sqrt(z),
-                   lambda z: -0.25 * z ** (-1.5)),
-    "log": _OpRow(True, LOG_DOMAIN_EPS, np.log, lambda z: 1.0 / z,
-                  lambda z: -1.0 / (z * z)),
-    "cos": _OpRow(True, None, np.cos, lambda z: -np.sin(z), lambda z: -np.cos(z)),
-    "sin": _OpRow(True, None, np.sin, np.cos, lambda z: -np.sin(z)),
+    "id": _OpRow(None, lambda z: z),
+    "square": _OpRow(None, lambda z: z * z),
+    "sqrt": _OpRow(0.0, np.sqrt),
+    "log": _OpRow(LOG_DOMAIN_EPS, np.log, lambda z: 1.0 / z, lambda z: -1.0 / (z * z)),
+    "cos": _OpRow(None, np.cos, lambda z: -np.sin(z), lambda z: -np.cos(z)),
+    "sin": _OpRow(None, np.sin, np.cos, lambda z: -np.sin(z)),
 }
 
 
 @dataclass(frozen=True)
 class SymbolOp:
-    id: int
     name: str
     has_inner_weight: bool
     domain_lower: float | None
@@ -52,11 +46,6 @@ class SymbolOp:
 @dataclass(frozen=True)
 class SymbolLibrary:
     ops: tuple[SymbolOp, ...]
-
-    def __post_init__(self):
-        ids = [op.id for op in self.ops]
-        if ids != list(range(len(self.ops))):
-            raise ValueError("op ids must be 0..len-1 in order")
 
     def __len__(self):
         return len(self.ops)
@@ -70,11 +59,11 @@ def make_library(names: list[str]) -> SymbolLibrary:
     """Build a library from op names; the order fixes activation-layer
     neuron indexing for the whole run."""
     ops = []
-    for i, name in enumerate(names):
+    for name in names:
         if name not in _OP_TABLE:
             raise ValueError(f"unknown symbol {name!r}; known: {sorted(_OP_TABLE)}")
         row = _OP_TABLE[name]
-        ops.append(SymbolOp(id=i, name=name, has_inner_weight=row.has_inner_weight,
+        ops.append(SymbolOp(name=name, has_inner_weight=row.d1 is not None,
                             domain_lower=row.domain_lower))
     return SymbolLibrary(ops=tuple(ops))
 
@@ -93,10 +82,10 @@ def op_value(name: str, z):
 
 
 def op_d1(name: str, z):
-    """phi'(z)."""
+    """phi'(z) of a weighted op."""
     return _OP_TABLE[name].d1(z)
 
 
 def op_d2(name: str, z):
-    """phi''(z)."""
+    """phi''(z) of a weighted op."""
     return _OP_TABLE[name].d2(np.asarray(z, dtype=float))

@@ -406,6 +406,23 @@ def test_eval_reads_a_hand_written_sqrt_in_canonical_form(tmp_path):
     assert first["pe"] == [0.0]
 
 
+@pytest.mark.parametrize("command", ["eval", "region", "second-deriv"])
+def test_weights_file_with_a_sqrt_inner_weight_exits_3(tmp_path, capsys, command):
+    """y = 2 sqrt(2.2 x) as older versions wrote its weights, with 2.2 as the
+    sqrt neuron's inner entry: a sqrt takes no inner weight, so the network
+    would score 2 sqrt(x) instead.  The same file with 1 there is read."""
+    paths = valid_inputs(tmp_path)
+    st = three_layer_structure(make_library(["sqrt"]), 1, np.array([[1]]), np.array([[1]]))
+    paths["structure"] = write_json(tmp_path / "sqrt.json", st.to_json_obj())
+    argv = [paths.get(a, a) for a in INPUT_COMMANDS[command]]
+    for inner, code in ((2.2, 3), (1.0, 0)):
+        write_json(paths["weights"], {"inner": [inner], "summations": {"2": [[2.0]]}})
+        assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err == ("error: sqrt takes no inner weight, but a sqrt neuron has 2.2 "
+                   f"(in weights file {paths['weights']})\n")
+
+
 def test_eval_scores_a_zero_true_weight(tmp_path):
     truth = equation_obj((3.0, [(0, "cos", 0.0)]))
     rc, rep = run_eval(tmp_path, truth, truth)
@@ -742,11 +759,13 @@ def test_probe_option_of_another_kind_is_a_usage_error(tmp_path, capsys, kind, o
      "learning_rate must be finite and positive, not nan"),
     ({"train": {"learning_rate": -1.0}},
      "learning_rate must be finite and positive, not -1.0"),
+    ({"search": {"retry_cap": -1}}, "retry_cap must be >= 0, not -1"),
 ])
 def test_search_with_an_out_of_range_rate_or_stop_lambda_exits_3(tmp_path, capsys,
                                                                   block, message):
     """A lambda of 1 divided by zero in the trim; a NaN learning rate rejected
-    every step, so each scoring fit returned its start."""
+    every step, so each scoring fit returned its start; a retry_cap of -1
+    aborted every episode.  Each exits 3 before any episode runs."""
     out = tmp_path / "run"
     cfg = {"version": 1, "dataset": {"name": "syn1", "n_train": 60, "n_test": 30},
            "out_dir": str(out), **block}

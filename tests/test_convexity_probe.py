@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as hst
 
-from consol import convexity_probe, local_net, symbols
+from consol import convexity_probe, symbols
 from consol.convexity_probe import (RegionEstimate, analytic_directional_derivs,
                                     estimate_region, init_sweep,
                                     loss_second_derivative, segment_convexity_test)
-from consol.errors import ConsistencyError, DegenerateError, DomainError
+from consol.errors import ConsistencyError, DomainError
 from consol.local_net import (SUMMATION_STAGE, LocalWeights, TrainConfig, fit, forward,
                               get_weight_vector, init_weights, set_weight_vector,
                               three_layer_structure)
@@ -223,9 +223,8 @@ def _ref_directional_derivs(structure, weights, x, direction):
             f1 = f2 = 0.0
             if op.has_inner_weight:
                 dx = inner_dir[a_idx] * xi
-                z = local_net._weight_arg(op, xi, arg)
-                f1 = symbols.op_d1(op.name, z) * dx
-                f2 = symbols.op_d2(op.name, z) * dx * dx
+                f1 = symbols.op_d1(op.name, arg) * dx
+                f2 = symbols.op_d2(op.name, arg) * dx * dx
             d2_j = d2_j * f + 2.0 * d1_j * f1 + prod * f2
             d1_j = d1_j * f + prod * f1
             prod = prod * f
@@ -326,39 +325,36 @@ def test_loss_curvature_rejects_a_non_finite_value(monkeypatch, which, value):
         loss_second_derivative(st, w, (X, Y), np.array([1.0, 0.0]))
 
 
-def test_probe_at_a_zero_input_under_sqrt_is_finite():
-    """y = 2 sqrt(1.7 x) with x = 0 in the data: y' and y'' there are 0 (the
-    partials carry a factor x), not 0 * inf = NaN, so the curvature check
-    and the region estimate see finite numbers."""
+def _probe_sqrt_fit(x0):
+    """y = 2 sqrt(1.7) sqrt(x) at its exact fit, with x0 as the first input.
+    sqrt takes no inner weight, so the one weight is the summation weight:
+    along it y' = sqrt(x) and y'' = 0, the loss curvature is mean(x), and
+    the probe reads no derivative of sqrt, which is infinite at 0."""
     st = three_layer_structure(make_library(["sqrt"]), 1, np.array([[1]]), np.array([[1]]))
     X = np.linspace(0.0, 1.5, 20)[:, None]
-    Y = 2.0 * np.sqrt(1.7 * X)
-    w = init_weights(st, 1.0)
-    d = np.array([0.6, 0.8])
-    with np.errstate(all="raise"):
+    X[0] = x0
+    w = init_weights(st, 2.0 * np.sqrt(1.7))
+    Y = forward(st, w, X)
+    d = np.array([1.0])
+    with np.errstate(all="raise", under="ignore"):
         y1, y2 = analytic_directional_derivs(st, w, X, d)
-        assert analytic_directional_derivs(st, w, X[0], d) == (0.0, 0.0)
+        assert analytic_directional_derivs(st, w, X[0], d) == (np.sqrt(x0), 0.0)
         curvature = loss_second_derivative(st, w, (X, Y), d)
         est = estimate_region(st, w, (X, Y), n_directions=5, seed=0)
-    assert y1[0, 0] == y2[0, 0] == 0.0
-    assert np.isfinite(y1).all() and np.isfinite(y2).all() and np.isfinite(curvature)
-    assert np.isfinite(est.y_prime_abs).all() and est.y_prime_abs[0] == 0.0
+    assert np.array_equal(y1, np.sqrt(X)) and not y2.any()
+    assert curvature == pytest.approx(X.mean(), rel=1e-6)
+    assert est.eta == 0.0 and est.membership
+    assert np.isfinite(est.y_prime_abs).all() and est.y_prime_abs[0] == np.sqrt(x0)
 
 
-def test_probe_at_a_subnormal_input_under_sqrt_is_an_error():
-    """At x = 1e-310, sqrt's phi''(w x) overflows to inf, so y'' is not
-    finite: the curvature check raises rather than return inf, and the
-    region estimate raises rather than report an infinite eta."""
-    st = three_layer_structure(make_library(["sqrt"]), 1, np.array([[1]]), np.array([[1]]))
-    X = np.linspace(0.0, 1.5, 20)[:, None]
-    X[0] = 1e-310
-    Y = 2.0 * np.sqrt(1.7 * X)
-    w = init_weights(st, 1.0)
-    with np.errstate(all="ignore"):
-        with pytest.raises(ConsistencyError):
-            loss_second_derivative(st, w, (X, Y), np.array([0.6, 0.8]))
-        with pytest.raises(DegenerateError, match="not finite"):
-            estimate_region(st, w, (X, Y), n_directions=3, seed=0)
+def test_probe_at_a_zero_input_under_sqrt_is_finite():
+    _probe_sqrt_fit(0.0)
+
+
+def test_probe_at_a_subnormal_input_under_sqrt_is_finite():
+    """sqrt's second derivative overflows at x = 1e-310; the probe reads
+    none of sqrt's derivatives."""
+    _probe_sqrt_fit(1e-310)
 
 
 def test_estimate_region_membership_at_optimum():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, find, given, settings, strategies as hst
 
-from consol import local_net, symbols
+from consol import datasets, local_net, symbols
 from consol.convexity_probe import analytic_directional_derivs
 from consol.equations import term, canonicalize
 from consol.errors import DomainError, ShapeError, StructureError
@@ -14,6 +14,7 @@ from consol.local_net import (ACTIVATION, MULTIPLICATION, SUMMATION, SUMMATION_S
                               three_layer_structure, forward,
                               weights_from_json_obj, weights_to_json_obj)
 from consol.symbols import make_library
+from test_metrics import syn2_true_fit
 
 
 LIB = make_library(["id", "square", "cos"])
@@ -661,8 +662,7 @@ def _jacobian_and_residuals(structure, weights, X, Y):
 
 def _with_zero_inputs(data, case):
     """The case with some inputs set to exactly 0 when the library has no
-    log, whose domain excludes 0; under a sqrt, whose derivative is
-    infinite at 0, the inner weight's partial is 0 there."""
+    log, whose domain excludes 0."""
     st, w, X, Y = case
     if "log" not in st.library.names:
         zero = data.draw(hst.lists(hst.booleans(), min_size=X.size, max_size=X.size))
@@ -748,7 +748,8 @@ def test_probe_first_derivative_is_the_jacobian_along_the_direction(case, seed):
 
 def _sqrt_zero_case():
     """One sqrt neuron on linspace(0, 1.5, 20): the first input is exactly 0,
-    where sqrt's phi' and phi'' are infinite."""
+    where sqrt's derivatives are infinite (none is read: sqrt takes no inner
+    weight)."""
     st = three_layer_structure(make_library(["sqrt"]), 1, np.array([[1]]), np.array([[1]]))
     X = np.linspace(0.0, 1.5, 20)[:, None]
     return st, init_weights(st, 1.0), X, 2.0 * np.sqrt(1.7 * X)
@@ -791,27 +792,45 @@ def _log_case():
 
 
 def _sqrt_case():
-    """y = 3 sqrt(2 x): sqrt(w x) times a summation weight is flat along
-    w -> c^2 w, W -> W / c."""
+    """y = 3 sqrt(2 x): sqrt takes no inner weight, so the long fit is the
+    bold driver's alone."""
     st = three_layer_structure(make_library(["sqrt"]), 1, np.array([[1]]), np.array([[1]]))
     X = np.linspace(0.5, 1.5, 20)[:, None]
     return st, init_weights(st, 1.0), X, 3.0 * np.sqrt(2.0 * X)
 
 
-def test_sqrt_weight_partial_is_zero_at_a_zero_input():
-    """y = 2 sqrt(1.7 x) with x = 0 in the data: the partial of sqrt(w x)
-    in w is 0 there, not 0 * inf = NaN, so the fit trains every weight."""
+@pytest.mark.parametrize("x0", [0.0, 1e-310])
+def test_fit_under_sqrt_is_finite_at_a_zero_or_subnormal_input(x0):
+    """y = 2 sqrt(1.7 x) with x0 as the first input, where sqrt's derivatives
+    are infinite: sqrt takes no inner weight, so the gradient and the
+    Jacobian read none of them, and the fit finds the summation weight
+    2 sqrt(1.7)."""
     st = three_layer_structure(make_library(["sqrt"]), 1, np.array([[1]]), np.array([[1]]))
     X = np.linspace(0.0, 1.5, 20)[:, None]
-    Y = 2.0 * np.sqrt(1.7 * X)
+    X[0] = x0
+    Y = 2.0 * np.sqrt(1.7) * np.sqrt(X)
     w = init_weights(st, 1.0)
-    with np.errstate(all="raise"):
+    with np.errstate(all="raise", under="ignore"):
         _, grad = gradients(st, w, (X, Y))
         J, _ = _jacobian_and_residuals(st, w, X, Y)
         fitted, loss = fit_snapped(st, TrainConfig(epochs=500), (X, Y))
-    assert np.isfinite(grad.inner).all() and grad.inner[0] != 0.0
-    assert np.isfinite(J).all() and J[0, 0] == 0.0
+    assert np.isfinite(grad.summations[SUMMATION_STAGE]).all() and not grad.inner.any()
+    assert np.array_equal(J, np.sqrt(X))
+    assert fitted.summations[SUMMATION_STAGE][0, 0] == pytest.approx(2.0 * np.sqrt(1.7))
     assert loss < 1e-20
+
+
+def test_exact_syn2_fit_is_strictly_convex():
+    """At the Syn2 generator's exact fit (data seed 0, N = 2,000) the loss
+    Hessian is J^T J / N, and its smallest eigenvalue is positive.  An
+    inner weight on sqrt would make it singular: sqrt(w x) times a
+    summation weight W is flat along (c^2 w, W / c)."""
+    train, _ = datasets.gen_syn(2, 2000, 2000, 0)
+    st, w = syn2_true_fit()
+    J, e = _jacobian_and_residuals(st, w, train.X, train.Y)
+    assert local_net._mse(e) < 1e-28
+    assert J.shape == (2000 * 3, 9)   # 3 log/sin inner weights, 6 summation weights
+    assert np.linalg.eigvalsh(J.T @ J / 2000).min() > 1e-5
 
 
 def _long_fit_case():

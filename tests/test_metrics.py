@@ -108,9 +108,11 @@ def test_e_c_rejects_output_count_mismatch():
         e_c(TRUE_EQ, other)
 
 
-def syn2_true_fit(c: float):
-    """The Syn2 generator as a network, with each sqrt inner weight times
-    c**2 and the summation weight of each term it feeds divided by c."""
+def syn2_true_fit(c: float = 1.0):
+    """The Syn2 generator as a network at its exact fit.  A sqrt takes no
+    inner weight, so the summation weights hold sqrt's scale
+    (sqrt(2.2*x1) == sqrt(2.2)*sqrt(x1)); each sqrt neuron's inner entry
+    holds c, which the network ignores."""
     lib = make_library(datasets.SYN_LIBRARIES[2])   # sqrt id square log sin
     act = {(i, op): 5 * i + lib.names.index(op) for i in range(3) for op in lib.names}
     products = [                                     # per product: its factors
@@ -127,12 +129,11 @@ def syn2_true_fit(c: float):
         z_sum[j, out] = 1
     structure = three_layer_structure(lib, 3, z_mult, z_sum)
     w = init_weights(structure, 1.0)
-    for f, v in (((0, "sqrt"), 2.2 * c * c), ((2, "sqrt"), c * c),
+    for f, v in (((0, "sqrt"), c), ((2, "sqrt"), c),
                  ((0, "sin"), 1.8), ((1, "log"), 3.0), ((0, "log"), 1.6)):
         w.inner[act[f]] = v
-    # sqrt(3.7*x3) == sqrt(3.7)*sqrt(x3) shares the sqrt(x3) neuron
-    for j, coefficient in ((0, 1.0), (3, 1.0), (4, 3.7 ** 0.5)):
-        w.summations[2][j, z_sum[j].argmax()] = coefficient / c
+    for j, coefficient in ((0, 2.2 ** 0.5), (4, 3.7 ** 0.5)):
+        w.summations[2][j, z_sum[j].argmax()] = coefficient
     return structure, w
 
 

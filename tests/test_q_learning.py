@@ -58,10 +58,14 @@ def test_config_validation():
     ("stop_lambda", 1.0), ("stop_lambda", 2.0), ("stop_lambda", float("nan")),
     ("stop_lambda", float("inf")), ("q_lr", 0.0), ("q_lr", -1.0), ("q_lr", float("nan")),
     ("r_lr", float("inf")), ("r_lr", float("nan")),
+    ("max_episodes", 0), ("retry_cap", -1), ("q_epochs", -1), ("r_epochs", -1),
+    ("opt_steps", -1), ("promote_epochs", -1), ("final_polish_epochs", -1),
+    ("minibatch_size", 0), ("buffer_capacity", 0), ("opt_restarts", 0),
 ])
 def test_config_rejects_a_stop_lambda_or_rate_out_of_range(field, value):
     # rewards lie in (0, 1], so a lambda of 1 stops at the first episode and
-    # the trim's bound lambda / (1 - lambda) divides by zero
+    # the trim's bound lambda / (1 - lambda) divides by zero; a retry_cap of
+    # -1 aborts every episode and a minibatch of 0 has no sample to train on
     with pytest.raises(ValueError, match=f"{field} must be"):
         QLearnConfig(**{field: value})
 

@@ -56,11 +56,12 @@ def test_quality_fit_recovers_and_repeats(system, seed):
 
 
 def test_quality_json_has_one_row_per_planned_row():
-    """A changed row plan without a fresh QUALITY.json fails here."""
+    """A changed row plan, or rows edited without their summary, fails here."""
     quality = load_quality()
     with open(os.path.join(ROOT, "QUALITY.json")) as fh:
         doc = json.load(fh)
     assert [(r["name"], r["seed"]) for r in doc["rows"]] == list(quality.ROWS)
     for row in doc["rows"]:
         assert set(row) == row_keys(row["name"])
-    assert set(doc["summary"]["exact_recoveries"]) == {name for name, _ in quality.ROWS}
+    assert doc["exact_e_c"] == quality.EXACT_E_C
+    assert doc["summary"] == quality.summarize(doc["rows"])

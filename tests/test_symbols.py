@@ -9,11 +9,11 @@ from consol.symbols import (LOG_DOMAIN_EPS, check_domain, make_library, op_d1,
 
 
 def test_make_library_order_and_flags():
-    lib = make_library(["id", "square", "cos"])
-    assert lib.names == ["id", "square", "cos"]
-    assert [op.id for op in lib.ops] == [0, 1, 2]
-    assert [op.has_inner_weight for op in lib.ops] == [False, False, True]
-    assert lib.ops[2].domain_lower is None
+    lib = make_library(["id", "square", "sqrt", "cos"])
+    assert lib.names == ["id", "square", "sqrt", "cos"]
+    # sqrt(w*x) == sqrt(w)*sqrt(x): a summation weight holds sqrt's scale
+    assert [op.has_inner_weight for op in lib.ops] == [False, False, False, True]
+    assert lib.ops[3].domain_lower is None
 
 
 def test_make_library_rejects_unknown():
@@ -37,9 +37,18 @@ def test_op_values_match_closed_forms():
     assert np.allclose(op_value("sin", z), np.sin(z))
 
 
+#: the ops without an inner weight: nothing reads their derivatives, so
+#: their table rows give none
+UNWEIGHTED = ("id", "square", "sqrt")
+
+
 @pytest.mark.parametrize("name", ["id", "square", "sqrt", "log", "cos", "sin"])
 def test_first_derivative_matches_finite_difference(name):
     z = np.linspace(0.3, 2.7, 9)
+    if name in UNWEIGHTED:
+        with pytest.raises(TypeError):
+            op_d1(name, z)
+        return
     h = 1e-6
     fd = (op_value(name, z + h) - op_value(name, z - h)) / (2 * h)
     assert np.allclose(op_d1(name, z), fd, rtol=1e-6, atol=1e-7)
@@ -48,6 +57,10 @@ def test_first_derivative_matches_finite_difference(name):
 @pytest.mark.parametrize("name", ["id", "square", "sqrt", "log", "cos", "sin"])
 def test_second_derivative_matches_finite_difference(name):
     z = np.linspace(0.3, 2.7, 9)
+    if name in UNWEIGHTED:
+        with pytest.raises(TypeError):
+            op_d2(name, z)
+        return
     h = 1e-4
     fd = (op_value(name, z + h) - 2 * op_value(name, z) + op_value(name, z - h)) / h ** 2
     assert np.allclose(op_d2(name, z), fd, rtol=1e-5, atol=1e-5)
