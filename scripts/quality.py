@@ -152,8 +152,7 @@ def _toy_probes(structure, weights, train):
 def search_row(dataset, seed):
     t0 = time.perf_counter()
     train, test, truth, _, space, constraints = problem(dataset, 0)
-    res = run_search(space, QLearnConfig(), train, constraints, seed=seed,
-                     keep_snapshots=True)
+    res = run_search(space, QLearnConfig(), train, constraints, seed=seed)
     d = space.q_input_dim
     violations = sum(segment_convexity_test(partial(icnn_forward, params), np.zeros(d),
                                             np.ones(d), 1000, 1e-9, seed=0)

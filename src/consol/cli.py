@@ -245,8 +245,7 @@ def cmd_search(args) -> int:
     space = _search_space(cfg, train)
     qcfg = _qlearn_config(cfg)
     constraints = ConstraintConfig(**cfg["constraints"])
-    result = run_search(space, qcfg, train, constraints,
-                        seed=cfg["seeds"]["search"], keep_snapshots=True)
+    result = run_search(space, qcfg, train, constraints, seed=cfg["seeds"]["search"])
     os.makedirs(out_dir, exist_ok=True)
     atomic_write(os.path.join(out_dir, "episodes.csv"), episodes_csv(result.episodes))
     snap_dir = os.path.join(out_dir, "snapshots")

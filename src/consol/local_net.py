@@ -220,6 +220,9 @@ class TrainConfig:
                              f"not {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        # a non-finite start scores every candidate as a domain failure
+        if not np.isfinite(self.init_value):
+            raise ValueError(f"init_value must be finite, not {self.init_value}")
 
 
 def init_weights(structure: LocalStructure, init_value: float) -> LocalWeights:
@@ -562,11 +565,13 @@ def fit_snapped(structure: LocalStructure, config: TrainConfig, data):
     """The long fit (`_fit_long`: a bold-driver warm-up then
     Levenberg-Marquardt for a structure with a live weighted op, the full
     bold driver otherwise), then try snapping small cos/sin inner weights
-    exactly to zero (their gradient vanishes at zero, so snaps are stable)
-    and refit the same way; a snap is kept only when the loss does not get
-    worse.  This removes the near-unit residual factors that a fit leaves
-    on a flat plateau, e.g. a spurious cos(0.05*x) riding on an otherwise
-    exact term."""
+    exactly to zero and refit the same way; a snap is kept only when the
+    loss does not get worse.  This removes the near-unit residual factors
+    that a fit leaves on a flat plateau, e.g. a spurious cos(0.05*x) riding
+    on an otherwise exact term.  A snapped cos weight stays put: the
+    derivative -x*sin(w*x) vanishes at zero, and cos(0*x) is the constant 1.
+    A sin weight does not: x*cos(w*x) is x at zero, so the refit may move it
+    off again, and while it is zero, sin(0*x) = 0 silences the product."""
     w, losses = _fit_long(structure, config, data)
     loss = losses[-1]
     snappable = [j for j, op, _, _ in structure.plan.acts if op.name in ("cos", "sin")]

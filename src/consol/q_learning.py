@@ -74,6 +74,11 @@ class QLearnConfig:
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive, "
                                  f"not {getattr(self, name)}")
+        # a NaN threshold fails every comparison, silently switching off the
+        # promotion or the freezing
+        for name in ("promote_threshold", "freeze_reward_threshold"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
         for name in ("max_episodes", "target_update_interval", "buffer_capacity",
                      "minibatch_size", "opt_restarts"):
             if getattr(self, name) < 1:
@@ -433,11 +438,13 @@ class SearchResult:
 
 def run_search(space: SearchSpace, cfg: QLearnConfig, data,
                constraints: ConstraintConfig | None = None,
-               seed: int = 0, keep_snapshots: bool = False) -> SearchResult:
+               seed: int = 0) -> SearchResult:
     """Episode loop with replay, target copies every target_update_interval
     episodes, early stop at |R_t - 1| <= stop_lambda, and a long final refit
     of the best structure.  A Q update whose fit diverges to a non-finite
-    parameter (DomainError) leaves the Q network as it was."""
+    parameter (DomainError) leaves the Q network as it was.  The result's
+    icnn_snapshots hold the Q and R networks at the start and the end and
+    every target copy."""
     rng = np.random.default_rng(seed)
     constraints = constraints or ConstraintConfig()
     X, Y, sigma_y = _episode_data(data)
@@ -447,10 +454,7 @@ def run_search(space: SearchSpace, cfg: QLearnConfig, data,
     target = qnet.copy()
     buffer = ReplayBuffer(cfg.buffer_capacity, seed=int(rng.integers(2**31)))
     episodes: list[EpisodeLog] = []
-    snapshots: list[tuple[str, IcnnParams]] = []
-    if keep_snapshots:
-        snapshots.append(("init_q", qnet.copy()))
-        snapshots.append(("init_r", rnet.copy()))
+    snapshots = [("init_q", qnet.copy()), ("init_r", rnet.copy())]
     best = (None, None, -np.inf, np.inf)
     stopped = False
     for t in range(1, cfg.max_episodes + 1):
@@ -474,8 +478,7 @@ def run_search(space: SearchSpace, cfg: QLearnConfig, data,
             pass  # the bootstrap targets are unbounded; a diverged fit keeps the old network
         if t % cfg.target_update_interval == 0:
             target = qnet.copy()
-            if keep_snapshots:
-                snapshots.append((f"target_t{t}", target.copy()))
+            snapshots.append((f"target_t{t}", target.copy()))
         if out.reward > cfg.freeze_reward_threshold:
             try:
                 prods = local_net._all_products(out.structure, out.weights, X)
@@ -500,9 +503,7 @@ def run_search(space: SearchSpace, cfg: QLearnConfig, data,
             best_reward = max(best_reward, 1.0 / (1.0 + best_nrmse))
         except DomainError:
             pass
-    if keep_snapshots:
-        snapshots.append(("final_q", qnet.copy()))
-        snapshots.append(("final_r", rnet.copy()))
+    snapshots += [("final_q", qnet.copy()), ("final_r", rnet.copy())]
     return SearchResult(best_structure, best_weights, best_reward, best_nrmse,
                         episodes, qnet, rnet, constraints, stopped,
                         snapshots)

@@ -70,15 +70,13 @@ def action_from_indicator(Z, n_a: int) -> ActionVec:
 class ConstraintConfig:
     """frozen_paths pins connections (stage, i, j) to 1; frozen_columns
     records target neurons whose whole incoming pattern is pinned, so a
-    kept neuron can neither lose nor gain inputs across episodes."""
+    kept neuron can neither lose nor gain inputs across episodes.
+    `stage_pins` is their one reader, `update_frozen_paths` their writer."""
 
     max_factors_per_neuron: int = 3
     corr_keep_threshold: float = 0.99
     frozen_paths: frozenset[tuple[int, int, int]] = frozenset()
     frozen_columns: frozenset[tuple[int, int]] = frozenset()
-
-    def frozen_rows(self, stage: int, j: int) -> set[int]:
-        return {i for fs, i, jj in self.frozen_paths if fs == stage and jj == j}
 
     def __post_init__(self):
         if self.max_factors_per_neuron < 1:
@@ -126,15 +124,9 @@ def check_constraints(s_prev: StateVec, a: ActionVec, cfg: ConstraintConfig,
     if layer_kind in (MULTIPLICATION, SUMMATION):
         if (fan_in > cfg.max_factors_per_neuron).any():
             return CheckResult(False, "static")
-    for fs, i, j in cfg.frozen_paths:
-        if fs == stage and Z[i, j] == 0:
-            return CheckResult(False, "frozen")
-    for fs, j in cfg.frozen_columns:
-        if fs == stage:
-            keep = cfg.frozen_rows(stage, j)
-            extra = set(np.flatnonzero(Z[:, j]).tolist()) - keep
-            if extra:
-                return CheckResult(False, "frozen")
+    mask, values = stage_pins(cfg, stage, n_k, n_k1, n_k * n_k1)
+    if (Z.ravel()[mask] != values[mask]).any():
+        return CheckResult(False, "frozen")
     live_prev = s_prev.values[:n_k] > 0
     selects_dead = ((Z > 0) & ~live_prev[:, None]).any(axis=0)
     live_sources = ((Z > 0) & live_prev[:, None]).sum(axis=0)
@@ -161,25 +153,23 @@ def propose_random_action(rng, n_k: int, n_k1: int, n_a: int,
                           s_prev: StateVec | None = None) -> ActionVec:
     """Draw a structured random discrete action: per target neuron a uniform
     fan-in (within the static cap, net of pinned connections) and uniform
-    source choice among live previous-layer neurons.  Frozen columns get
-    exactly their pinned pattern.  Constraint checking is the caller's job."""
+    source choice among live previous-layer neurons.  A column whose every
+    row is pinned (a frozen column) gets exactly its pinned pattern.
+    Constraint checking is the caller's job."""
     live = np.ones(n_k, dtype=bool)
     if s_prev is not None:
         live = s_prev.values[:n_k] > 0
-    Z = np.zeros((n_k, n_k1))
+    mask, values = stage_pins(cfg, stage, n_k, n_k1, n_k * n_k1)
+    mask, Z = mask.reshape(n_k, n_k1), values.reshape(n_k, n_k1)
     for j in range(n_k1):
-        if (stage, j) in cfg.frozen_columns:
-            for i in cfg.frozen_rows(stage, j):
-                Z[i, j] = 1.0
+        if mask[:, j].all():
             continue
-        pinned = sorted(cfg.frozen_rows(stage, j))
-        for i in pinned:
-            Z[i, j] = 1.0
-        avail = [i for i in range(n_k) if live[i] and i not in pinned]
-        cap = min(cfg.max_factors_per_neuron - len(pinned), len(avail))
+        pinned = np.flatnonzero(mask[:, j])
+        avail = [i for i in range(n_k) if live[i] and not mask[i, j]]
+        cap = min(cfg.max_factors_per_neuron - pinned.size, len(avail))
         if cap <= 0:
             continue
-        lo = 1 if (layer_kind == SUMMATION and not pinned) else 0
+        lo = 1 if (layer_kind == SUMMATION and not pinned.size) else 0
         m = int(rng.integers(lo, cap + 1))
         if m > 0:
             srcs = rng.choice(len(avail), size=m, replace=False)

@@ -40,8 +40,7 @@ def syn1_run():
     train, _ = datasets.gen_syn(1, 2000, 2000, 0)
     library = make_library(datasets.SYN_LIBRARIES[1])
     space = three_layer_space(library, 3, 3)
-    res = run_search(space, QLearnConfig(), train, ConstraintConfig(),
-                     seed=4, keep_snapshots=True)
+    res = run_search(space, QLearnConfig(), train, ConstraintConfig(), seed=4)
     return space, res
 
 

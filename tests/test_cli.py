@@ -760,12 +760,17 @@ def test_probe_option_of_another_kind_is_a_usage_error(tmp_path, capsys, kind, o
     ({"train": {"learning_rate": -1.0}},
      "learning_rate must be finite and positive, not -1.0"),
     ({"search": {"retry_cap": -1}}, "retry_cap must be >= 0, not -1"),
+    ({"train": {"init_value": float("nan")}}, "init_value must be finite, not nan"),
+    ({"search": {"promote_threshold": float("nan")}},
+     "promote_threshold must be finite, not nan"),
 ])
 def test_search_with_an_out_of_range_rate_or_stop_lambda_exits_3(tmp_path, capsys,
                                                                   block, message):
     """A lambda of 1 divided by zero in the trim; a NaN learning rate rejected
     every step, so each scoring fit returned its start; a retry_cap of -1
-    aborted every episode.  Each exits 3 before any episode runs."""
+    aborted every episode; a NaN init_value scored every episode NRMSE 1e12;
+    a NaN promote_threshold never promoted.  Each exits 3 before any episode
+    runs."""
     out = tmp_path / "run"
     cfg = {"version": 1, "dataset": {"name": "syn1", "n_train": 60, "n_test": 30},
            "out_dir": str(out), **block}

@@ -231,6 +231,13 @@ def test_train_config_rejects_a_rate_that_is_not_finite_and_positive(rate):
         TrainConfig(learning_rate=rate)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_train_config_rejects_an_init_value_that_is_not_finite(value):
+    # a non-finite start scored every candidate of a search NRMSE 1e12
+    with pytest.raises(ValueError, match=f"init_value must be finite, not {value}"):
+        TrainConfig(init_value=value)
+
+
 def test_fit_recovers_toy_coefficients():
     st, _ = toy_weights()
     rng = np.random.default_rng(2)

@@ -61,11 +61,14 @@ def test_config_validation():
     ("max_episodes", 0), ("retry_cap", -1), ("q_epochs", -1), ("r_epochs", -1),
     ("opt_steps", -1), ("promote_epochs", -1), ("final_polish_epochs", -1),
     ("minibatch_size", 0), ("buffer_capacity", 0), ("opt_restarts", 0),
+    ("promote_threshold", float("nan")), ("promote_threshold", float("inf")),
+    ("freeze_reward_threshold", float("nan")), ("freeze_reward_threshold", float("-inf")),
 ])
 def test_config_rejects_a_stop_lambda_or_rate_out_of_range(field, value):
     # rewards lie in (0, 1], so a lambda of 1 stops at the first episode and
     # the trim's bound lambda / (1 - lambda) divides by zero; a retry_cap of
-    # -1 aborts every episode and a minibatch of 0 has no sample to train on
+    # -1 aborts every episode and a minibatch of 0 has no sample to train on;
+    # a NaN threshold silently switches off the promotion or the freezing
     with pytest.raises(ValueError, match=f"{field} must be"):
         QLearnConfig(**{field: value})
 
@@ -302,8 +305,7 @@ def test_run_search_counts_episodes_and_snapshots():
                        target_update_interval=2, q_epochs=20, r_epochs=20,
                        local_train=TrainConfig(epochs=40), promote_epochs=0,
                        final_polish_epochs=100)
-    res = run_search(sp, cfg, toy_data(80), ConstraintConfig(), seed=0,
-                     keep_snapshots=True)
+    res = run_search(sp, cfg, toy_data(80), ConstraintConfig(), seed=0)
     assert len(res.episodes) <= 4
     names = [n for n, _ in res.icnn_snapshots]
     assert names[0] == "init_q" and names[1] == "init_r"
@@ -320,8 +322,7 @@ def test_run_search_keeps_the_q_network_when_its_fit_diverges(monkeypatch):
     cfg = QLearnConfig(max_episodes=4, minibatch_size=4, stop_lambda=1e-12,
                        q_epochs=20, r_epochs=20, local_train=TrainConfig(epochs=40),
                        promote_epochs=0, final_polish_epochs=0)
-    res = run_search(toy_space(), cfg, toy_data(80), ConstraintConfig(), seed=0,
-                     keep_snapshots=True)
+    res = run_search(toy_space(), cfg, toy_data(80), ConstraintConfig(), seed=0)
     assert len(res.episodes) == 4
     init_q = dict(res.icnn_snapshots)["init_q"]
     for a, b in zip(res.qnet.wy + res.qnet.wz + res.qnet.b,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from consol.errors import ShapeError
 from consol.local_net import (ACTIVATION, MULTIPLICATION, SUMMATION,
                               fanout_indicator, three_layer_structure)
-from consol.search_mdp import (ActionVec, ConstraintConfig, StateVec,
+from consol.search_mdp import (ActionVec, CheckResult, ConstraintConfig, StateVec,
                                action_from_array, action_from_indicator,
                                check_constraints, discretize, initial_state,
                                indicator_from_action, propose_random_action,
@@ -195,6 +197,97 @@ def test_stage_pins_layout():
     assert mask.tolist() == [False, True, False, True, False]
     assert values.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
 
+
+
+def _ref_rows(cfg, stage, j):
+    return {i for fs, i, jj in cfg.frozen_paths if fs == stage and jj == j}
+
+
+def _ref_check(s, a, cfg, stage, kind, n_k, n_k1):
+    """The verdict with the frozen sets read by set arithmetic: a static
+    rejection first, then a missing frozen path or an extra row in a frozen
+    column, then the checks that ignore the frozen sets."""
+    free = check_constraints(s, a, replace(cfg, frozen_paths=frozenset(),
+                                           frozen_columns=frozenset()),
+                             stage, kind, n_k, n_k1)
+    if free.reason == "static":
+        return free
+    Z = indicator_from_action(a, n_k, n_k1)
+    for fs, i, j in cfg.frozen_paths:
+        if fs == stage and Z[i, j] == 0:
+            return CheckResult(False, "frozen")
+    for fs, j in cfg.frozen_columns:
+        if fs == stage and set(np.flatnonzero(Z[:, j]).tolist()) - _ref_rows(cfg, stage, j):
+            return CheckResult(False, "frozen")
+    return free
+
+
+def _ref_propose(rng, n_k, n_k1, cfg, stage, kind, s_prev):
+    """The random proposal with the pinned rows read per column from the
+    frozen sets, in ascending order."""
+    live = s_prev.values[:n_k] > 0
+    Z = np.zeros((n_k, n_k1))
+    for j in range(n_k1):
+        pinned = sorted(_ref_rows(cfg, stage, j))
+        Z[pinned, j] = 1.0
+        if (stage, j) in cfg.frozen_columns:
+            continue
+        avail = [i for i in range(n_k) if live[i] and i not in pinned]
+        cap = min(cfg.max_factors_per_neuron - len(pinned), len(avail))
+        if cap <= 0:
+            continue
+        lo = 1 if (kind == SUMMATION and not pinned) else 0
+        m = int(rng.integers(lo, cap + 1))
+        if m > 0:
+            for s_i in rng.choice(len(avail), size=m, replace=False):
+                Z[avail[s_i], j] = 1.0
+    return Z
+
+
+@st.composite
+def frozen_case(draw):
+    """Random frozen paths and columns over stages 1 and 2, optionally with
+    a column whose every row is a frozen path but which is not a frozen
+    column, plus a random 0/1 action and liveness."""
+    n_k, n_k1 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    stage = draw(st.sampled_from([1, 2]))
+    cells = st.tuples(st.sampled_from([1, 2]), st.integers(0, n_k - 1),
+                      st.integers(0, n_k1 - 1))
+    paths = set(draw(st.lists(cells, max_size=8)))
+    columns = set(draw(st.lists(st.tuples(st.sampled_from([1, 2]),
+                                          st.integers(0, n_k1 - 1)), max_size=3)))
+    if draw(st.booleans()):
+        full = draw(st.integers(0, n_k1 - 1))
+        paths |= {(stage, i, full) for i in range(n_k)}
+        columns.discard((stage, full))
+    cfg = ConstraintConfig(max_factors_per_neuron=draw(st.integers(1, 4)),
+                           frozen_paths=frozenset(paths),
+                           frozen_columns=frozenset(columns))
+    bits = draw(st.lists(st.booleans(), min_size=n_k * n_k1, max_size=n_k * n_k1))
+    counts = draw(st.lists(st.integers(0, 2), min_size=n_k, max_size=n_k))
+    return (n_k, n_k1, stage, cfg, np.reshape(bits, (n_k, n_k1)).astype(float),
+            StateVec(counts, stage=stage), draw(st.sampled_from([MULTIPLICATION, SUMMATION])),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(frozen_case())
+def test_pins_give_the_frozen_sets_verdict_and_proposal(case):
+    n_k, n_k1, stage, cfg, Z, s, kind, seed = case
+    n_a = n_k * n_k1 + 2
+    a = action_from_indicator(Z, n_a)
+    assert (check_constraints(s, a, cfg, stage, kind, n_k, n_k1)
+            == _ref_check(s, a, cfg, stage, kind, n_k, n_k1))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    prop = propose_random_action(rng, n_k, n_k1, n_a, cfg, stage, kind, s_prev=s)
+    ref = _ref_propose(ref_rng, n_k, n_k1, cfg, stage, kind, s)
+    assert np.array_equal(indicator_from_action(prop, n_k, n_k1), ref)
+    assert not prop.values[n_k * n_k1:].any()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # the proposal keeps every pin, so only the cap or liveness rejects it
+    res = check_constraints(s, prop, cfg, stage, kind, n_k, n_k1)
+    assert res == _ref_check(s, prop, cfg, stage, kind, n_k, n_k1)
+    assert res.reason != "frozen"
 
 def freezing_structure():
     lib = make_library(["id", "square", "cos"])
