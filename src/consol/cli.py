@@ -2,8 +2,8 @@
 fitting, landscape/convexity probes, and equation scoring.
 
 All outputs are CSV or JSON, written atomically (temp file + rename), and
-every command draws randomness from the three named seeds in the config
-(data, search, probe) so reruns are byte-identical.
+every command draws its randomness from given seeds (the config's data and
+search seeds, or a --seed option), so reruns are byte-identical.
 
 Exit codes: 0 ok, 2 usage, 3 a bad config, data or structure file, or any
 other consol error (domain, structure, shape, degenerate data, aborted
@@ -68,7 +68,7 @@ def default_config() -> dict:
         # the frozen paths and columns are search state, not config
         "constraints": _field_defaults(ConstraintConfig,
                                        ("frozen_paths", "frozen_columns")),
-        "seeds": {"data": 0, "search": 0, "probe": 0},
+        "seeds": {"data": 0, "search": 0},
         "out_dir": "runs/latest",
     }
 
@@ -124,8 +124,11 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict) or raw.get("version") != CONFIG_VERSION:
         raise ConfigError(f"config must declare \"version\": {CONFIG_VERSION}")
-    if isinstance(raw.get("search"), dict):     # a removed knob that did nothing
+    # version-1 keys that nothing read
+    if isinstance(raw.get("search"), dict):
         raw["search"].pop("random_action_cap", None)
+    if isinstance(raw.get("seeds"), dict):
+        raw["seeds"].pop("probe", None)
     return _merge(default_config(), raw)
 
 
@@ -158,19 +161,22 @@ MIN_NODES = {"pow": 2, "mas": 1}
 
 
 def build_dataset(name: str, seed: int, n: int = 2000, n_nodes: int = 3,
-                  snr_db=None):
-    """Generate (train, test, truth) for a named benchmark system."""
+                  snr_db=None, n_test: int | None = None):
+    """Generate (train, test, truth) for a named benchmark system: n train
+    and n_test (default n) test rows, except for mas, whose splits are the
+    halves of one trajectory."""
     if name in MIN_NODES and n_nodes < MIN_NODES[name]:
         raise ConfigError(f"n_nodes must be at least {MIN_NODES[name]} for {name}, "
                           f"not {n_nodes}")
+    n_test = n if n_test is None else n_test
     if name in ("syn1", "syn2"):
         which = int(name[-1])
-        train, test = datasets.gen_syn(which, n, n, seed)
+        train, test = datasets.gen_syn(which, n, n_test, seed)
         truth = datasets.syn_truth(which)
     elif name == "pow":
         spec = datasets.make_power_spec(n_nodes, seed)
         train = datasets.gen_power(spec, n, (1.0, 2.0), seed)
-        test = datasets.gen_power(spec, n, (3.0, 4.0), seed + 1)
+        test = datasets.gen_power(spec, n_test, (3.0, 4.0), seed + 1)
         train.meta["split"], test.meta["split"] = "train", "test"
         truth = datasets.power_truth(spec)
     elif name == "mas":
@@ -192,9 +198,17 @@ def default_library(name: str):
     return ["id"]
 
 
+#: the gen-data size options each dataset reads (mas's splits are the halves
+#: of a trajectory of fixed length); an option left out keeps
+#: build_dataset's default
+GEN_DATA_OPTIONS = {"syn1": ("n",), "syn2": ("n",), "pow": ("n", "n_nodes"),
+                    "mas": ("n_nodes",)}
+
+
 def cmd_gen_data(args) -> int:
-    train, test, truth = build_dataset(args.name, args.seed, n=args.n,
-                                       n_nodes=args.n_nodes, snr_db=args.snr)
+    sizes = {k: getattr(args, k) for k in GEN_DATA_OPTIONS[args.name]
+             if getattr(args, k) is not None}
+    train, test, truth = build_dataset(args.name, args.seed, snr_db=args.snr, **sizes)
     os.makedirs(args.out, exist_ok=True)
     datasets.save_dataset(train, os.path.join(args.out, f"{args.name}_train.csv"))
     datasets.save_dataset(test, os.path.join(args.out, f"{args.name}_test.csv"))
@@ -211,7 +225,8 @@ def _load_or_generate(cfg: dict):
         return (_read_input("dataset", ds["train_path"]),
                 _read_input("dataset", ds["test_path"]), None)
     return build_dataset(ds["name"], cfg["seeds"]["data"], n=ds["n_train"],
-                         n_nodes=ds["n_nodes"], snr_db=ds["snr_db"])
+                         n_nodes=ds["n_nodes"], snr_db=ds["snr_db"],
+                         n_test=ds["n_test"])
 
 
 def _search_space(cfg: dict, train) -> SearchSpace:
@@ -251,7 +266,9 @@ def cmd_search(args) -> int:
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
     for label, params in result.icnn_snapshots:
-        atomic_json(os.path.join(snap_dir, f"{label}.json"), params_to_json_obj(params))
+        # one line each: json's C encoder serves only dumps without an indent
+        atomic_write(os.path.join(snap_dir, f"{label}.json"),
+                     json.dumps(params_to_json_obj(params)) + "\n")
     report = {"config": cfg, "stopped_early": result.stopped_early,
               "episodes": len(result.episodes),
               "best_reward": result.best_reward,
@@ -485,8 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--snr", type=float, default=None, help="train-split SNR in dB")
     g.add_argument("--out", default="data")
-    g.add_argument("--n", type=int, default=2000)
-    g.add_argument("--n-nodes", type=int, default=3)
+    g.add_argument("--n", type=int, default=None,
+                   help="rows per split (syn1, syn2, pow; default 2000)")
+    g.add_argument("--n-nodes", type=int, default=None,
+                   help="nodes of the system (pow, mas; default 3)")
     g.set_defaults(func=cmd_gen_data)
 
     s = _command(sub, "search", cmd_search, "config", help="run the structure search")
@@ -521,6 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "gen-data":
+        for key in ("n", "n_nodes"):
+            if getattr(args, key) is not None and key not in GEN_DATA_OPTIONS[args.name]:
+                parser.error(f"gen-data {args.name} takes no --{key.replace('_', '-')}")
     if args.command == "eval":
         missing = [f"--{name}" for name in FITTED_INPUTS if getattr(args, name) is None]
         if 0 < len(missing) < len(FITTED_INPUTS):

@@ -30,7 +30,8 @@ class Dataset:
             raise ValueError("X and Y need the same positive number of rows")
         if not (np.isfinite(self.X).all() and np.isfinite(self.Y).all()):
             raise ValueError("dataset contains NaN/inf")
-        self.meta.setdefault("sigma_y", np.std(self.Y, axis=0).tolist())
+        if "sigma_y" not in self.meta:
+            self.meta["sigma_y"] = np.std(self.Y, axis=0).tolist()
 
     @property
     def n(self) -> int:
@@ -309,12 +310,15 @@ def _meta_path(path: str) -> str:
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
+    """The CSV file at path, every value written with 17 significant digits
+    so that load_dataset reads it back exactly, and its JSON sidecar."""
     n_in, n_out = ds.X.shape[1], ds.Y.shape[1]
     header = ",".join([f"x{i + 1}" for i in range(n_in)] + [f"y{j + 1}" for j in range(n_out)])
+    # one %-format per row; "%.17g" % v and format(v, ".17g") give the same text
+    row = ",".join(["%.17g"] * (n_in + n_out)) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for xrow, yrow in zip(ds.X, ds.Y):
-            fh.write(",".join(format(v, ".17g") for v in list(xrow) + list(yrow)) + "\n")
+        fh.writelines(row % tuple(r) for r in np.hstack([ds.X, ds.Y]).tolist())
     with open(_meta_path(path), "w") as fh:
         json.dump({"n_inputs": n_in, "n_outputs": n_out, "meta": ds.meta}, fh, indent=2)
 

@@ -264,8 +264,9 @@ def rollout_episode(qnet: IcnnParams, cfg: QLearnConfig, space: SearchSpace,
                     t: int = 0) -> EpisodeOutcome:
     """One episode of Algorithm-style structure search: per searched stage an
     epsilon-greedy convex action, constraint-checked with retries; then the
-    resulting network is trained and scored."""
-    X, Y, sigma_y = _episode_data(data)
+    resulting network is trained on data = (X, Y, sigma_y) and scored by its
+    NRMSE with the normaliser sigma_y."""
+    X, Y, sigma_y = data
     s = initial_state(space.layer_sizes[0], space.n_s)
     indicators = []
     u, u_relaxed, nexts = [], [], []        # one row per searched stage
@@ -329,12 +330,6 @@ def rollout_episode(qnet: IcnnParams, cfg: QLearnConfig, space: SearchSpace,
                           reward, score, log)
 
 
-def _episode_data(data):
-    """(X, Y, sigma_y): a Dataset's own sigma_y, else the std of Y."""
-    X, Y = local_net._as_xy(data)
-    return X, Y, (Y.std(axis=0) if isinstance(data, tuple) else data.sigma_y)
-
-
 def reward_net_update(rnet: IcnnParams, U: np.ndarray, r_t: float,
                       cfg: QLearnConfig) -> IcnnParams:
     """Full-batch regression of the negated reward network toward -R_t on the
@@ -379,10 +374,9 @@ def trim_structure(structure: LocalStructure, cfg: QLearnConfig, data,
     """Drop summation connections whose term contributes little to its
     output and refit; a removal sticks only while the fit stays at least as
     good as the stop threshold (or never gets worse, when the fit was
-    already above it).  Returns possibly simplified (structure, weights,
-    nrmse)."""
-    X, Y, sigma_y = _episode_data(data)
-    sigma_y = np.atleast_1d(np.asarray(sigma_y, dtype=float))
+    already above it); data is (X, Y, sigma_y), as in rollout_episode.
+    Returns possibly simplified (structure, weights, nrmse)."""
+    X, Y, sigma_y = data
     stop_nrmse = cfg.stop_lambda / (1.0 - cfg.stop_lambda)
     polish = replace(cfg.local_train, epochs=cfg.final_polish_epochs)
     while True:
@@ -444,10 +438,13 @@ def run_search(space: SearchSpace, cfg: QLearnConfig, data,
     of the best structure.  A Q update whose fit diverges to a non-finite
     parameter (DomainError) leaves the Q network as it was.  The result's
     icnn_snapshots hold the Q and R networks at the start and the end and
-    every target copy."""
+    every target copy.  Every NRMSE of the search, the episodes' and the
+    polished one's, is normalised by one sigma_y: a Dataset's own, else the
+    std of Y."""
     rng = np.random.default_rng(seed)
     constraints = constraints or ConstraintConfig()
-    X, Y, sigma_y = _episode_data(data)
+    X, Y = local_net._as_xy(data)
+    sigma_y = Y.std(axis=0) if isinstance(data, tuple) else data.sigma_y
     d = space.q_input_dim
     qnet = init_icnn(d, ICNN_WIDTHS, seed=int(rng.integers(2**31)))
     rnet = init_icnn(d, ICNN_WIDTHS, seed=int(rng.integers(2**31)))
@@ -459,7 +456,8 @@ def run_search(space: SearchSpace, cfg: QLearnConfig, data,
     stopped = False
     for t in range(1, cfg.max_episodes + 1):
         try:
-            out = rollout_episode(qnet, cfg, space, (X, Y), constraints, rng, t=t)
+            out = rollout_episode(qnet, cfg, space, (X, Y, sigma_y), constraints,
+                                  rng, t=t)
         except EpisodeAborted as exc:
             episodes.append(EpisodeLog(t=t, reward=0.0, nrmse=np.inf,
                                        actions=[], rejections=cfg.retry_cap,
@@ -499,7 +497,7 @@ def run_search(space: SearchSpace, cfg: QLearnConfig, data,
             pred = local_net.forward(best_structure, best_weights, X)
             best_nrmse = nrmse(pred, Y, sigma_y)
             best_structure, best_weights, best_nrmse = trim_structure(
-                best_structure, cfg, data, best_weights, best_nrmse)
+                best_structure, cfg, (X, Y, sigma_y), best_weights, best_nrmse)
             best_reward = max(best_reward, 1.0 / (1.0 + best_nrmse))
         except DomainError:
             pass

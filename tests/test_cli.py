@@ -6,12 +6,13 @@ import shlex
 import numpy as np
 import pytest
 
-from consol.cli import (ConfigError, atomic_write, build_dataset, build_parser,
-                        default_config, load_config, main, parse_grid)
+from consol.cli import (ConfigError, _load_or_generate, _qlearn_config, _search_space,
+                        atomic_write, build_dataset, build_parser, default_config,
+                        load_config, main, parse_grid)
 from consol.datasets import load_dataset
 from consol.icnn import IcnnParams, init_icnn, params_to_json_obj
 from consol.local_net import TrainConfig, three_layer_structure
-from consol.q_learning import QLearnConfig
+from consol.q_learning import QLearnConfig, run_search
 from consol.search_mdp import ConstraintConfig
 from consol.symbols import make_library
 
@@ -149,10 +150,43 @@ def test_gen_data_with_too_few_nodes_exits_3_and_writes_nothing(tmp_path, capsys
     # one power node has no line (all-zero outputs), none has no columns;
     # a mass-damper chain needs a line past its first mass
     out = tmp_path / "data"
-    assert main(["gen-data", name, "--n-nodes", str(n_nodes), "--n", "20",
+    rows = ["--n", "20"] if name == "pow" else []    # mas takes no --n
+    assert main(["gen-data", name, "--n-nodes", str(n_nodes), *rows,
                  "--out", str(out)]) == 3
     assert "n_nodes" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["mas", "--n", "500"], ["syn1", "--n-nodes", "7"],
+                                  ["syn2", "--n-nodes", "3"]])
+def test_gen_data_flag_the_dataset_does_not_read_is_a_usage_error(tmp_path, capsys,
+                                                                  argv):
+    # mas's splits are the halves of its trajectory; the Syn sets have no nodes
+    out = tmp_path / "data"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", *argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"gen-data {argv[0]} takes no {argv[1]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_data_reads_the_flags_of_its_dataset(tmp_path):
+    out = str(tmp_path / "data")
+    assert main(["gen-data", "pow", "--n", "20", "--n-nodes", "2", "--out", out]) == 0
+    assert load_dataset(os.path.join(out, "pow_test.csv")).X.shape == (20, 4)
+    assert main(["gen-data", "mas", "--n-nodes", "2", "--out", out]) == 0
+    train = load_dataset(os.path.join(out, "mas_train.csv"))
+    assert train.X.shape == (3000, 3)       # half of 60 s at steps of 0.01 s
+
+
+def test_config_n_test_sets_the_test_rows(tmp_path):
+    cfg = {"version": 1, "dataset": {"name": "syn1", "n_train": 60, "n_test": 30}}
+    train, test, _ = _load_or_generate(load_config(write_json(tmp_path / "c.json", cfg)))
+    assert (train.n, test.n) == (60, 30)
+    # the train split is drawn first, so n_test leaves it as it was
+    assert np.array_equal(train.X, build_dataset("syn1", 0, n=60)[0].X)
+    for name in ("syn2", "pow"):
+        assert build_dataset(name, 0, n=20, n_test=7)[1].n == 7
 
 
 def test_gen_data_records_snr(tmp_path):
@@ -187,7 +221,8 @@ def test_search_command_end_to_end(tmp_path):
 
 
 def test_version1_config_naming_random_action_cap_still_runs(tmp_path):
-    # random_action_cap was a version-1 search key that nothing read
+    # random_action_cap and the probe seed were version-1 keys that nothing
+    # read (the probe kinds take --seed)
     cfg = {
         "version": 1,
         "dataset": {"name": "syn1", "n_train": 60, "n_test": 30},
@@ -195,12 +230,42 @@ def test_version1_config_naming_random_action_cap_still_runs(tmp_path):
                    "r_epochs": 2, "final_polish_epochs": 5,
                    "promote_epochs": 0, "random_action_cap": 50},
         "train": {"epochs": 3},
+        "seeds": {"data": 0, "search": 0, "probe": 7},
         "out_dir": str(tmp_path / "run"),
     }
     path = write_json(tmp_path / "c.json", cfg)
-    assert "random_action_cap" not in load_config(path)["search"]
+    loaded = load_config(path)
+    assert "random_action_cap" not in loaded["search"]
+    assert loaded["seeds"] == {"data": 0, "search": 0} == default_config()["seeds"]
     assert main(["search", "--config", path]) == 0
     assert (tmp_path / "run" / "report.json").exists()
+
+
+def test_search_snapshots_are_one_line_each_and_hold_the_search_networks(tmp_path):
+    cfg = {
+        "version": 1,
+        "dataset": {"name": "syn1", "n_train": 60, "n_test": 30},
+        "search": {"max_episodes": 4, "minibatch_size": 4, "q_epochs": 2,
+                   "r_epochs": 2, "target_update_interval": 2,
+                   "final_polish_epochs": 5, "promote_epochs": 0},
+        "train": {"epochs": 3},
+        "seeds": {"data": 0, "search": 3},
+        "out_dir": str(tmp_path / "run"),
+    }
+    path = write_json(tmp_path / "c.json", cfg)
+    assert main(["search", "--config", path]) == 0
+    cfg = load_config(path)
+    train, _, _ = _load_or_generate(cfg)
+    result = run_search(_search_space(cfg, train), _qlearn_config(cfg), train,
+                        ConstraintConfig(**cfg["constraints"]), seed=3)
+    snap_dir = tmp_path / "run" / "snapshots"
+    assert sorted(p.name for p in snap_dir.iterdir()) == sorted(
+        f"{label}.json" for label, _ in result.icnn_snapshots)
+    assert len(result.icnn_snapshots) == 6      # init, two target copies, final
+    for label, params in result.icnn_snapshots:
+        text = (snap_dir / f"{label}.json").read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert json.loads(text) == params_to_json_obj(params)
 
 
 def test_fit_command(tmp_path):
@@ -257,7 +322,7 @@ def test_search_reruns_write_identical_episodes_csv(tmp_path):
                        "r_epochs": 2, "final_polish_epochs": 5,
                        "promote_epochs": 0},
             "train": {"epochs": 3},
-            "seeds": {"data": 0, "search": 5, "probe": 0},
+            "seeds": {"data": 0, "search": 5},
             "out_dir": str(tmp_path / run),
         }
         path = write_json(tmp_path / f"{run}.json", cfg)
@@ -279,7 +344,7 @@ def test_search_reruns_with_long_fits_write_identical_outputs(tmp_path):
                        "r_epochs": 2, "final_polish_epochs": 50,
                        "promote_epochs": 60, "promote_threshold": 0.0},
             "train": {"epochs": 3},
-            "seeds": {"data": 0, "search": 5, "probe": 0},
+            "seeds": {"data": 0, "search": 5},
             "out_dir": str(tmp_path / run),
         }
         assert main(["search", "--config", write_json(tmp_path / f"{run}.json", cfg)]) == 0

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from consol.datasets import (Dataset, add_noise, gen_massdamper, gen_power,
                              gen_syn, load_dataset, make_massdamper_spec,
@@ -157,3 +158,39 @@ def test_save_load_roundtrip_exact(tmp_path):
     assert np.array_equal(back.Y, tr.Y)
     assert back.meta["name"] == "syn2"
 
+
+#: values whose text is easy to get wrong: signed zeros, subnormals, the
+#: extremes of the exponent range and integers past 2**53
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300,
+               1e-300, -1e-300, 1.7976931348623157e308, 2.0 ** 53 + 2, -(2.0 ** 60)]
+
+_values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(EDGE_VALUES),
+                    st.integers(-2 ** 63, 2 ** 63).map(float))
+
+
+def _reference_csv(ds):
+    """The text of the writer that formats each value on its own."""
+    n_in, n_out = ds.X.shape[1], ds.Y.shape[1]
+    lines = [",".join([f"x{i + 1}" for i in range(n_in)] + [f"y{j + 1}" for j in range(n_out)])]
+    lines += [",".join(format(v, ".17g") for v in list(x) + list(y))
+              for x, y in zip(ds.X, ds.Y)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_save_dataset_writes_each_value_as_format_17g_and_reads_it_back(tmp_path_factory,
+                                                                        data):
+    n, n_in, n_out = (data.draw(st.integers(1, k)) for k in (5, 3, 3))
+    X, Y = (np.array(data.draw(st.lists(st.lists(_values, min_size=c, max_size=c),
+                                        min_size=n, max_size=n)))
+            for c in (n_in, n_out))
+    ds = Dataset(X, Y, {"sigma_y": [1.0] * n_out})     # no std of 1e300s
+    path = str(tmp_path_factory.mktemp("csv") / "d.csv")
+    save_dataset(ds, path)
+    with open(path) as fh:
+        assert fh.read() == _reference_csv(ds)
+    back = load_dataset(path)
+    # bit for bit, so -0.0 stays -0.0
+    assert back.X.tobytes() == X.tobytes() and back.Y.tobytes() == Y.tobytes()

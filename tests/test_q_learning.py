@@ -11,6 +11,7 @@ from consol.q_learning import (DOMAIN_FAILURE_NRMSE, QLearnConfig,
                                ReplayBuffer, SearchSpace, greedy_action,
                                reward_net_update, reward_of, rollout_episode,
                                run_search, three_layer_space, trim_structure)
+from consol.datasets import Dataset
 from consol.errors import DomainError, EpisodeAborted
 from consol.search_mdp import (ActionVec, ConstraintConfig, StateVec,
                                action_from_indicator, check_constraints,
@@ -36,6 +37,12 @@ def toy_data(n=200, seed=0):
     X = rng.uniform(0.0, 1.0, (n, 1))
     Y = 3.0 * X[:, 0] ** 2 * np.cos(2.5 * X[:, 0])
     return X, Y[:, None]
+
+
+def scored(X, Y):
+    """The (X, Y, sigma_y) data of rollout_episode and trim_structure, with
+    the std of Y as the NRMSE normaliser, as run_search uses for a tuple."""
+    return X, Y, Y.std(axis=0)
 
 
 TOY_CFG = QLearnConfig(max_episodes=15, minibatch_size=8, q_epochs=200,
@@ -171,7 +178,7 @@ def test_greedy_action_is_in_box_and_zero_padded():
 def test_rollout_episode_returns_valid_structure():
     sp = toy_space()
     qnet = init_icnn(sp.q_input_dim, (8, 8), seed=1)
-    out = rollout_episode(qnet, TOY_CFG, sp, toy_data(),
+    out = rollout_episode(qnet, TOY_CFG, sp, scored(*toy_data()),
                           ConstraintConfig(max_factors_per_neuron=2),
                           np.random.default_rng(0), t=1)
     assert out.structure.layer_sizes == (1, 2, 1, 1)
@@ -227,7 +234,7 @@ def test_every_chosen_action_passes_check_constraints(data):
     Y = rng.normal(size=(20, n_out))
     qnet = init_icnn(space.q_input_dim, (4, 4), seed=seed)
     try:
-        out = rollout_episode(qnet, cfg, space, (X, Y), constraints, rng)
+        out = rollout_episode(qnet, cfg, space, scored(X, Y), constraints, rng)
     except EpisodeAborted:
         return              # no action was chosen at some stage
     chosen = {k: dis for k, _, dis in out.log.actions}
@@ -259,7 +266,7 @@ def test_rollout_domain_failure_reward_is_tiny():
     X = np.array([[-1.0], [1.0], [-0.5], [0.5]])
     Y = X.copy()
     qnet = init_icnn(sp.q_input_dim, (8, 8), seed=0)
-    out = rollout_episode(qnet, TOY_CFG, sp, (X, Y), ConstraintConfig(),
+    out = rollout_episode(qnet, TOY_CFG, sp, scored(X, Y), ConstraintConfig(),
                           rng, t=1)
     assert out.nrmse == DOMAIN_FAILURE_NRMSE
     assert out.reward < 1e-11
@@ -269,7 +276,7 @@ def test_non_finite_nrmse_scores_as_domain_failure(monkeypatch):
     monkeypatch.setattr(q_learning, "nrmse", lambda *args: float("nan"))
     sp = toy_space()
     qnet = init_icnn(sp.q_input_dim, (8, 8), seed=1)
-    out = rollout_episode(qnet, TOY_CFG, sp, toy_data(),
+    out = rollout_episode(qnet, TOY_CFG, sp, scored(*toy_data()),
                           ConstraintConfig(max_factors_per_neuron=2),
                           np.random.default_rng(0), t=1)
     assert out.nrmse == DOMAIN_FAILURE_NRMSE
@@ -312,6 +319,22 @@ def test_run_search_counts_episodes_and_snapshots():
     assert names[-2:] == ["final_q", "final_r"]
 
 
+def test_run_search_scores_every_episode_by_the_datasets_sigma_y():
+    """A Dataset's own sigma_y normalises the episodes' NRMSE as it does the
+    polished one's, so best_reward compares rewards on one scale."""
+    X, Y = toy_data(80)
+    cfg = QLearnConfig(max_episodes=1, stop_lambda=1e-12, q_epochs=20, r_epochs=20,
+                       local_train=TrainConfig(epochs=40), promote_epochs=0,
+                       final_polish_epochs=0)
+    plain = run_search(toy_space(), cfg, (X, Y), ConstraintConfig(), seed=0)
+    data = Dataset(X, Y, {"sigma_y": (4.0 * Y.std(axis=0)).tolist()})
+    scaled = run_search(toy_space(), cfg, data, ConstraintConfig(), seed=0)
+    [ep], [ep4] = plain.episodes, scaled.episodes
+    assert ep4.nrmse == ep.nrmse / 4.0 != DOMAIN_FAILURE_NRMSE / 4.0
+    assert scaled.best_nrmse == ep4.nrmse
+    assert scaled.best_reward == ep4.reward == 1.0 / (1.0 + ep4.nrmse)
+
+
 def test_run_search_keeps_the_q_network_when_its_fit_diverges(monkeypatch):
     """The fitted-Q targets are unbounded, so a Q fit can overflow (power-flow
     searches do); the search keeps its Q network and its episodes."""
@@ -345,7 +368,7 @@ def test_trim_structure_drops_spurious_term():
     w, _ = fit_snapped(st, replace(cfg.local_train, epochs=400), (X, Y))
     import consol.local_net as ln
     score = _nrmse(ln.forward(st, w, X), Y, Y.std(axis=0))
-    st2, w2, score2 = trim_structure(st, cfg, (X, Y), w, score)
+    st2, w2, score2 = trim_structure(st, cfg, scored(X, Y), w, score)
     assert st2.indicators[2].sum() == 1
     assert st2.indicators[2][0, 0] == 1
     assert score2 <= max(score, cfg.stop_lambda / (1 - cfg.stop_lambda))
@@ -365,5 +388,5 @@ def test_trim_structure_keeps_needed_terms():
     import consol.local_net as ln
     w, _ = fit_snapped(st, replace(cfg.local_train, epochs=400), (X, Y))
     score = _nrmse(ln.forward(st, w, X), Y, Y.std(axis=0))
-    st2, _, _ = trim_structure(st, cfg, (X, Y), w, score)
+    st2, _, _ = trim_structure(st, cfg, scored(X, Y), w, score)
     assert np.array_equal(st2.indicators[2], st.indicators[2])
