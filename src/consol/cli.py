@@ -55,7 +55,6 @@ def default_config() -> dict:
         "dataset": {
             "name": "syn1",
             "n_train": 2000,
-            "n_test": 2000,
             "snr_db": None,
             "n_nodes": 3,
             "train_path": None,
@@ -124,7 +123,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict) or raw.get("version") != CONFIG_VERSION:
         raise ConfigError(f"config must declare \"version\": {CONFIG_VERSION}")
-    # version-1 keys that nothing read
+    # version-1 keys that nothing read; both splits have dataset.n_train rows
+    if isinstance(raw.get("dataset"), dict):
+        raw["dataset"].pop("n_test", None)
     if isinstance(raw.get("search"), dict):
         raw["search"].pop("random_action_cap", None)
     if isinstance(raw.get("seeds"), dict):
@@ -161,22 +162,20 @@ MIN_NODES = {"pow": 2, "mas": 1}
 
 
 def build_dataset(name: str, seed: int, n: int = 2000, n_nodes: int = 3,
-                  snr_db=None, n_test: int | None = None):
-    """Generate (train, test, truth) for a named benchmark system: n train
-    and n_test (default n) test rows, except for mas, whose splits are the
-    halves of one trajectory."""
+                  snr_db=None):
+    """Generate (train, test, truth) for a named benchmark system: n rows per
+    split, except for mas, whose splits are the halves of one trajectory."""
     if name in MIN_NODES and n_nodes < MIN_NODES[name]:
         raise ConfigError(f"n_nodes must be at least {MIN_NODES[name]} for {name}, "
                           f"not {n_nodes}")
-    n_test = n if n_test is None else n_test
     if name in ("syn1", "syn2"):
         which = int(name[-1])
-        train, test = datasets.gen_syn(which, n, n_test, seed)
+        train, test = datasets.gen_syn(which, n, n, seed)
         truth = datasets.syn_truth(which)
     elif name == "pow":
         spec = datasets.make_power_spec(n_nodes, seed)
         train = datasets.gen_power(spec, n, (1.0, 2.0), seed)
-        test = datasets.gen_power(spec, n_test, (3.0, 4.0), seed + 1)
+        test = datasets.gen_power(spec, n, (3.0, 4.0), seed + 1)
         train.meta["split"], test.meta["split"] = "train", "test"
         truth = datasets.power_truth(spec)
     elif name == "mas":
@@ -206,8 +205,7 @@ GEN_DATA_OPTIONS = {"syn1": ("n",), "syn2": ("n",), "pow": ("n", "n_nodes"),
 
 
 def cmd_gen_data(args) -> int:
-    sizes = {k: getattr(args, k) for k in GEN_DATA_OPTIONS[args.name]
-             if getattr(args, k) is not None}
+    sizes = {k: v for k in ("n", "n_nodes") if (v := getattr(args, k)) is not None}
     train, test, truth = build_dataset(args.name, args.seed, snr_db=args.snr, **sizes)
     os.makedirs(args.out, exist_ok=True)
     datasets.save_dataset(train, os.path.join(args.out, f"{args.name}_train.csv"))
@@ -225,8 +223,7 @@ def _load_or_generate(cfg: dict):
         return (_read_input("dataset", ds["train_path"]),
                 _read_input("dataset", ds["test_path"]), None)
     return build_dataset(ds["name"], cfg["seeds"]["data"], n=ds["n_train"],
-                         n_nodes=ds["n_nodes"], snr_db=ds["snr_db"],
-                         n_test=ds["n_test"])
+                         n_nodes=ds["n_nodes"], snr_db=ds["snr_db"])
 
 
 def _search_space(cfg: dict, train) -> SearchSpace:

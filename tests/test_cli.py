@@ -179,16 +179,6 @@ def test_gen_data_reads_the_flags_of_its_dataset(tmp_path):
     assert train.X.shape == (3000, 3)       # half of 60 s at steps of 0.01 s
 
 
-def test_config_n_test_sets_the_test_rows(tmp_path):
-    cfg = {"version": 1, "dataset": {"name": "syn1", "n_train": 60, "n_test": 30}}
-    train, test, _ = _load_or_generate(load_config(write_json(tmp_path / "c.json", cfg)))
-    assert (train.n, test.n) == (60, 30)
-    # the train split is drawn first, so n_test leaves it as it was
-    assert np.array_equal(train.X, build_dataset("syn1", 0, n=60)[0].X)
-    for name in ("syn2", "pow"):
-        assert build_dataset(name, 0, n=20, n_test=7)[1].n == 7
-
-
 def test_gen_data_records_snr(tmp_path):
     out = str(tmp_path / "data")
     assert main(["gen-data", "syn1", "--n", "30", "--snr", "100",
@@ -200,7 +190,7 @@ def test_gen_data_records_snr(tmp_path):
 def test_search_command_end_to_end(tmp_path):
     cfg = {
         "version": 1,
-        "dataset": {"name": "syn1", "n_train": 120, "n_test": 60},
+        "dataset": {"name": "syn1", "n_train": 120},
         "search": {"max_episodes": 2, "minibatch_size": 4, "q_epochs": 5,
                    "r_epochs": 5, "final_polish_epochs": 50,
                    "promote_epochs": 0},
@@ -221,8 +211,9 @@ def test_search_command_end_to_end(tmp_path):
 
 
 def test_version1_config_naming_random_action_cap_still_runs(tmp_path):
-    # random_action_cap and the probe seed were version-1 keys that nothing
-    # read (the probe kinds take --seed)
+    # random_action_cap, the probe seed and dataset.n_test were version-1
+    # keys that nothing read (the probe kinds take --seed, and both splits
+    # have n_train rows)
     cfg = {
         "version": 1,
         "dataset": {"name": "syn1", "n_train": 60, "n_test": 30},
@@ -236,15 +227,17 @@ def test_version1_config_naming_random_action_cap_still_runs(tmp_path):
     path = write_json(tmp_path / "c.json", cfg)
     loaded = load_config(path)
     assert "random_action_cap" not in loaded["search"]
+    assert "n_test" not in loaded["dataset"]
     assert loaded["seeds"] == {"data": 0, "search": 0} == default_config()["seeds"]
     assert main(["search", "--config", path]) == 0
-    assert (tmp_path / "run" / "report.json").exists()
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["config"]["dataset"] == {**default_config()["dataset"], "n_train": 60}
 
 
 def test_search_snapshots_are_one_line_each_and_hold_the_search_networks(tmp_path):
     cfg = {
         "version": 1,
-        "dataset": {"name": "syn1", "n_train": 60, "n_test": 30},
+        "dataset": {"name": "syn1", "n_train": 60},
         "search": {"max_episodes": 4, "minibatch_size": 4, "q_epochs": 2,
                    "r_epochs": 2, "target_update_interval": 2,
                    "final_polish_epochs": 5, "promote_epochs": 0},
@@ -317,7 +310,7 @@ def test_search_reruns_write_identical_episodes_csv(tmp_path):
     for run in ("a", "b"):
         cfg = {
             "version": 1,
-            "dataset": {"name": "syn1", "n_train": 60, "n_test": 30},
+            "dataset": {"name": "syn1", "n_train": 60},
             "search": {"max_episodes": 3, "minibatch_size": 4, "q_epochs": 2,
                        "r_epochs": 2, "final_polish_epochs": 5,
                        "promote_epochs": 0},
@@ -339,7 +332,7 @@ def test_search_reruns_with_long_fits_write_identical_outputs(tmp_path):
     for run in ("a", "b"):
         cfg = {
             "version": 1,
-            "dataset": {"name": "syn1", "n_train": 200, "n_test": 30},
+            "dataset": {"name": "syn1", "n_train": 200},
             "search": {"max_episodes": 6, "minibatch_size": 4, "q_epochs": 2,
                        "r_epochs": 2, "final_polish_epochs": 50,
                        "promote_epochs": 60, "promote_threshold": 0.0},
@@ -837,7 +830,7 @@ def test_search_with_an_out_of_range_rate_or_stop_lambda_exits_3(tmp_path, capsy
     a NaN promote_threshold never promoted.  Each exits 3 before any episode
     runs."""
     out = tmp_path / "run"
-    cfg = {"version": 1, "dataset": {"name": "syn1", "n_train": 60, "n_test": 30},
+    cfg = {"version": 1, "dataset": {"name": "syn1", "n_train": 60},
            "out_dir": str(out), **block}
     assert main(["search", "--config", write_json(tmp_path / "c.json", cfg)]) == 3
     err = capsys.readouterr().err
