@@ -64,9 +64,8 @@ def default_config() -> dict:
         "mult_neurons": None,      # default: 3 * n_outputs
         "search": _field_defaults(QLearnConfig, ("local_train",)),
         "train": _field_defaults(TrainConfig),
-        # the frozen paths and columns are search state, not config
-        "constraints": _field_defaults(ConstraintConfig,
-                                       ("frozen_paths", "frozen_columns")),
+        # the frozen paths are search state, not config
+        "constraints": _field_defaults(ConstraintConfig, ("frozen_paths",)),
         "seeds": {"data": 0, "search": 0},
         "out_dir": "runs/latest",
     }

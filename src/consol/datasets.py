@@ -31,7 +31,12 @@ class Dataset:
         if not (np.isfinite(self.X).all() and np.isfinite(self.Y).all()):
             raise ValueError("dataset contains NaN/inf")
         if "sigma_y" not in self.meta:
-            self.meta["sigma_y"] = np.std(self.Y, axis=0).tolist()
+            with np.errstate(over="ignore"):
+                self.meta["sigma_y"] = np.std(self.Y, axis=0).tolist()
+        # an infinite scale scores every fit NRMSE 0, a negative one below 0
+        if not (np.isfinite(self.sigma_y).all() and (self.sigma_y >= 0).all()):
+            raise ValueError(f"sigma_y must be finite and non-negative, not "
+                             f"{self.meta['sigma_y']}")
 
     @property
     def n(self) -> int:
@@ -326,8 +331,8 @@ def save_dataset(ds: Dataset, path: str) -> None:
 def load_dataset(path: str) -> Dataset:
     """A dataset written by save_dataset.  A sidecar whose input count does
     not split the columns into inputs and outputs, whose meta is not an
-    object, or whose sigma_y is not one number per output raises
-    ValueError."""
+    object, or whose sigma_y is not one finite, non-negative number per
+    output raises ValueError."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     with open(_meta_path(path)) as fh:
         info = json.load(fh)

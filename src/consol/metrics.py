@@ -18,14 +18,11 @@ def nrmse(pred, truth, sigma_y) -> float:
     truth = np.asarray(truth, dtype=float)
     if pred.shape != truth.shape or pred.size == 0:
         raise ValueError("pred and truth must be equal-length and non-empty")
-    if pred.ndim == 1:
-        sigma = float(sigma_y)
-        if sigma == 0.0:
-            raise DegenerateError("sigma_y is zero")
-        return float(np.sqrt(np.mean((pred - truth) ** 2)) / sigma)
     sigmas = np.asarray(sigma_y, dtype=float)
-    if (sigmas == 0.0).any():
-        raise DegenerateError("sigma_y contains zeros")
+    if not (np.isfinite(sigmas).all() and (sigmas > 0).all()):
+        raise DegenerateError(f"sigma_y must be finite and positive, not {sigmas.tolist()}")
+    if pred.ndim == 1:
+        return float(np.sqrt(np.mean((pred - truth) ** 2)) / float(sigma_y))
     per_out = np.sqrt(np.mean((pred - truth) ** 2, axis=0)) / sigmas
     return float(per_out.mean())
 

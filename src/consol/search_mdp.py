@@ -68,15 +68,14 @@ def action_from_indicator(Z, n_a: int) -> ActionVec:
 
 @dataclass(frozen=True)
 class ConstraintConfig:
-    """frozen_paths pins connections (stage, i, j) to 1; frozen_columns
-    records target neurons whose whole incoming pattern is pinned, so a
-    kept neuron can neither lose nor gain inputs across episodes.
-    `stage_pins` is their one reader, `update_frozen_paths` their writer."""
+    """frozen_paths pins connections (stage, i, j) to 1.  A product neuron
+    with a frozen input path is kept: its whole incoming pattern is pinned,
+    so it can neither lose nor gain inputs across episodes.  `stage_pins`
+    is the one reader, `update_frozen_paths` the writer."""
 
     max_factors_per_neuron: int = 3
     corr_keep_threshold: float = 0.99
     frozen_paths: frozenset[tuple[int, int, int]] = frozenset()
-    frozen_columns: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
         if self.max_factors_per_neuron < 1:
@@ -154,7 +153,7 @@ def propose_random_action(rng, n_k: int, n_k1: int, n_a: int,
     """Draw a structured random discrete action: per target neuron a uniform
     fan-in (within the static cap, net of pinned connections) and uniform
     source choice among live previous-layer neurons.  A column whose every
-    row is pinned (a frozen column) gets exactly its pinned pattern.
+    row is pinned (a kept neuron's) gets exactly its pinned pattern.
     Constraint checking is the caller's job."""
     live = np.ones(n_k, dtype=bool)
     if s_prev is not None:
@@ -180,15 +179,14 @@ def propose_random_action(rng, n_k: int, n_k1: int, n_a: int,
 
 def stage_pins(cfg: ConstraintConfig, stage: int, n_k: int, n_k1: int, n_a: int):
     """(mask, values) over the flat action vector: frozen connections pinned
-    to 1, the rest of every frozen column pinned to 0."""
+    to 1; at the product stage, the rest of a kept neuron's column pinned
+    to 0."""
     mask = np.zeros(n_a, dtype=bool)
     values = np.zeros(n_a)
-    for fs, j in cfg.frozen_columns:
-        if fs == stage:
-            for i in range(n_k):
-                mask[i * n_k1 + j] = True
     for fs, i, j in cfg.frozen_paths:
         if fs == stage:
+            if stage == SUMMATION_STAGE - 1:
+                mask[j:n_k * n_k1:n_k1] = True
             mask[i * n_k1 + j] = True
             values[i * n_k1 + j] = 1.0
     return mask, values
@@ -197,12 +195,13 @@ def stage_pins(cfg: ConstraintConfig, stage: int, n_k: int, n_k1: int, n_a: int)
 def update_frozen_paths(cfg: ConstraintConfig, structure: LocalStructure,
                         layer_outputs: np.ndarray,
                         targets: np.ndarray) -> ConstraintConfig:
-    """Freeze the input path of product neurons that correlate
-    strongly with an output.  Per output only the single best correlate
-    above the threshold is frozen (on narrow input ranges many monomials
-    are near-collinear, so freezing everything above the threshold would
-    exhaust the layer), and a budget always leaves one free column per
-    output for further search.  Constant series are skipped."""
+    """Keep the product neurons that correlate strongly with an output:
+    freeze a kept neuron's input paths and its path to the output.  Per
+    output only the single best correlate above the threshold is kept (on
+    narrow input ranges many monomials are near-collinear, so keeping
+    everything above the threshold would exhaust the layer), and a budget
+    always leaves one free neuron per output for further search.  Constant
+    series are skipped."""
     layer_outputs = np.asarray(layer_outputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if targets.ndim == 1:
@@ -214,7 +213,6 @@ def update_frozen_paths(cfg: ConstraintConfig, structure: LocalStructure,
     Z = structure.indicators[feed_stage]
     budget = max(0, Z.shape[1] - targets.shape[1])
     frozen = set(cfg.frozen_paths)
-    columns = set(cfg.frozen_columns)
 
     def corr_with(j: int, t: np.ndarray) -> float:
         series = layer_outputs[:, j]
@@ -238,30 +236,27 @@ def update_frozen_paths(cfg: ConstraintConfig, structure: LocalStructure,
         if best_j is None:
             continue
         # pinned fan-in must stay below the static cap or every action
-        # becomes infeasible; a strictly better correlate replaces the
-        # currently worst kept neuron for this output
+        # becomes infeasible (a cap of 1 allows no pin); a strictly better
+        # correlate replaces the currently worst kept neuron for this
+        # output, whole or not at all
+        paths = set(frozen)
         if len(pins_for_out) >= cfg.max_factors_per_neuron - 1:
-            scored = sorted((corr_with(j, t), j) for j in pins_for_out)
-            worst_corr, worst_j = scored[0]
+            worst_corr, worst_j = min(((corr_with(j, t), j) for j in pins_for_out),
+                                      default=(np.inf, None))
             if best_corr <= worst_corr:
                 continue
-            frozen.discard((out_stage, worst_j, out))
-            if not any(fs == out_stage and j == worst_j
-                       for fs, j, _ in frozen):
-                columns.discard((feed_stage, worst_j))
-                frozen = {p for p in frozen
-                          if not (p[0] == feed_stage and p[2] == worst_j)}
-        n_here = len([c for c in columns if c[0] == feed_stage])
-        if (feed_stage, best_j) not in columns:
-            if n_here >= budget:
+            paths.discard((out_stage, worst_j, out))
+            if not any(fs == out_stage and j == worst_j for fs, j, _ in paths):
+                paths = {p for p in paths if not (p[0] == feed_stage and p[2] == worst_j)}
+        kept = {j for fs, _, j in paths if fs == feed_stage}
+        if best_j not in kept:
+            if len(kept) >= budget:
                 continue
-            columns.add((feed_stage, best_j))
-            for i in range(Z.shape[0]):
-                if Z[i, best_j] == 1:
-                    frozen.add((feed_stage, i, best_j))
+            paths |= {(feed_stage, i, best_j) for i in range(Z.shape[0])
+                      if Z[i, best_j] == 1}
         # a kept neuron stays wired to the output it tracks
-        frozen.add((out_stage, best_j, out))
-    if frozen == set(cfg.frozen_paths) and columns == set(cfg.frozen_columns):
+        paths.add((out_stage, best_j, out))
+        frozen = paths
+    if frozen == set(cfg.frozen_paths):
         return cfg
-    return replace(cfg, frozen_paths=frozenset(frozen),
-                   frozen_columns=frozenset(columns))
+    return replace(cfg, frozen_paths=frozenset(frozen))

@@ -261,6 +261,24 @@ def test_search_snapshots_are_one_line_each_and_hold_the_search_networks(tmp_pat
         assert json.loads(text) == params_to_json_obj(params)
 
 
+@pytest.mark.parametrize("sigma", [-1.0, float("inf")])
+def test_search_on_a_sidecar_with_a_bad_sigma_y_exits_3_before_any_episode(
+        tmp_path, capsys, sigma):
+    assert main(["gen-data", "syn1", "--n", "20", "--out", str(tmp_path)]) == 0
+    train = str(tmp_path / "syn1_train.csv")
+    sidecar = tmp_path / "syn1_train.meta.json"
+    info = json.loads(sidecar.read_text())
+    info["meta"]["sigma_y"] = [sigma, 1.0, 1.0]
+    sidecar.write_text(json.dumps(info))      # inf is written as Infinity
+    cfg = {"version": 1, "out_dir": str(tmp_path / "run"),
+           "dataset": {"train_path": train,
+                       "test_path": str(tmp_path / "syn1_test.csv")}}
+    assert main(["search", "--config", write_json(tmp_path / "c.json", cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "sigma_y must be finite and non-negative" in err and train in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_fit_command(tmp_path):
     lib = make_library(["id", "square", "cos"])
     z_mult = np.zeros((9, 1))
@@ -577,6 +595,10 @@ _ICNN_FINITE = {"wy": [{"shape": [2, 3], "data": [0.0] * 6},
      {**_ICNN_FINITE, "b": [{"shape": [3], "data": [0.0, -float("inf"), 0.0]},
                             {"shape": [1], "data": [0.0]}]},
      "ICNN parameters must be finite"),
+    ("eval", "sidecar", {"n_inputs": 1, "meta": {"sigma_y": [-1.0]}},
+     "sigma_y must be finite and non-negative"),
+    ("eval", "sidecar", {"n_inputs": 1, "meta": {"sigma_y": [float("inf")]}},
+     "sigma_y must be finite and non-negative"),
 ])
 def test_input_file_of_the_wrong_shape_exits_3(tmp_path, capsys, command, option,
                                                content, message):

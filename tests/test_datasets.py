@@ -19,6 +19,18 @@ def test_dataset_rejects_nan():
         Dataset(np.ones((2, 1)), np.array([[np.nan], [1.0]]))
 
 
+@pytest.mark.parametrize("scale, meta", [
+    (1e155, {}),                            # np.std overflows to inf
+    (1.0, {"sigma_y": [-1.0]}),
+    (1.0, {"sigma_y": [float("inf")]}),
+    (1.0, {"sigma_y": [float("nan")]}),
+])
+def test_dataset_rejects_a_sigma_y_that_is_not_finite_and_non_negative(scale, meta):
+    x = np.linspace(1.0, 2.0, 50)[:, None]
+    with pytest.raises(ValueError, match="sigma_y must be finite and non-negative"):
+        Dataset(x, scale * x, meta)
+
+
 def test_gen_syn_is_deterministic_and_ranged():
     tr1, te1 = gen_syn(1, 50, 40, 7)
     tr2, te2 = gen_syn(1, 50, 40, 7)

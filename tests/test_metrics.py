@@ -34,6 +34,14 @@ def test_nrmse_rejects_zero_sigma():
         nrmse(np.ones(3), np.ones(3), 0.0)
 
 
+@pytest.mark.parametrize("sigma", [float("inf"), -1.0, float("nan")])
+def test_nrmse_rejects_a_sigma_that_is_not_finite_and_positive(sigma):
+    with pytest.raises(DegenerateError, match="finite and positive"):
+        nrmse(np.ones(3), np.zeros(3), sigma)
+    with pytest.raises(DegenerateError, match="finite and positive"):
+        nrmse(np.ones((3, 2)), np.zeros((3, 2)), (1.0, sigma))
+
+
 def test_nrmse_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         nrmse(np.ones(3), np.ones(4), 1.0)

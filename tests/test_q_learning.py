@@ -213,18 +213,16 @@ def test_every_chosen_action_passes_check_constraints(data):
         space = SearchSpace(lib, (n_in, n_act, n_mult, n_out),
                             (ACTIVATION, MULTIPLICATION, SUMMATION),
                             searched_stages=(1,), fixed_indicators={2: z_sum})
-    paths, columns = set(), set()
+    paths = set()
     if draw(st.booleans()):  # a kept product neuron, as freezing leaves it
         j = draw(st.integers(0, n_mult - 1))
         rows = draw(st.lists(st.integers(0, n_act - 1), min_size=1,
                              max_size=cap, unique=True))
-        columns.add((1, j))
         paths |= {(1, i, j) for i in rows}
         if 2 in space.searched_stages:
             paths.add((2, j, draw(st.integers(0, n_out - 1))))
     constraints = ConstraintConfig(max_factors_per_neuron=cap,
-                                   frozen_paths=frozenset(paths),
-                                   frozen_columns=frozenset(columns))
+                                   frozen_paths=frozenset(paths))
     cfg = QLearnConfig(epsilon=draw(st.sampled_from([0.0, 0.5, 1.0])),
                        retry_cap=5, opt_restarts=1, opt_steps=20,
                        local_train=TrainConfig(epochs=1), promote_epochs=0)

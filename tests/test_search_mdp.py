@@ -113,11 +113,19 @@ def test_frozen_path_must_be_kept():
 
 
 def test_frozen_column_blocks_extra_rows():
-    cfg = ConstraintConfig(frozen_paths=frozenset({(1, 0, 0)}),
-                           frozen_columns=frozenset({(1, 0)}))
+    # a product neuron with a frozen input path is kept: no extra inputs
+    cfg = ConstraintConfig(frozen_paths=frozenset({(1, 0, 0)}))
     res = check(np.array([[1.0], [1.0]]), cfg)
     assert not res and res.reason == "frozen"
     assert check(np.array([[1.0], [0.0]]), cfg)
+
+
+def test_output_pin_leaves_the_rest_of_its_column_free():
+    cfg = ConstraintConfig(frozen_paths=frozenset({(2, 0, 0)}))
+    s = StateVec((1, 1), stage=2)
+    assert check(np.array([[1.0], [1.0]]), cfg, stage=2, kind=SUMMATION, s=s)
+    res = check(np.array([[0.0], [1.0]]), cfg, stage=2, kind=SUMMATION, s=s)
+    assert not res and res.reason == "frozen"
 
 
 def test_summation_output_needs_live_source():
@@ -179,8 +187,7 @@ def test_random_proposals_pass_their_own_check(seed, n_k, n_k1, cap, kind):
 
 
 def test_random_proposal_respects_frozen_column():
-    cfg = ConstraintConfig(frozen_paths=frozenset({(1, 1, 0)}),
-                           frozen_columns=frozenset({(1, 0)}))
+    cfg = ConstraintConfig(frozen_paths=frozenset({(1, 1, 0)}))
     rng = np.random.default_rng(3)
     for _ in range(20):
         a = propose_random_action(rng, 3, 2, 6, cfg, 1, MULTIPLICATION,
@@ -190,25 +197,31 @@ def test_random_proposal_respects_frozen_column():
 
 
 def test_stage_pins_layout():
-    cfg = ConstraintConfig(frozen_paths=frozenset({(1, 0, 1)}),
-                           frozen_columns=frozenset({(1, 1)}))
+    cfg = ConstraintConfig(frozen_paths=frozenset({(1, 0, 1), (2, 0, 1)}))
     mask, values = stage_pins(cfg, 1, 2, 2, 5)
-    # column 1 fully pinned; connection (0,1) pinned to 1, (1,1) to 0
+    # kept neuron 1's column fully pinned; (0,1) pinned to 1, (1,1) to 0
     assert mask.tolist() == [False, True, False, True, False]
     assert values.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
-
+    # an output pin masks its connection alone
+    mask, values = stage_pins(cfg, 2, 2, 2, 5)
+    assert mask.tolist() == [False, True, False, False, False]
+    assert values.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
 
 
 def _ref_rows(cfg, stage, j):
     return {i for fs, i, jj in cfg.frozen_paths if fs == stage and jj == j}
 
 
+def _ref_kept(cfg, stage):
+    """The columns pinned whole: the product neurons with a frozen path."""
+    return {j for fs, _, j in cfg.frozen_paths if fs == stage == 1}
+
+
 def _ref_check(s, a, cfg, stage, kind, n_k, n_k1):
-    """The verdict with the frozen sets read by set arithmetic: a static
-    rejection first, then a missing frozen path or an extra row in a frozen
-    column, then the checks that ignore the frozen sets."""
-    free = check_constraints(s, a, replace(cfg, frozen_paths=frozenset(),
-                                           frozen_columns=frozenset()),
+    """The verdict with the frozen paths read by set arithmetic: a static
+    rejection first, then a missing frozen path or an extra row in a kept
+    neuron's column, then the checks that ignore the frozen paths."""
+    free = check_constraints(s, a, replace(cfg, frozen_paths=frozenset()),
                              stage, kind, n_k, n_k1)
     if free.reason == "static":
         return free
@@ -216,21 +229,21 @@ def _ref_check(s, a, cfg, stage, kind, n_k, n_k1):
     for fs, i, j in cfg.frozen_paths:
         if fs == stage and Z[i, j] == 0:
             return CheckResult(False, "frozen")
-    for fs, j in cfg.frozen_columns:
-        if fs == stage and set(np.flatnonzero(Z[:, j]).tolist()) - _ref_rows(cfg, stage, j):
+    for j in _ref_kept(cfg, stage):
+        if set(np.flatnonzero(Z[:, j]).tolist()) - _ref_rows(cfg, stage, j):
             return CheckResult(False, "frozen")
     return free
 
 
 def _ref_propose(rng, n_k, n_k1, cfg, stage, kind, s_prev):
     """The random proposal with the pinned rows read per column from the
-    frozen sets, in ascending order."""
+    frozen paths, in ascending order."""
     live = s_prev.values[:n_k] > 0
     Z = np.zeros((n_k, n_k1))
     for j in range(n_k1):
         pinned = sorted(_ref_rows(cfg, stage, j))
         Z[pinned, j] = 1.0
-        if (stage, j) in cfg.frozen_columns:
+        if j in _ref_kept(cfg, stage):
             continue
         avail = [i for i in range(n_k) if live[i] and i not in pinned]
         cap = min(cfg.max_factors_per_neuron - len(pinned), len(avail))
@@ -246,23 +259,19 @@ def _ref_propose(rng, n_k, n_k1, cfg, stage, kind, s_prev):
 
 @st.composite
 def frozen_case(draw):
-    """Random frozen paths and columns over stages 1 and 2, optionally with
-    a column whose every row is a frozen path but which is not a frozen
-    column, plus a random 0/1 action and liveness."""
+    """Random frozen paths over stages 1 and 2, optionally with a column
+    whose every row is a frozen path, plus a random 0/1 action and
+    liveness."""
     n_k, n_k1 = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     stage = draw(st.sampled_from([1, 2]))
     cells = st.tuples(st.sampled_from([1, 2]), st.integers(0, n_k - 1),
                       st.integers(0, n_k1 - 1))
     paths = set(draw(st.lists(cells, max_size=8)))
-    columns = set(draw(st.lists(st.tuples(st.sampled_from([1, 2]),
-                                          st.integers(0, n_k1 - 1)), max_size=3)))
     if draw(st.booleans()):
         full = draw(st.integers(0, n_k1 - 1))
         paths |= {(stage, i, full) for i in range(n_k)}
-        columns.discard((stage, full))
     cfg = ConstraintConfig(max_factors_per_neuron=draw(st.integers(1, 4)),
-                           frozen_paths=frozenset(paths),
-                           frozen_columns=frozenset(columns))
+                           frozen_paths=frozenset(paths))
     bits = draw(st.lists(st.booleans(), min_size=n_k * n_k1, max_size=n_k * n_k1))
     counts = draw(st.lists(st.integers(0, 2), min_size=n_k, max_size=n_k))
     return (n_k, n_k1, stage, cfg, np.reshape(bits, (n_k, n_k1)).astype(float),
@@ -307,8 +316,9 @@ def test_update_frozen_paths_freezes_best_correlate():
     t = 3.0 * x ** 2
     cfg2 = update_frozen_paths(ConstraintConfig(), st_, H, t)
     assert (2, 0, 0) in cfg2.frozen_paths      # kept neuron -> output
-    assert (1, 0) in cfg2.frozen_columns       # its input column is pinned
     assert (1, 1, 0) in cfg2.frozen_paths      # the column's live connection
+    mask, _ = stage_pins(cfg2, 1, 9, 3, 27)
+    assert mask.reshape(9, 3)[:, 0].all()      # its input column is pinned
 
 
 def test_update_frozen_paths_no_freeze_below_threshold():
@@ -327,9 +337,8 @@ def test_update_frozen_paths_budget_leaves_free_columns():
     # all three layer series track the target perfectly
     H = np.stack([x, 2 * x, 3 * x], axis=1)
     cfg2 = update_frozen_paths(ConstraintConfig(), st_, H, x)
-    # width 3, one output -> budget 2 columns at most
-    frozen_cols = [c for c in cfg2.frozen_columns if c[0] == 1]
-    assert len(frozen_cols) <= 2
+    # width 3, one output -> budget 2 kept neurons at most
+    assert len({j for fs, _, j in cfg2.frozen_paths if fs == 1}) <= 2
 
 
 def test_update_frozen_paths_pin_cap_per_output():
@@ -359,3 +368,77 @@ def test_update_frozen_paths_rejects_short_series():
     with pytest.raises(ShapeError):
         update_frozen_paths(ConstraintConfig(), st_, np.ones((1, 3)),
                             np.ones(1))
+
+
+def replacement_case(other_output_pin):
+    """Four products x1, x2, x3, x1 over two outputs at budget 2: output 0
+    tracks kept neurons 0 and 1 (its cap of 2 pins), output 1 tracks
+    other_output_pin, and neuron 2 is a better correlate of output 0 than
+    its worst pin, neuron 0."""
+    lib = make_library(["id"])
+    z_mult = np.zeros((3, 4))
+    z_mult[[0, 1, 2, 0], [0, 1, 2, 3]] = 1
+    st_ = three_layer_structure(lib, 3, z_mult, np.ones((4, 2), dtype=int))
+    cfg = ConstraintConfig(frozen_paths=frozenset(
+        {(1, 0, 0), (1, 1, 1), (2, 0, 0), (2, 1, 0), (2, other_output_pin, 1)}))
+    rng = np.random.default_rng(4)
+    t = rng.normal(size=(200, 2))
+    H = np.stack([t[:, 0] + rng.normal(size=200), t[:, 0] + 1e-3 * rng.normal(size=200),
+                  t[:, 0], rng.normal(size=200)], axis=1)
+    return cfg, st_, H, t
+
+
+def test_update_frozen_paths_replaces_a_pin_whole_or_not_at_all():
+    # neuron 0 stays kept for output 1, so neuron 2 finds no room in the
+    # budget: output 0 keeps its pin instead of losing it for nothing
+    cfg, st_, H, t = replacement_case(other_output_pin=0)
+    assert update_frozen_paths(cfg, st_, H, t).frozen_paths == cfg.frozen_paths
+    # with neuron 0 tracked by output 0 alone, its column makes the room
+    cfg, st_, H, t = replacement_case(other_output_pin=1)
+    assert update_frozen_paths(cfg, st_, H, t).frozen_paths == frozenset(
+        {(1, 1, 1), (1, 2, 2), (2, 1, 0), (2, 2, 0), (2, 1, 1)})
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_update_frozen_paths_keeps_its_guarantees(data):
+    """From an empty config, random calls on random structures and product
+    series keep each output's pins under the fan-in cap and the kept
+    neurons within the budget; every pin's neuron is kept, every kept
+    neuron tracks an output, and the product stage pins each kept column
+    whole."""
+    draw = data.draw
+    n_act, n_mult = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    n_out = draw(st.integers(1, 3))
+    cfg = ConstraintConfig(max_factors_per_neuron=draw(st.integers(1, 4)),
+                           corr_keep_threshold=draw(st.sampled_from([0.5, 0.9, 0.99])))
+    lib = make_library(["id"])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    for _ in range(draw(st.integers(1, 6))):
+        z_mult = (rng.random((n_act, n_mult)) < 0.5).astype(int)
+        z_mult[rng.integers(n_act), :] = 1            # every product has an input
+        st_ = three_layer_structure(lib, n_act, z_mult, np.ones((n_mult, n_out), dtype=int))
+        t = rng.normal(size=(20, n_out))
+        # each product tracks an output at some noise level, or is constant
+        noise = rng.choice([0.0, 1e-3, 0.1, 1.0], size=n_mult)
+        H = t[:, rng.integers(n_out, size=n_mult)] + noise * rng.normal(size=(20, n_mult))
+        H[:, rng.random(n_mult) < 0.2] = 1.0
+        cfg = update_frozen_paths(cfg, st_, H, t)
+        kept = {j for fs, _, j in cfg.frozen_paths if fs == 1}
+        pins = [(j, out) for fs, j, out in cfg.frozen_paths if fs == 2]
+        for out in range(n_out):
+            assert sum(o == out for _, o in pins) <= cfg.max_factors_per_neuron - 1
+        assert len(kept) <= max(0, n_mult - n_out)
+        assert kept == {j for j, _ in pins}
+        mask, _ = stage_pins(cfg, 1, n_act, n_mult, n_act * n_mult)
+        assert (mask.reshape(n_act, n_mult).all(axis=0)
+                == np.isin(np.arange(n_mult), sorted(kept))).all()
+
+
+def test_update_frozen_paths_with_a_cap_of_one_pins_nothing():
+    # one factor per neuron leaves no room for a pinned input
+    st_ = freezing_structure()
+    x = np.random.default_rng(5).uniform(1.0, 2.0, 200)
+    H = np.stack([x, 2 * x, 3 * x], axis=1)
+    cfg = ConstraintConfig(max_factors_per_neuron=1)
+    assert update_frozen_paths(cfg, st_, H, x) is cfg
