@@ -6,12 +6,13 @@ Usage: python scripts/bench_pairs.py --parent REV --workload W --pairs N
 
 The change is this checkout's working tree; the parent is the committed tree
 of REV, exported with `git archive` into a temporary directory that is
-removed afterwards (unlike a `git worktree`, this registers nothing in the
-repository).  For each workload (W is one name or "all") it first runs
-TRACED_RUNS short traced seed-0 runs per side, alternating which side runs
-first, and records both sides' fingerprints and quality figures and the
-median and every value of the per-layer figures of the fit kernels (one
-traced run of a search varies by up to 1.6x).  Then it runs N pairs of
+removed afterwards, also when the script is stopped with SIGTERM, which
+stops the running benchmark process too (unlike a `git worktree`, the export
+registers nothing in the repository).  For each workload (W is one name or
+"all") it first runs TRACED_RUNS short traced seed-0 runs per side,
+alternating which side runs first, and records both sides' fingerprints and
+quality figures and the median and every value of the per-layer figures of
+the fit kernels (one traced run of a search varies by up to 1.6x).  Then it runs N pairs of
 ``benchmark/run.py --workload W --seed S`` for the run length
 BENCHMARK.json sets, one process per run, pair i at seed first_seed + i on
 both sides, alternating which side runs first.  Per end-to-end metric it
@@ -23,6 +24,7 @@ operations per side and whether the fingerprints agreed in every pair.
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -41,9 +43,8 @@ TRACED_RUNS = 5
 
 #: the per-layer metrics recorded from the traced seed-0 runs
 LAYERS = ("local_net.gradients.", "local_net.fit_trace.self_s", "local_net.fit_snapped.",
-          "q_learning.phase.polish_s", "icnn.icnn_fit.", "icnn.minimize_over_box.",
-          "icnn.minimize_over_box_batch.", "icnn.icnn_value_and_input_grad.calls",
-          "q_learning.phase.action_s")
+          "q_learning.phase.polish_s", "icnn.icnn_fit.", "icnn.minimize_over_box_batch.",
+          "icnn.icnn_value_and_input_grad.calls", "q_learning.phase.action_s")
 
 
 def run_once(checkout, workload, seed, seconds, trace=0):
@@ -152,6 +153,9 @@ def main():
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
+    # a normal exit: subprocess.run kills the running benchmark process and
+    # the export's TemporaryDirectory is removed
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}

@@ -6,7 +6,7 @@ search tractable."""
 from .equations import CanonicalEquation, Term, canonicalize, equation_from_json_obj
 from .errors import (ConsistencyError, ConsolError, DegenerateError,
                      DomainError, EpisodeAborted, ShapeError, StructureError)
-from .icnn import IcnnParams, icnn_fit, icnn_forward, init_icnn, minimize_over_box
+from .icnn import IcnnParams, icnn_fit, icnn_forward, init_icnn
 from .local_net import (LocalStructure, LocalWeights, TrainConfig,
                         extract_equation, fit, forward, make_structure,
                         three_layer_structure)

@@ -214,8 +214,29 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _check_dataset_keys(ds: dict) -> None:
+    """ConfigError for an unknown dataset name, and for a dataset key that
+    the chosen data never reads set to other than its default."""
+    if ds["name"] not in DATASET_NAMES:
+        raise ConfigError(f"config key 'dataset.name' must be one of "
+                          f"{', '.join(DATASET_NAMES)}, not {ds['name']!r}")
+    if ds["train_path"] is not None:
+        source = "data read from dataset.train_path"
+        unread = ["n_train", "n_nodes", "snr_db"]
+    else:
+        source = f"the generated {ds['name']} data"
+        unread = [key for key, option in (("n_train", "n"), ("n_nodes", "n_nodes"))
+                  if option not in GEN_DATA_OPTIONS[ds["name"]]] + ["test_path"]
+    default = default_config()["dataset"]
+    for key in unread:
+        if ds[key] != default[key]:
+            raise ConfigError(f"config key 'dataset.{key}' is not read by {source}; "
+                              f"leave it at its default {json.dumps(default[key])}")
+
+
 def _load_or_generate(cfg: dict):
     ds = cfg["dataset"]
+    _check_dataset_keys(ds)
     if ds["train_path"] is not None:
         if ds["test_path"] is None:
             raise ConfigError("dataset.train_path needs dataset.test_path")

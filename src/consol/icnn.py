@@ -57,9 +57,6 @@ class IcnnParams:
     def copy(self) -> "IcnnParams":
         return IcnnParams(self.wy, tuple(w.copy() for w in self.wz), self.b)
 
-    def min_wz(self) -> float:
-        return float(min(w.min() for w in self.wz))
-
 
 def init_icnn(d_in: int, widths=(16, 16), seed: int = 0) -> IcnnParams:
     rng = np.random.default_rng(seed)
@@ -192,29 +189,6 @@ def minimize_over_box_batch(params: IcnnParams, S: np.ndarray, n_a: int,
         g_full = np.where(accept[:, None], cand_g, g_full)
         step = np.where(accept, step * 1.2, step * 0.5)
     return a, vals
-
-
-def minimize_over_box(params: IcnnParams, s, n_a: int, restarts: int = 3,
-                      steps: int = 300, rng=None, pins=None):
-    """Best projected-gradient result across restarts, run as the rows of
-    one batched call: row 0 starts at 0.5, the others at uniform draws from
-    rng, and the first row with the lowest value wins.  pins is an optional
-    (mask, values) pair of coordinates held fixed in every row."""
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    s = np.asarray(s, dtype=float)
-    rng = rng if rng is not None else np.random.default_rng(0)
-    a0 = np.concatenate([np.full((1, n_a), 0.5),
-                         rng.uniform(0.0, 1.0, (restarts - 1, n_a))])
-    pin_mask = pin_values = None
-    if pins is not None:  # one pin row, broadcast over the restarts
-        pin_mask = np.asarray(pins[0], dtype=bool).reshape(1, n_a)
-        pin_values = np.asarray(pins[1], dtype=float).reshape(1, n_a)
-    a, vals = minimize_over_box_batch(params, np.broadcast_to(s, (restarts, s.size)), n_a,
-                                      steps=steps, a0=a0, pin_mask=pin_mask,
-                                      pin_values=pin_values)
-    best = int(np.argmin(vals))
-    return a[best], float(vals[best])
 
 
 def params_to_json_obj(params: IcnnParams):

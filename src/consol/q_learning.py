@@ -1,11 +1,12 @@
 """Deep Q-learning over equation structures with convex networks.
 
 Both the negated Q-function and the negated reward function are input-convex
-networks, so greedy action selection is a convex minimization over the
-relaxed action box.  Episodes roll out stage by stage, each candidate
-structure is trained briefly to produce its reward R = 1/(1+NRMSE), and
-fitted-Q iteration runs on a replay buffer with a periodically copied
-target network.
+networks, so the greedy action and the max in the fitted-Q target are one
+convex minimization over the relaxed action box with the frozen coordinates
+pinned.  Episodes roll out stage by stage, each candidate structure is
+trained briefly to produce its reward R = 1/(1+NRMSE), and fitted-Q
+iteration runs on a replay buffer with a periodically updated target
+network.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import local_net
 from .errors import DomainError, EpisodeAborted, StructureError
 from .icnn import (IcnnParams, icnn_fit, icnn_forward, init_icnn,
-                   minimize_over_box, minimize_over_box_batch)
+                   minimize_over_box_batch)
 from .local_net import (LAYER_KINDS, SUMMATION_STAGE, LocalStructure, LocalWeights,
                         TrainConfig, fanout_indicator, make_structure)
 from .metrics import nrmse
@@ -216,18 +217,38 @@ class EpisodeOutcome:
     log: EpisodeLog
 
 
+def _minimize_neg_q(qnet: IcnnParams, space: SearchSpace, constraints: ConstraintConfig,
+                    S: np.ndarray, stages: np.ndarray, steps: int, a0=None):
+    """Minimizers and values of a |-> -Q(s, a) over the action box, one row
+    per state s in S, with the coordinates frozen at the row's stage held at
+    their pinned values (`stage_pins`)."""
+    pin_mask = np.zeros((len(stages), space.n_a), dtype=bool)
+    pin_values = np.zeros((len(stages), space.n_a))
+    for stage in set(stages.tolist()):
+        rows = stages == stage
+        pin_mask[rows], pin_values[rows] = stage_pins(
+            constraints, stage, *space.stage_shape(stage), space.n_a)
+    if not pin_mask.any():  # no pin: the same values, without the masking
+        pin_mask = pin_values = None
+    return minimize_over_box_batch(qnet, S, space.n_a, steps=steps, a0=a0,
+                                   pin_mask=pin_mask, pin_values=pin_values)
+
+
 def greedy_action(qnet: IcnnParams, space: SearchSpace, s: StateVec,
                   constraints: ConstraintConfig, stage: int, rng,
                   restarts: int = 3, steps: int = 200) -> ActionVec:
     """Relaxed minimizer of -Q(s, .) over the action box, with the stage's
-    constraint-frozen coordinates held at their pinned values."""
-    n_k, n_k1 = space.stage_shape(stage)
-    pins = stage_pins(constraints, stage, n_k, n_k1, space.n_a)
-    a, _ = minimize_over_box(qnet, s.values, space.n_a, restarts=restarts,
-                             steps=steps, rng=rng,
-                             pins=pins if pins[0].any() else None)
+    constraint-frozen coordinates held at their pinned values.  The restarts
+    run as the rows of one minimization: row 0 starts at 0.5, the others at
+    uniform draws from rng, and the first row with the lowest value wins."""
+    a0 = np.concatenate([np.full((1, space.n_a), 0.5),
+                         rng.uniform(0.0, 1.0, (restarts - 1, space.n_a))])
+    a, vals = _minimize_neg_q(qnet, space, constraints,
+                              np.broadcast_to(s.values, (restarts, space.n_s)),
+                              np.full(restarts, stage), steps, a0)
+    a = a[int(np.argmin(vals))]
     # padding beyond the stage's block is meaningless; zero it
-    a = a.copy()
+    n_k, n_k1 = space.stage_shape(stage)
     a[n_k * n_k1:] = 0.0
     return action_from_array(a)
 
@@ -354,17 +375,8 @@ def q_net_update(qnet: IcnnParams, target_qnet: IcnnParams,
     U, S_next, stage_next, ys = buffer.sample(cfg.minibatch_size)
     nonterm = np.flatnonzero(stage_next != space.n_stages)
     if nonterm.size:
-        stages = stage_next[nonterm]
-        pin_mask = np.zeros((nonterm.size, space.n_a), dtype=bool)
-        pin_values = np.zeros((nonterm.size, space.n_a))
-        for stage in set(stages.tolist()):
-            rows = stages == stage
-            pin_mask[rows], pin_values[rows] = stage_pins(
-                constraints, stage, *space.stage_shape(stage), space.n_a)
-        _, vals = minimize_over_box_batch(target_qnet, S_next[nonterm],
-                                          space.n_a, steps=cfg.opt_steps,
-                                          pin_mask=pin_mask,
-                                          pin_values=pin_values)
+        _, vals = _minimize_neg_q(target_qnet, space, constraints, S_next[nonterm],
+                                  stage_next[nonterm], cfg.opt_steps)
         ys[nonterm] += cfg.gamma * (-vals)
     return icnn_fit(qnet, U, -ys, cfg.q_lr, cfg.q_epochs)
 
@@ -433,12 +445,14 @@ class SearchResult:
 def run_search(space: SearchSpace, cfg: QLearnConfig, data,
                constraints: ConstraintConfig | None = None,
                seed: int = 0) -> SearchResult:
-    """Episode loop with replay, target copies every target_update_interval
-    episodes, early stop at |R_t - 1| <= stop_lambda, and a long final refit
-    of the best structure.  A Q update whose fit diverges to a non-finite
-    parameter (DomainError) leaves the Q network as it was.  The result's
-    icnn_snapshots hold the Q and R networks at the start and the end and
-    every target copy.  Every NRMSE of the search, the episodes' and the
+    """Episode loop with replay, the target network set to the Q network
+    every target_update_interval episodes, early stop at |R_t - 1| <=
+    stop_lambda, and a long final refit of the best structure.  A Q update
+    whose fit diverges to a non-finite parameter (DomainError) leaves the Q
+    network as it was.  The networks are kept by reference: a fit returns a
+    new network and never writes its input.  The result's icnn_snapshots
+    hold the Q and R networks at the start and the end and every target
+    network.  Every NRMSE of the search, the episodes' and the
     polished one's, is normalised by one sigma_y: a Dataset's own, else the
     std of Y."""
     rng = np.random.default_rng(seed)
@@ -448,10 +462,10 @@ def run_search(space: SearchSpace, cfg: QLearnConfig, data,
     d = space.q_input_dim
     qnet = init_icnn(d, ICNN_WIDTHS, seed=int(rng.integers(2**31)))
     rnet = init_icnn(d, ICNN_WIDTHS, seed=int(rng.integers(2**31)))
-    target = qnet.copy()
+    target = qnet
     buffer = ReplayBuffer(cfg.buffer_capacity, seed=int(rng.integers(2**31)))
     episodes: list[EpisodeLog] = []
-    snapshots = [("init_q", qnet.copy()), ("init_r", rnet.copy())]
+    snapshots = [("init_q", qnet), ("init_r", rnet)]
     best = (None, None, -np.inf, np.inf)
     stopped = False
     for t in range(1, cfg.max_episodes + 1):
@@ -475,8 +489,8 @@ def run_search(space: SearchSpace, cfg: QLearnConfig, data,
         except DomainError:
             pass  # the bootstrap targets are unbounded; a diverged fit keeps the old network
         if t % cfg.target_update_interval == 0:
-            target = qnet.copy()
-            snapshots.append((f"target_t{t}", target.copy()))
+            target = qnet
+            snapshots.append((f"target_t{t}", target))
         if out.reward > cfg.freeze_reward_threshold:
             try:
                 prods = local_net._all_products(out.structure, out.weights, X)
@@ -501,7 +515,7 @@ def run_search(space: SearchSpace, cfg: QLearnConfig, data,
             best_reward = max(best_reward, 1.0 / (1.0 + best_nrmse))
         except DomainError:
             pass
-    snapshots += [("final_q", qnet.copy()), ("final_r", rnet.copy())]
+    snapshots += [("final_q", qnet), ("final_r", rnet)]
     return SearchResult(best_structure, best_weights, best_reward, best_nrmse,
                         episodes, qnet, rnet, constraints, stopped,
                         snapshots)

@@ -234,6 +234,58 @@ def test_version1_config_naming_random_action_cap_still_runs(tmp_path):
     assert report["config"]["dataset"] == {**default_config()["dataset"], "n_train": 60}
 
 
+@pytest.mark.parametrize("dataset, key", [
+    ({"name": "mas", "n_train": 500}, "dataset.n_train"),
+    ({"name": "syn1", "n_nodes": 9}, "dataset.n_nodes"),
+    ({"name": "syn2", "n_nodes": 2}, "dataset.n_nodes"),
+    ({"name": "pow", "test_path": "t.csv"}, "dataset.test_path"),
+    ({"name": "Syn1"}, "dataset.name"),
+    ({"train_path": "TRAIN", "test_path": "TEST", "n_train": 60}, "dataset.n_train"),
+    ({"train_path": "TRAIN", "test_path": "TEST", "n_nodes": 4}, "dataset.n_nodes"),
+    ({"train_path": "TRAIN", "test_path": "TEST", "snr_db": 30}, "dataset.snr_db"),
+    ({"name": "Syn1", "train_path": "TRAIN", "test_path": "TEST"}, "dataset.name"),
+])
+def test_search_rejects_a_dataset_key_the_chosen_data_never_reads(tmp_path, capsys,
+                                                                  dataset, key):
+    """Set to other than its default, a key that the data never reads would
+    be ignored without a word (with train_path and no library, the name picks
+    the default library)."""
+    assert main(["gen-data", "syn1", "--n", "20", "--out", str(tmp_path)]) == 0
+    paths = {"TRAIN": str(tmp_path / "syn1_train.csv"),
+             "TEST": str(tmp_path / "syn1_test.csv")}
+    dataset = {k: paths.get(v, v) for k, v in dataset.items()}
+    cfg = {"version": 1, "dataset": dataset, "out_dir": str(tmp_path / "run"),
+           "search": {"max_episodes": 1, "final_polish_epochs": 0, "promote_epochs": 0},
+           "train": {"epochs": 1}}
+    assert main(["search", "--config", write_json(tmp_path / "c.json", cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("dataset", [
+    {"name": "mas", "n_nodes": 2, "snr_db": 40.0},
+    {"name": "pow", "n_train": 30, "n_nodes": 2},
+    {"name": "syn2", "n_train": 30, "n_nodes": 3},     # the default, so not set
+    {"train_path": "TRAIN", "test_path": "TEST"},   # as the benchmark's syn1 config
+])
+def test_dataset_keys_the_chosen_data_reads_load(tmp_path, dataset):
+    assert main(["gen-data", "syn1", "--n", "20", "--out", str(tmp_path)]) == 0
+    paths = {"TRAIN": str(tmp_path / "syn1_train.csv"),
+             "TEST": str(tmp_path / "syn1_test.csv")}
+    dataset = {k: paths.get(v, v) for k, v in dataset.items()}
+    cfg = load_config(write_json(tmp_path / "c.json", {"version": 1, "dataset": dataset}))
+    train, test, _ = _load_or_generate(cfg)
+    assert len(train.X) == len(train.Y) > 0 and len(test.X) > 0
+
+
+def test_a_default_config_dump_loads(tmp_path):
+    cfg = load_config(write_json(tmp_path / "c.json", default_config()))
+    assert cfg == default_config()
+    train, _, _ = _load_or_generate(cfg)
+    assert train.X.shape == (2000, 3)
+
+
 def test_search_snapshots_are_one_line_each_and_hold_the_search_networks(tmp_path):
     cfg = {
         "version": 1,

@@ -7,10 +7,9 @@ from hypothesis.extra.numpy import arrays, array_shapes
 
 from consol.convexity_probe import segment_convexity_test
 from consol.errors import DomainError, ShapeError
-from consol import icnn
 from consol.icnn import (BOX_TOL, IcnnParams, _kkt_residual, _sigmoid_of_softplus,
                          _softplus, icnn_fit, icnn_forward, icnn_value_and_input_grad,
-                         init_icnn, minimize_over_box, minimize_over_box_batch,
+                         init_icnn, minimize_over_box_batch,
                          params_from_json_obj, params_to_json_obj)
 
 
@@ -55,7 +54,7 @@ def test_forward_rejects_wrong_dim():
 
 def test_passthrough_weights_stay_nonnegative_through_training():
     p = fitted_params()
-    assert p.min_wz() >= 0.0
+    assert all((w >= 0.0).all() for w in p.wz)
 
 
 def test_network_is_convex_along_segments():
@@ -309,6 +308,25 @@ def test_fit_steps_one_epoch_at_a_time_and_keeps_passthroughs_nonnegative(
         assert a.tobytes() == b.tobytes() == c.tobytes()
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 30), st.integers(1, 6),
+       st.lists(st.integers(1, 8), min_size=1, max_size=3), st.integers(0, 20),
+       st.integers(0, 2 ** 32 - 1))
+def test_fit_leaves_its_input_unchanged(batch, d_in, widths, epochs, seed):
+    """run_search keeps its networks by reference, so a fit must not write
+    the network it starts from."""
+    rng = np.random.default_rng(seed)
+    p = _random_icnn(rng, d_in, widths)
+    before = [w.tobytes() for w in (p.WY, p.bias, *p.wy, *p.wz, *p.b)]
+    U = rng.uniform(0.0, 1.0, (batch, d_in))
+    try:
+        out = icnn_fit(p, U, rng.normal(0.0, 1.0, batch), 1e-2, epochs)
+    except DomainError:
+        out = None
+    assert [w.tobytes() for w in (p.WY, p.bias, *p.wy, *p.wz, *p.b)] == before
+    assert out is not p
+
+
 def test_fit_rejects_empty():
     with pytest.raises(ValueError):
         icnn_fit(init_icnn(2), np.zeros((0, 2)), np.zeros(0), 1e-2, 1)
@@ -316,32 +334,29 @@ def test_fit_rejects_empty():
 
 def test_minimize_over_box_finds_interior_minimum():
     p = bowl_params(5)
-    a, val = minimize_over_box(p, np.zeros(0), 5, restarts=3, steps=400,
-                               rng=np.random.default_rng(0))
+    a, vals = minimize_over_box_batch(p, np.zeros((1, 0)), 5, steps=400)
     assert np.all(np.abs(a - 0.3) < 1e-3)
+    assert vals[0] == pytest.approx(icnn_forward(p, a[0]), abs=1e-12)
 
 
 def test_minimize_restarts_agree():
     p = bowl_params(5)
-    vals = []
-    for r in range(4):
-        _, v = minimize_over_box(p, np.zeros(0), 5, restarts=1, steps=400,
-                                 rng=np.random.default_rng(r))
-        vals.append(v)
-    assert max(vals) - min(vals) < 1e-4
+    a0 = np.random.default_rng(0).uniform(0.0, 1.0, (4, 5))
+    _, vals = minimize_over_box_batch(p, np.zeros((4, 0)), 5, steps=400, a0=a0)
+    assert vals.max() - vals.min() < 1e-4
 
 
 def test_minimize_respects_pins():
     p = bowl_params(5)
-    mask = np.zeros(5, dtype=bool)
-    mask[1] = True
-    values = np.zeros(5)
-    values[1] = 0.9
-    a, _ = minimize_over_box(p, np.zeros(0), 5, restarts=2, steps=200,
-                             rng=np.random.default_rng(2),
-                             pins=(mask, values))
-    assert a[1] == pytest.approx(0.9)
-    assert np.all(np.abs(np.delete(a, 1) - 0.3) < 1e-3)
+    mask = np.zeros((2, 5), dtype=bool)
+    mask[:, 1] = True
+    values = np.zeros((2, 5))
+    values[:, 1] = 0.9
+    a0 = np.random.default_rng(2).uniform(0.0, 1.0, (2, 5))
+    a, _ = minimize_over_box_batch(p, np.zeros((2, 0)), 5, steps=200, a0=a0,
+                                   pin_mask=mask, pin_values=values)
+    assert np.all(a[:, 1] == 0.9)
+    assert np.all(np.abs(np.delete(a, 1, axis=1) - 0.3) < 1e-3)
 
 
 def test_minimize_batch_matches_single():
@@ -349,15 +364,14 @@ def test_minimize_batch_matches_single():
     S = np.array([[0.2, 0.8], [0.5, 0.1]])
     a, vals = minimize_over_box_batch(p, S, 4, steps=400)
     for i in range(2):
-        _, v = minimize_over_box(p, S[i], 4, restarts=1, steps=400)
-        assert vals[i] == pytest.approx(v, abs=1e-6)
+        _, v = minimize_over_box_batch(p, S[i:i + 1], 4, steps=400)
+        assert vals[i] == pytest.approx(v[0], abs=1e-6)
 
 
 # --- the minimiser --------------------------------------------------------------
-# The per-restart loop and the batched projected descent of earlier commits:
-# minimize_over_box runs its restarts as the rows of one batched call, and
-# minimize_over_box_batch (which q_net_update calls) keeps every bit of the
-# loop given the same kernel, and its values to a tolerance given the
+# The batched projected descent of earlier commits: minimize_over_box_batch
+# (which greedy_action and q_net_update reach through one helper) keeps every
+# bit of it given the same kernel, and its values to a tolerance given the
 # reference kernel.
 
 def _ref_minimize_over_box_batch(params: IcnnParams, S: np.ndarray, n_a: int,
@@ -393,85 +407,27 @@ def _ref_minimize_over_box_batch(params: IcnnParams, S: np.ndarray, n_a: int,
     return a, vals
 
 
-def _ref_minimize_over_box(params: IcnnParams, s, n_a: int, restarts: int = 3,
-                           steps: int = 300, rng=None, pins=None):
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    s = np.asarray(s, dtype=float)
-    rng = rng if rng is not None else np.random.default_rng(0)
-    pin_mask = pin_values = None
-    if pins is not None:
-        pin_mask = np.asarray(pins[0], dtype=bool).reshape(1, n_a)
-        pin_values = np.asarray(pins[1], dtype=float).reshape(1, n_a)
-    best_a, best_val = None, np.inf
-    for r in range(restarts):
-        a0 = np.full((1, n_a), 0.5) if r == 0 else rng.uniform(0.0, 1.0, (1, n_a))
-        a, val = minimize_over_box_batch(params, s[None, :], n_a, steps=steps,
-                                         a0=a0, pin_mask=pin_mask,
-                                         pin_values=pin_values)
-        if val[0] < best_val:
-            best_a, best_val = a[0], float(val[0])
-    return best_a, best_val
-
-
 @st.composite
 def box_case(draw):
-    """A random ICNN over (state, action), a state and optional pins."""
+    """A random ICNN over (state, action), its action width, and whether to
+    pin coordinates."""
     d_in = draw(st.integers(1, 12))
     n_a = draw(st.integers(1, d_in))
     widths = draw(st.lists(st.integers(1, 20), min_size=1, max_size=3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    p = _random_icnn(rng, d_in, widths)
-    s = rng.uniform(0.0, 1.0, d_in - n_a)
-    pins = None
-    if draw(st.booleans()):
-        pins = (rng.uniform(0.0, 1.0, n_a) < 0.4, rng.uniform(0.0, 1.0, n_a))
-    return p, s, n_a, pins
-
-
-@settings(deadline=None, max_examples=150)
-@given(box_case(), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
-def test_minimize_over_box_matches_per_restart_reference(case, restarts, seed):
-    p, s, n_a, pins = case
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    a, val = minimize_over_box(p, s, n_a, restarts=restarts, steps=400, rng=rng, pins=pins)
-    ref_a, ref_val = _ref_minimize_over_box(p, s, n_a, restarts=restarts, steps=400,
-                                            rng=ref_rng, pins=pins)
-    assert a.shape == (n_a,) and np.all((0.0 <= a) & (a <= 1.0))
-    if pins is not None:
-        assert np.array_equal(a[pins[0]], pins[1][pins[0]])
-    # the restarts' starting points are the same draws from the same stream
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert val == pytest.approx(ref_val, abs=1e-6)
-    assert val == pytest.approx(icnn_forward(p, s, a), abs=1e-12, rel=1e-12)
-    # a rerun from the same stream gives the same bytes
-    again_a, again_val = minimize_over_box(p, s, n_a, restarts=restarts, steps=400,
-                                           rng=np.random.default_rng(seed), pins=pins)
-    assert again_a.tobytes() == a.tobytes() and again_val == val
-
-
-def test_minimize_over_box_tie_returns_first_row(monkeypatch):
-    rows = np.arange(8.0).reshape(4, 2)
-
-    def fixed(params, S, n_a, steps, a0, pin_mask, pin_values):
-        assert S.shape == (4, 3) and a0.shape == (4, 2)
-        return rows, np.array([2.0, 1.0, 0.5, 0.5])
-
-    monkeypatch.setattr(icnn, "minimize_over_box_batch", fixed)
-    a, val = minimize_over_box(init_icnn(5), np.zeros(3), 2, restarts=4)
-    assert np.array_equal(a, rows[2]) and val == 0.5
+    return _random_icnn(rng, d_in, widths), n_a, draw(st.booleans())
 
 
 @settings(deadline=None, max_examples=150)
 @given(box_case(), st.integers(1, 40), st.sampled_from([1, 5, 50, 200]), st.booleans(),
        st.integers(0, 2 ** 32 - 1))
 def test_minimize_over_box_batch_matches_reference(case, batch, steps, start, seed):
-    p, _, n_a, pins = case
+    p, n_a, pinned = case
     rng = np.random.default_rng(seed)
     S = rng.uniform(0.0, 1.0, (batch, p.d_in - n_a))
     a0 = rng.uniform(0.0, 1.0, (batch, n_a)) if start else None
     pin_mask = pin_values = None
-    if pins is not None:  # a pin row per state, as q_net_update builds them
+    if pinned:  # a pin row per state, as q_net_update builds them
         pin_mask = rng.uniform(0.0, 1.0, (batch, n_a)) < 0.4
         pin_values = rng.uniform(0.0, 1.0, (batch, n_a))
     a, vals = minimize_over_box_batch(p, S, n_a, steps=steps, a0=a0, pin_mask=pin_mask,
@@ -483,6 +439,22 @@ def test_minimize_over_box_batch_matches_reference(case, batch, steps, start, se
                                                pin_mask=pin_mask, pin_values=pin_values,
                                                value_and_grad=_ref_value_and_input_grad)
     _assert_close(vals, old_vals, rtol=1e-10)
+
+
+@settings(deadline=None, max_examples=60)
+@given(box_case(), st.integers(1, 10), st.integers(0, 2 ** 32 - 1))
+def test_an_all_false_pin_mask_is_no_pin_mask(case, batch, seed):
+    """q_learning passes no mask when no row is pinned; the bytes do not
+    depend on it."""
+    p, n_a, _ = case
+    rng = np.random.default_rng(seed)
+    S = rng.uniform(0.0, 1.0, (batch, p.d_in - n_a))
+    a0 = rng.uniform(0.0, 1.0, (batch, n_a))
+    a, vals = minimize_over_box_batch(p, S, n_a, steps=50, a0=a0)
+    pinned_a, pinned_vals = minimize_over_box_batch(
+        p, S, n_a, steps=50, a0=a0, pin_mask=np.zeros((batch, n_a), dtype=bool),
+        pin_values=rng.uniform(0.0, 1.0, (batch, n_a)))
+    assert a.tobytes() == pinned_a.tobytes() and vals.tobytes() == pinned_vals.tobytes()
 
 
 def test_params_json_roundtrip():

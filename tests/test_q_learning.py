@@ -9,14 +9,15 @@ from consol.local_net import (ACTIVATION, MULTIPLICATION, SUMMATION,
                               three_layer_structure, init_weights)
 from consol.q_learning import (DOMAIN_FAILURE_NRMSE, QLearnConfig,
                                ReplayBuffer, SearchSpace, greedy_action,
-                               reward_net_update, reward_of, rollout_episode,
-                               run_search, three_layer_space, trim_structure)
+                               q_net_update, reward_net_update, reward_of,
+                               rollout_episode, run_search, three_layer_space,
+                               trim_structure)
 from consol.datasets import Dataset
 from consol.errors import DomainError, EpisodeAborted
 from consol.search_mdp import (ActionVec, ConstraintConfig, StateVec,
                                action_from_indicator, check_constraints,
-                               initial_state, transition)
-from consol.icnn import init_icnn
+                               initial_state, stage_pins, transition)
+from consol.icnn import IcnnParams, init_icnn, minimize_over_box_batch
 from consol.symbols import make_library
 
 
@@ -173,6 +174,140 @@ def test_greedy_action_is_in_box_and_zero_padded():
     arr = a.as_array()
     assert arr.shape == (2,)
     assert np.all(arr >= 0.0) and np.all(arr <= 1.0)
+
+
+# --- the minimization of -Q ------------------------------------------------------
+# greedy_action runs its restarts as the rows of one batched minimization;
+# the reference runs them one at a time, as earlier commits did.
+
+def _ref_minimize_over_box(params: IcnnParams, s, n_a: int, restarts: int = 3,
+                           steps: int = 300, rng=None, pins=None):
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    s = np.asarray(s, dtype=float)
+    rng = rng if rng is not None else np.random.default_rng(0)
+    pin_mask = pin_values = None
+    if pins is not None:
+        pin_mask = np.asarray(pins[0], dtype=bool).reshape(1, n_a)
+        pin_values = np.asarray(pins[1], dtype=float).reshape(1, n_a)
+    best_a, best_val = None, np.inf
+    for r in range(restarts):
+        a0 = np.full((1, n_a), 0.5) if r == 0 else rng.uniform(0.0, 1.0, (1, n_a))
+        a, val = minimize_over_box_batch(params, s[None, :], n_a, steps=steps,
+                                         a0=a0, pin_mask=pin_mask,
+                                         pin_values=pin_values)
+        if val[0] < best_val:
+            best_a, best_val = a[0], float(val[0])
+    return best_a, best_val
+
+
+def _random_qnet(rng, d_in):
+    """A Q network with random weights (passthroughs >= 0)."""
+    p = init_icnn(d_in, (6, 4), seed=0)
+    return IcnnParams(tuple(rng.normal(0.0, 2.0, w.shape) for w in p.wy),
+                      tuple(np.abs(rng.normal(0.0, 2.0, w.shape)) for w in p.wz),
+                      tuple(rng.normal(0.0, 1.0, v.shape) for v in p.b))
+
+
+@st.composite
+def q_case(draw):
+    """A three-layer space, a random Q network over it, a stage, a state and
+    frozen paths at that stage (possibly none)."""
+    library = make_library(["id", "square", "cos"][:draw(st.integers(1, 3))])
+    n_in, m, n_out = draw(st.integers(1, 2)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    space = three_layer_space(library, n_in, n_out, m)
+    stage = draw(st.sampled_from(space.searched_stages))
+    n_k, n_k1 = space.stage_shape(stage)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    frozen = frozenset((stage, int(i), int(j))
+                       for i, j in zip(rng.integers(0, n_k, 2), rng.integers(0, n_k1, 2))
+                       if draw(st.booleans()))
+    s = StateVec(rng.integers(0, 3, space.n_s), stage=stage)
+    return (space, _random_qnet(rng, space.q_input_dim), stage, s,
+            ConstraintConfig(frozen_paths=frozen))
+
+
+@settings(deadline=None, max_examples=150)
+@given(q_case(), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_greedy_action_matches_per_restart_reference(case, restarts, seed):
+    space, qnet, stage, s, constraints = case
+    n_k, n_k1 = space.stage_shape(stage)
+    mask, values = stage_pins(constraints, stage, n_k, n_k1, space.n_a)
+    rows = []
+
+    def spy(*args, **kwargs):
+        rows.append(minimize_over_box_batch(*args, **kwargs))
+        return rows[-1]
+
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(q_learning, "minimize_over_box_batch", spy)
+        a = greedy_action(qnet, space, s, constraints, stage, rng,
+                          restarts=restarts, steps=400).as_array()
+    ref_a, ref_val = _ref_minimize_over_box(qnet, s.values, space.n_a, restarts=restarts,
+                                            steps=400, rng=ref_rng,
+                                            pins=(mask, values) if mask.any() else None)
+    # the restarts' starting points are the same draws from the same stream
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    [(row_a, row_vals)] = rows
+    best = int(np.argmin(row_vals))
+    assert row_vals[best] == pytest.approx(ref_val, abs=1e-6)
+    # the first lowest row, its padding zeroed, with the pins held
+    block = n_k * n_k1
+    assert np.array_equal(a[:block], row_a[best, :block]) and not a[block:].any()
+    assert np.array_equal(a[mask], values[mask])
+    assert np.all((0.0 <= a) & (a <= 1.0))
+    again = greedy_action(qnet, space, s, constraints, stage, np.random.default_rng(seed),
+                          restarts=restarts, steps=400).as_array()
+    assert again.tobytes() == a.tobytes()
+
+
+def test_greedy_action_tie_returns_first_row(monkeypatch):
+    sp = three_layer_space(LIB2, 1, 1, 2)           # stage 1 fills n_a = 4
+    rows = np.arange(16.0).reshape(4, 4) / 16.0
+
+    def fixed(params, S, n_a, steps, a0, pin_mask, pin_values):
+        assert S.shape == (4, sp.n_s) and a0.shape == (4, n_a) and pin_mask is None
+        return rows, np.array([2.0, 1.0, 0.5, 0.5])
+
+    monkeypatch.setattr(q_learning, "minimize_over_box_batch", fixed)
+    a = greedy_action(init_icnn(sp.q_input_dim), sp, StateVec((1, 0), stage=1),
+                      ConstraintConfig(), 1, np.random.default_rng(0), restarts=4)
+    assert np.array_equal(a.as_array(), rows[2])
+
+
+def test_q_net_update_pins_each_bootstrap_row_by_its_own_stage(monkeypatch):
+    """The bootstrap max over a' runs at the stage of s', with that stage's
+    frozen coordinates pinned; terminal rows bootstrap nothing."""
+    sp = three_layer_space(LIB2, 2, 1)              # sizes (2, 4, 3, 1)
+    constraints = ConstraintConfig(frozen_paths=frozenset({(1, 0, 1), (1, 3, 2), (2, 1, 0)}))
+    rng = np.random.default_rng(0)
+    buf = ReplayBuffer(50, seed=1)
+    stage_next = rng.integers(1, sp.n_stages + 1, 30)
+    buf.push(rng.uniform(0.0, 1.0, (30, sp.q_input_dim)), rng.integers(0, 3, (30, sp.n_s)),
+             stage_next, rng.uniform(0.0, 1.0, 30))
+    sampled, calls = [], []
+    sample = buf.sample
+    monkeypatch.setattr(buf, "sample", lambda n: sampled.append(sample(n)) or sampled[-1])
+
+    def spy(params, S, n_a, steps, a0, pin_mask, pin_values):
+        calls.append((S, pin_mask, pin_values))
+        return minimize_over_box_batch(params, S, n_a, steps=steps, a0=a0,
+                                       pin_mask=pin_mask, pin_values=pin_values)
+
+    monkeypatch.setattr(q_learning, "minimize_over_box_batch", spy)
+    cfg = QLearnConfig(minibatch_size=20, q_epochs=1, opt_steps=20)
+    qnet = init_icnn(sp.q_input_dim, (8, 8), seed=0)
+    q_net_update(qnet, qnet, buf, cfg, sp, constraints)
+    [(_, S_next, stages, _)] = sampled
+    nonterm = stages != sp.n_stages
+    assert {1, 2} <= set(stages[nonterm].tolist())
+    [(S, pin_mask, pin_values)] = calls
+    assert np.array_equal(S, S_next[nonterm])
+    for row, stage in enumerate(stages[nonterm]):
+        mask, values = stage_pins(constraints, stage, *sp.stage_shape(stage), sp.n_a)
+        assert mask.any()
+        assert np.array_equal(pin_mask[row], mask) and np.array_equal(pin_values[row], values)
 
 
 def test_rollout_episode_returns_valid_structure():

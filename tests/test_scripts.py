@@ -1,8 +1,10 @@
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -65,3 +67,46 @@ def test_quality_json_has_one_row_per_planned_row():
         assert set(row) == row_keys(row["name"])
     assert doc["exact_e_c"] == quality.EXACT_E_C
     assert doc["summary"] == quality.summarize(doc["rows"])
+
+
+def test_bench_pairs_leaves_no_export_and_no_child_after_sigterm(tmp_path):
+    """SIGTERM ends bench_pairs.py as a normal exit would: the git-archive
+    export of the parent is removed and the running benchmark is stopped."""
+    if subprocess.run(["git", "-C", ROOT, "rev-parse", "HEAD"],
+                      capture_output=True).returncode != 0:
+        pytest.skip("bench_pairs.py exports the parent from a git checkout")
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+
+    def benchmark_pids():
+        """The benchmark processes running from an export under tmp."""
+        pids = []
+        for pid in filter(str.isdigit, os.listdir("/proc")):
+            try:
+                with open(f"/proc/{pid}/cmdline", "rb") as fh:
+                    cmdline = fh.read()
+            except OSError:
+                continue
+            if str(tmp).encode() in cmdline and b"run.py" in cmdline:
+                pids.append(int(pid))
+        return pids
+
+    proc = subprocess.Popen(
+        [sys.executable, os.path.join(ROOT, "scripts", "bench_pairs.py"), "--parent", "HEAD",
+         "--workload", "toy_search", "--pairs", "1", "--out", str(tmp_path / "b.json")],
+        env={**os.environ, "TMPDIR": str(tmp)}, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while not benchmark_pids():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        assert list(tmp.glob("*/parent"))
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+        assert benchmark_pids() == [] and list(tmp.iterdir()) == []
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in benchmark_pids():
+            os.kill(pid, signal.SIGKILL)
