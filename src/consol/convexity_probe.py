@@ -55,12 +55,11 @@ def _checked_residuals(structure, weights, X, Y) -> np.ndarray:
 
 
 def analytic_directional_derivs(structure: LocalStructure,
-                                weights: LocalWeights, x, direction):
+                                weights: LocalWeights, X, direction):
     """First and second derivative of the network output along a straight
-    line in weight space, at step zero; the direction is a flat vector in
-    the order of `local_net.get_weight_vector`.  A batch x of shape
-    (N, n_in) gives two (N, n_out) arrays; a single 1-D sample gives
-    (n_out,) arrays, or two floats when there is one output.
+    line in weight space, at step zero, as two (N, n_out) arrays for an
+    (N, n_in) batch X; the direction is a flat vector in the order of
+    `local_net.get_weight_vector`.
 
     Forward mode on the fit plan: the values of `local_net._columns`, then
     each product's value p and its derivatives p', p'' along the line build
@@ -71,8 +70,7 @@ def analytic_directional_derivs(structure: LocalStructure,
     value.  The summation layer adds its own direction components
     linearly.
     """
-    x = np.asarray(x, dtype=float)
-    X = x[None, :] if x.ndim == 1 else x
+    X = np.asarray(X, dtype=float)
     zero = LocalWeights(np.zeros(structure.layer_sizes[1]),
                         {SUMMATION_STAGE: np.zeros(structure.indicators[SUMMATION_STAGE].shape)})
     unpacked = set_weight_vector(structure, zero, direction)
@@ -98,8 +96,6 @@ def analytic_directional_derivs(structure: LocalStructure,
     w_sum = local_net._summation_matrix(structure, weights)
     y1 = p @ sum_dir + p1 @ w_sum
     y2 = 2.0 * p1 @ sum_dir + p2 @ w_sum
-    if x.ndim == 1:
-        return (float(y1[0, 0]), float(y2[0, 0])) if structure.n_outputs == 1 else (y1[0], y2[0])
     return y1, y2
 
 
@@ -110,8 +106,8 @@ def _analytic_d2_loss(structure, weights, X, Y, direction) -> float:
     e = _checked_residuals(structure, weights, X, Y)
     total = 0.0
     for i in range(X.shape[0]):
-        y1, y2 = analytic_directional_derivs(structure, weights, X[i], direction)
-        total += float((np.atleast_1d(y1) ** 2).sum() + (e[i] * y2).sum())
+        y1, y2 = analytic_directional_derivs(structure, weights, X[i:i + 1], direction)
+        total += float((y1 ** 2).sum() + (e[i] * y2).sum())
     return total / X.shape[0]
 
 

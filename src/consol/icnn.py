@@ -145,15 +145,11 @@ def icnn_fit(params: IcnnParams, U, targets, lr: float, epochs: int) -> IcnnPara
 BOX_TOL = 1e-7
 
 
-def _kkt_residual(a, g, free):
+def _kkt_residual(a, g):
     """The projected gradient over [0, 1]: zero where a bound blocks the
-    descent direction or the coordinate is pinned (free 0)."""
-    r = g.copy()
-    at_lo = a <= 1e-12
-    at_hi = a >= 1.0 - 1e-12
-    r[at_lo] = np.minimum(g[at_lo], 0.0)
-    r[at_hi] = np.maximum(g[at_hi], 0.0)
-    return r * free
+    descent direction; g comes in zeroed on pinned coordinates."""
+    r = np.where(a <= 1e-12, np.minimum(g, 0.0), g)
+    return np.where(a >= 1.0 - 1e-12, np.maximum(g, 0.0), r)
 
 
 def minimize_over_box_batch(params: IcnnParams, S: np.ndarray, n_a: int,
@@ -176,7 +172,7 @@ def minimize_over_box_batch(params: IcnnParams, S: np.ndarray, n_a: int,
     vals, g_full = icnn_value_and_input_grad(params, np.concatenate([S, a], axis=1))
     for _ in range(steps):
         g = g_full[:, S.shape[1]:] * free
-        res = _kkt_residual(a, g, free)
+        res = _kkt_residual(a, g)
         if np.abs(res).max() <= BOX_TOL:
             break
         cand = np.clip(a - step[:, None] * g, 0.0, 1.0)

@@ -339,23 +339,25 @@ def _require_finite(weights: LocalWeights, *data) -> None:
         raise DomainError("non-finite input, target or weight")
 
 
-def forward(structure: LocalStructure, weights: LocalWeights, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    _require_finite(weights, x)
-    single = x.ndim == 1
-    _, _, prods = _columns(structure, weights, x[None, :] if single else x)
-    y = prods @ _summation_matrix(structure, weights)
-    return y[0] if single else y
+def forward(structure: LocalStructure, weights: LocalWeights, X) -> np.ndarray:
+    """The (N, n_out) outputs of an (N, n_in) input batch."""
+    X = np.asarray(X, dtype=float)
+    _require_finite(weights, X)
+    _, _, prods = _columns(structure, weights, X)
+    return prods @ _summation_matrix(structure, weights)
 
 
 def _residuals(structure: LocalStructure, weights: LocalWeights, X: np.ndarray,
                Y: np.ndarray):
     """The forward pass of `_columns` and the output residuals:
     (cols, pre, prods, w_sum, e), w_sum the masked summation weights and
-    e = outputs - Y of shape (N, n_out)."""
+    e = outputs - Y of shape (N, n_out); ShapeError unless Y is (N, n_out)."""
     cols, pre, prods = _columns(structure, weights, X)
+    if Y.shape != (X.shape[0], structure.n_outputs):
+        raise ShapeError(f"target batch has shape {Y.shape}; the inputs need "
+                         f"({X.shape[0]}, {structure.n_outputs})")
     w_sum = _summation_matrix(structure, weights)
-    return cols, pre, prods, w_sum, prods @ w_sum - Y.reshape(X.shape[0], structure.n_outputs)
+    return cols, pre, prods, w_sum, prods @ w_sum - Y
 
 
 def _mse(e: np.ndarray) -> float:
@@ -398,18 +400,9 @@ def gradients(structure: LocalStructure, weights: LocalWeights, batch,
 
 
 def _as_xy(batch):
-    """(X, Y) float arrays from an (X, Y) tuple or a Dataset; a single 1-D
-    sample becomes one row."""
-    if isinstance(batch, tuple):
-        X, Y = batch
-    else:  # Dataset-like
-        X, Y = batch.X, batch.Y
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-        Y = np.atleast_1d(Y)[None, :]
-    return X, Y
+    """(X, Y) float arrays from an (X, Y) tuple or a Dataset."""
+    X, Y = batch if isinstance(batch, tuple) else (batch.X, batch.Y)
+    return np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
 
 
 def _step(weights: LocalWeights, grad: LocalWeights, lr: float) -> LocalWeights:
@@ -421,9 +414,10 @@ def fit_trace(structure: LocalStructure, config: TrainConfig, data,
               start: LocalWeights | None = None):
     """Full-batch gradient descent from a constant initialization (or a
     warm start).  The step size halves (and the step is reverted) whenever
-    the loss would increase or be NaN, and grows on accepted steps; the
-    accepted-loss sequence is therefore monotone non-increasing.  Non-finite
-    data or start weights raise DomainError."""
+    the loss would increase or be NaN or the step leaves a symbol's domain,
+    and grows on accepted steps; the accepted-loss sequence is therefore
+    monotone non-increasing.  Non-finite data or start weights raise
+    DomainError."""
     X, Y = _as_xy(data)
     w = init_weights(structure, config.init_value) if start is None else start.copy()
     _require_finite(w, X, Y)
@@ -436,10 +430,8 @@ def fit_trace(structure: LocalStructure, config: TrainConfig, data,
             # a gradient comes back only when cand_loss <= loss, so a NaN
             # candidate is rejected too, and a rejected one skips backward
             cand_loss, cand_grad = gradients(structure, cand, (X, Y), max_loss=loss)
-        except DomainError:
-            lr *= 0.5
-            losses.append(loss)
-            continue
+        except DomainError:  # the candidate left a symbol's domain
+            cand_grad = None
         if cand_grad is not None:
             w, loss, grad = cand, cand_loss, cand_grad
             lr *= 2.0
@@ -594,23 +586,17 @@ def fit_snapped(structure: LocalStructure, config: TrainConfig, data):
 
 
 def _neuron_terms(structure: LocalStructure, weights: LocalWeights):
-    """Per-output sum-of-terms expansion over the fit plan; a term is
-    (coefficient, tuple of (input, (op, inner weight or None)) factors)."""
+    """Per-output terms over the fit plan, one per live summation connection:
+    (its weight, the factors of its product), a factor being
+    (input, (op, inner weight or None))."""
     plan = structure.plan
-    acts = [[] for _ in range(structure.layer_sizes[1])]
-    for j, op, col, weighted in plan.acts:
-        w = float(weights.inner[j]) if weighted else None
-        acts[j] = [(1.0, ((col, (op.name, w)),))]
-    prods = [[] for _ in range(structure.layer_sizes[2])]
-    for j, sel in plan.products:
-        terms = [(1.0, ())]
-        for i in sel:
-            terms = [(c1 * c2, f1 + f2) for c1, f1 in terms for c2, f2 in acts[i]]
-        prods[j] = terms
+    factor = {j: (col, (op.name, float(weights.inner[j]) if weighted else None))
+              for j, op, col, weighted in plan.acts}
+    products = {j: tuple(factor[i] for i in sel) for j, sel in plan.products}
     outs = [[] for _ in range(structure.n_outputs)]
     w = weights.summations[SUMMATION_STAGE]
     for j, i in np.argwhere(structure.indicators[SUMMATION_STAGE].T):
-        outs[j].extend((float(w[i, j]) * c, f) for c, f in prods[i])
+        outs[j].append((float(w[i, j]), products[i]))
     return outs
 
 

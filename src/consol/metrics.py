@@ -12,17 +12,15 @@ from .errors import DegenerateError
 
 
 def nrmse(pred, truth, sigma_y) -> float:
-    """RMSE divided by sigma_y.  For matrix inputs sigma_y is per-column and
-    the per-output values are averaged."""
+    """The RMSE of each output column of (N, n_out) pred and truth divided
+    by its sigma_y, averaged over the outputs."""
     pred = np.asarray(pred, dtype=float)
     truth = np.asarray(truth, dtype=float)
-    if pred.shape != truth.shape or pred.size == 0:
-        raise ValueError("pred and truth must be equal-length and non-empty")
+    if pred.ndim != 2 or pred.shape != truth.shape or pred.size == 0:
+        raise ValueError("pred and truth must be equal, non-empty (N, n_out) arrays")
     sigmas = np.asarray(sigma_y, dtype=float)
     if not (np.isfinite(sigmas).all() and (sigmas > 0).all()):
         raise DegenerateError(f"sigma_y must be finite and positive, not {sigmas.tolist()}")
-    if pred.ndim == 1:
-        return float(np.sqrt(np.mean((pred - truth) ** 2)) / float(sigma_y))
     per_out = np.sqrt(np.mean((pred - truth) ** 2, axis=0)) / sigmas
     return float(per_out.mean())
 

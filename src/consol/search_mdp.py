@@ -201,13 +201,13 @@ def update_frozen_paths(cfg: ConstraintConfig, structure: LocalStructure,
     narrow input ranges many monomials are near-collinear, so keeping
     everything above the threshold would exhaust the layer), and a budget
     always leaves one free neuron per output for further search.  Constant
-    series are skipped."""
+    series are skipped.  ShapeError unless layer_outputs and targets are
+    (N, ·) arrays with the same N >= 2."""
     layer_outputs = np.asarray(layer_outputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if targets.ndim == 1:
-        targets = targets[:, None]
-    if layer_outputs.shape[0] != targets.shape[0] or layer_outputs.shape[0] < 2:
-        raise ShapeError("need matching series of length >= 2")
+    if (layer_outputs.ndim != 2 or targets.ndim != 2
+            or layer_outputs.shape[0] != targets.shape[0] or targets.shape[0] < 2):
+        raise ShapeError("need (N, ·) layer outputs and targets with the same N >= 2")
     out_stage = SUMMATION_STAGE
     feed_stage = out_stage - 1
     Z = structure.indicators[feed_stage]

@@ -241,15 +241,15 @@ def test_output_derivatives_match_finite_differences_200_probes(toy_optimum):
     vec = get_weight_vector(structure, w)
     worst = 0.0
     for _ in range(200):
-        x = rng.uniform(0.2, 1.5, 2)
+        x = rng.uniform(0.2, 1.5, (1, 2))
         d = rng.normal(size=2)
         d /= np.linalg.norm(d)
-        y1, y2 = analytic_directional_derivs(structure, w, x, d)
+        y1, y2 = (float(y[0, 0]) for y in analytic_directional_derivs(structure, w, x, d))
 
         def val(t):
             return float(forward(structure,
                                  set_weight_vector(structure, w, vec + t * d),
-                                 x)[0])
+                                 x)[0, 0])
 
         h = 1e-4
         fd1 = (val(h) - val(-h)) / (2 * h)

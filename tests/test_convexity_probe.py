@@ -100,17 +100,15 @@ def test_directional_derivs_match_finite_differences():
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(50):
-        x = rng.uniform(0.2, 1.5, 2)
+        x = rng.uniform(0.2, 1.5, (1, 2))
         d = rng.normal(size=2)
         d /= np.linalg.norm(d)
-        y1, y2 = analytic_directional_derivs(st, w, x, d)
+        y1, y2 = (float(y[0, 0]) for y in analytic_directional_derivs(st, w, x, d))
         vec = get_weight_vector(st, w)
         h = 1e-4
 
         def val(t):
-            import consol.local_net as ln
-            return float(ln.forward(st, set_weight_vector(st, w, vec + t * d),
-                                    x)[0])
+            return float(forward(st, set_weight_vector(st, w, vec + t * d), x)[0, 0])
 
         fd1 = (val(h) - val(-h)) / (2 * h)
 
@@ -170,11 +168,9 @@ def test_batch_directional_derivs_match_rows_and_finite_differences(case):
     st, w, X, d = case
     y1, y2 = analytic_directional_derivs(st, w, X, d)
     assert y1.shape == y2.shape == (X.shape[0], st.n_outputs)
-    rows = [analytic_directional_derivs(st, w, x, d) for x in X]
-    np.testing.assert_allclose(y1, [np.atleast_1d(r[0]) for r in rows],
-                               rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(y2, [np.atleast_1d(r[1]) for r in rows],
-                               rtol=1e-12, atol=1e-14)
+    rows = [analytic_directional_derivs(st, w, X[i:i + 1], d) for i in range(len(X))]
+    np.testing.assert_allclose(y1, np.vstack([r[0] for r in rows]), rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(y2, np.vstack([r[1] for r in rows]), rtol=1e-12, atol=1e-14)
 
     vec = get_weight_vector(st, w)
 
@@ -194,11 +190,11 @@ def test_batch_directional_derivs_match_rows_and_finite_differences(case):
 
 
 # --- reference kernel ---------------------------------------------------------
-# The per-product loop that the kernel on the fit plan replaced, kept verbatim
-# as the reference it must match bit for bit.
+# The per-product loop that the kernel on the fit plan replaced, kept (for
+# row batches) as the reference it must match bit for bit.
 
-def _ref_directional_derivs(structure, weights, x, direction):
-    x = np.asarray(x, dtype=float)
+def _ref_directional_derivs(structure, weights, X, direction):
+    X = np.asarray(X, dtype=float)
     z_sum = structure.indicators[SUMMATION_STAGE]
     zero = LocalWeights(np.zeros(structure.layer_sizes[1]),
                         {SUMMATION_STAGE: np.zeros(z_sum.shape)})
@@ -207,16 +203,15 @@ def _ref_directional_derivs(structure, weights, x, direction):
 
     z_mult = structure.indicators[1]
     used = structure.used_masks()
-    # x[..., i] is input i of every sample; a 1-D x runs on scalars
-    p, p1, p2 = np.zeros((3,) + x.shape[:-1] + (structure.layer_sizes[2],))
-    for j in range(p.shape[-1]):
+    p, p1, p2 = np.zeros((3, X.shape[0], structure.layer_sizes[2]))
+    for j in range(p.shape[1]):
         sel = np.flatnonzero(z_mult[:, j])
         if sel.size == 0 or not used[2][j]:
             continue
         prod, d1_j, d2_j = 1.0, 0.0, 0.0
         for a_idx in sel:
             op = structure.act_op(a_idx)
-            xi = x[..., structure.act_input(a_idx)]
+            xi = X[:, structure.act_input(a_idx)]
             arg = weights.inner[a_idx] * xi if op.has_inner_weight else xi
             symbols.check_domain(op, arg)
             f = symbols.op_value(op.name, arg)
@@ -228,13 +223,11 @@ def _ref_directional_derivs(structure, weights, x, direction):
             d2_j = d2_j * f + 2.0 * d1_j * f1 + prod * f2
             d1_j = d1_j * f + prod * f1
             prod = prod * f
-        p[..., j], p1[..., j], p2[..., j] = prod, d1_j, d2_j
+        p[:, j], p1[:, j], p2[:, j] = prod, d1_j, d2_j
 
     w_sum = z_sum * weights.summations[SUMMATION_STAGE]
     y1 = p @ sum_dir + p1 @ w_sum
     y2 = 2.0 * p1 @ sum_dir + p2 @ w_sum
-    if x.ndim == 1 and structure.n_outputs == 1:
-        return float(y1[0]), float(y2[0])
     return y1, y2
 
 
@@ -263,10 +256,10 @@ def probe_case(draw):
 @example(_with_direction(_dead_product_case()))
 def test_directional_derivs_match_reference_kernel(case):
     """The kernel on the fit plan gives the reference's bits (NaN where it
-    gives NaN), for a batch and for one 1-D sample, and raises the same
-    exception type where it raises."""
+    gives NaN), for a batch and for its first row alone, and raises the
+    same exception type where it raises."""
     st, w, X, d = case
-    for x in (X, X[0]):
+    for x in (X, X[:1]):
         try:
             ref = _ref_directional_derivs(st, w, x, d)
         except DomainError:
@@ -285,8 +278,8 @@ def test_directional_second_derivative_near_a_cos_zero(offset):
     zero of cos that is a small number, not a difference of large ones."""
     st, w = toy()
     w.inner[5] = np.pi / 2 + offset
-    _, y2 = analytic_directional_derivs(st, w, np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-    assert y2 == pytest.approx(-3.0 * np.cos(np.pi / 2 + offset), rel=1e-12)
+    _, y2 = analytic_directional_derivs(st, w, np.array([[1.0, 1.0]]), np.array([1.0, 0.0]))
+    assert y2[0, 0] == pytest.approx(-3.0 * np.cos(np.pi / 2 + offset), rel=1e-12)
 
 
 def test_loss_curvature_positive_at_optimum():
@@ -338,7 +331,8 @@ def _probe_sqrt_fit(x0):
     d = np.array([1.0])
     with np.errstate(all="raise", under="ignore"):
         y1, y2 = analytic_directional_derivs(st, w, X, d)
-        assert analytic_directional_derivs(st, w, X[0], d) == (np.sqrt(x0), 0.0)
+        y1_0, y2_0 = analytic_directional_derivs(st, w, X[:1], d)
+        assert y1_0.tolist() == [[np.sqrt(x0)]] and y2_0.tolist() == [[0.0]]
         curvature = loss_second_derivative(st, w, (X, Y), d)
         est = estimate_region(st, w, (X, Y), n_directions=5, seed=0)
     assert np.array_equal(y1, np.sqrt(X)) and not y2.any()
@@ -406,8 +400,9 @@ def test_estimate_region_matches_per_sample_loop():
     st, w, X, Y, _ = toy_fit(n=40)
     rng = np.random.default_rng(2)          # the directions estimate_region draws
     dirs = [d / np.linalg.norm(d) for d in (rng.normal(size=2) for _ in range(5))]
-    per_sample = [[analytic_directional_derivs(st, w, x, d) for x in X]
-                  for d in dirs]
+    per_sample = [[tuple(float(y[0, 0]) for y in
+                         analytic_directional_derivs(st, w, X[i:i + 1], d))
+                   for i in range(len(X))] for d in dirs]
     est = estimate_region(st, w, (X, Y), n_directions=5, seed=2)
     assert est.eta == max(abs(y2) / abs(y1) for rows in per_sample
                           for y1, y2 in rows if abs(y1) > 1e-10)

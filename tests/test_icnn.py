@@ -392,7 +392,7 @@ def _ref_minimize_over_box_batch(params: IcnnParams, S: np.ndarray, n_a: int,
     vals, g_full = value_and_grad(params, U)
     for _ in range(steps):
         g = g_full[:, S.shape[1]:] * free
-        res = _kkt_residual(a, g, free)
+        res = _kkt_residual(a, g)
         if np.abs(res).max() <= BOX_TOL:
             break
         cand = np.clip(a - step[:, None] * g, 0.0, 1.0)
@@ -455,6 +455,37 @@ def test_an_all_false_pin_mask_is_no_pin_mask(case, batch, seed):
         p, S, n_a, steps=50, a0=a0, pin_mask=np.zeros((batch, n_a), dtype=bool),
         pin_values=rng.uniform(0.0, 1.0, (batch, n_a)))
     assert a.tobytes() == pinned_a.tobytes() and vals.tobytes() == pinned_vals.tobytes()
+
+
+def _ref_kkt_residual(a, g, free):
+    """The masked-assignment form of earlier commits, with its own pin factor."""
+    r = g.copy()
+    at_lo = a <= 1e-12
+    at_hi = a >= 1.0 - 1e-12
+    r[at_lo] = np.minimum(g[at_lo], 0.0)
+    r[at_hi] = np.maximum(g[at_hi], 0.0)
+    return r * free
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 100), st.integers(1, 140), st.integers(0, 2 ** 32 - 1))
+def test_kkt_residual_matches_masked_assignment(batch, n_a, seed):
+    """Bit for bit, given g as minimize_over_box_batch passes it (zeroed on
+    pinned coordinates), on draws with entries at and near the bounds,
+    pinned, NaN and inf."""
+    rng = np.random.default_rng(seed)
+    shape = (batch, n_a)
+    a = rng.uniform(0.0, 1.0, shape)
+    a = np.where(rng.uniform(size=shape) < 0.4,
+                 rng.choice([0.0, 1e-13, 1e-12, 1.0 - 1e-12, 1.0, np.nan], shape), a)
+    g = rng.normal(size=shape)
+    g = np.where(rng.uniform(size=shape) < 0.2,
+                 rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], shape), g)
+    free = 1.0 - (rng.uniform(size=shape) < 0.3)
+    with np.errstate(invalid="ignore"):
+        g = g * free
+        ref = _ref_kkt_residual(a, g, free)
+    assert _kkt_residual(a, g).tobytes() == ref.tobytes()
 
 
 def test_params_json_roundtrip():

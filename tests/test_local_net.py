@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, find, given, settings, strategies as hst
 
 from consol import datasets, local_net, symbols
-from consol.convexity_probe import analytic_directional_derivs
+from consol.convexity_probe import analytic_directional_derivs, loss_second_derivative
 from consol.equations import term, canonicalize
 from consol.errors import DomainError, ShapeError, StructureError
 from consol.local_net import (ACTIVATION, MULTIPLICATION, SUMMATION, SUMMATION_STAGE,
@@ -96,9 +96,38 @@ def test_forward_matches_closed_form():
 
 def test_forward_single_row():
     st, w = toy_weights()
-    y = forward(st, w, np.array([1.0, 1.0]))
-    assert y.shape == (1,)
-    assert y[0] == pytest.approx(3.0 * np.cos(2.5))
+    y = forward(st, w, np.array([[1.0, 1.0]]))
+    assert y.shape == (1, 1)
+    assert y[0, 0] == pytest.approx(3.0 * np.cos(2.5))
+
+
+def test_a_sample_must_come_as_a_row():
+    st, w = toy_weights()
+    with pytest.raises(ShapeError):
+        forward(st, w, np.array([1.0, 1.0]))
+    with pytest.raises(ShapeError):
+        gradients(st, w, (np.array([1.0, 1.0]), np.array([1.0])))
+    with pytest.raises(ShapeError):
+        analytic_directional_derivs(st, w, np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+
+
+def test_a_target_batch_must_be_n_by_n_out():
+    """A transposed (n_out, N) Y holds as many entries as (N, n_out) rows;
+    it is refused, not reshaped into scrambled rows."""
+    structure, w = syn2_true_fit()
+    train, _ = datasets.gen_syn(2, 50, 10, 0)
+    d = np.ones(len(local_net.get_weight_vector(structure, w)))
+    for call in (lambda Y: gradients(structure, w, (train.X, Y)),
+                 lambda Y: fit_trace(structure, TrainConfig(epochs=2), (train.X, Y)),
+                 lambda Y: loss_second_derivative(structure, w, (train.X, Y), d)):
+        call(train.Y)
+        for bad in (train.Y.T, train.Y[:, 0], train.Y[:, :2]):
+            with pytest.raises(ShapeError):
+                call(bad)
+    st, w = toy_weights()
+    X = np.array([[1.2, 0.7], [0.4, 1.9]])
+    with pytest.raises(ShapeError):
+        gradients(st, w, (X, forward(st, w, X)[:, 0]))
 
 
 def test_unused_neurons_not_domain_checked():

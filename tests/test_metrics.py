@@ -11,8 +11,8 @@ from consol.symbols import make_library
 
 
 def test_nrmse_vector_oracle():
-    pred = np.array([1.0, 2.0, 3.0])
-    truth = np.array([1.0, 2.0, 4.0])
+    pred = np.array([[1.0], [2.0], [3.0]])
+    truth = np.array([[1.0], [2.0], [4.0]])
     # rmse = sqrt(1/3), sigma = 2
     assert nrmse(pred, truth, 2.0) == pytest.approx(np.sqrt(1 / 3) / 2)
 
@@ -31,20 +31,24 @@ def test_nrmse_zero_for_exact():
 
 def test_nrmse_rejects_zero_sigma():
     with pytest.raises(DegenerateError):
-        nrmse(np.ones(3), np.ones(3), 0.0)
+        nrmse(np.ones((3, 1)), np.ones((3, 1)), 0.0)
 
 
 @pytest.mark.parametrize("sigma", [float("inf"), -1.0, float("nan")])
 def test_nrmse_rejects_a_sigma_that_is_not_finite_and_positive(sigma):
     with pytest.raises(DegenerateError, match="finite and positive"):
-        nrmse(np.ones(3), np.zeros(3), sigma)
+        nrmse(np.ones((3, 1)), np.zeros((3, 1)), sigma)
     with pytest.raises(DegenerateError, match="finite and positive"):
         nrmse(np.ones((3, 2)), np.zeros((3, 2)), (1.0, sigma))
 
 
 def test_nrmse_rejects_shape_mismatch():
     with pytest.raises(ValueError):
-        nrmse(np.ones(3), np.ones(4), 1.0)
+        nrmse(np.ones((3, 1)), np.ones((4, 1)), 1.0)
+    with pytest.raises(ValueError):
+        nrmse(np.ones(3), np.ones(3), 1.0)  # 1-D: one column must be (N, 1)
+    with pytest.raises(ValueError):
+        nrmse(np.ones((3, 2)), np.ones((2, 3)), 1.0)
 
 
 def test_percentage_error_caps_at_100():

@@ -313,7 +313,7 @@ def test_update_frozen_paths_freezes_best_correlate():
     x = rng.uniform(1.0, 2.0, 200)
     H = np.stack([x ** 2, rng.uniform(1, 2, 200), rng.uniform(1, 2, 200)],
                  axis=1)
-    t = 3.0 * x ** 2
+    t = 3.0 * x[:, None] ** 2
     cfg2 = update_frozen_paths(ConstraintConfig(), st_, H, t)
     assert (2, 0, 0) in cfg2.frozen_paths      # kept neuron -> output
     assert (1, 1, 0) in cfg2.frozen_paths      # the column's live connection
@@ -325,7 +325,7 @@ def test_update_frozen_paths_no_freeze_below_threshold():
     st_ = freezing_structure()
     rng = np.random.default_rng(1)
     H = rng.uniform(1.0, 2.0, (200, 3))
-    t = rng.normal(size=200)
+    t = rng.normal(size=(200, 1))
     cfg2 = update_frozen_paths(ConstraintConfig(), st_, H, t)
     assert cfg2 is ConstraintConfig() or cfg2.frozen_paths == frozenset()
 
@@ -336,7 +336,7 @@ def test_update_frozen_paths_budget_leaves_free_columns():
     x = rng.uniform(1.0, 2.0, 200)
     # all three layer series track the target perfectly
     H = np.stack([x, 2 * x, 3 * x], axis=1)
-    cfg2 = update_frozen_paths(ConstraintConfig(), st_, H, x)
+    cfg2 = update_frozen_paths(ConstraintConfig(), st_, H, x[:, None])
     # width 3, one output -> budget 2 kept neurons at most
     assert len({j for fs, _, j in cfg2.frozen_paths if fs == 1}) <= 2
 
@@ -350,7 +350,7 @@ def test_update_frozen_paths_pin_cap_per_output():
                   x + rng.normal(0, 1e-3, 200)], axis=1)
     cfg2 = cfg
     for _ in range(4):
-        cfg2 = update_frozen_paths(cfg2, st_, H, x)
+        cfg2 = update_frozen_paths(cfg2, st_, H, x[:, None])
     out_pins = [p for p in cfg2.frozen_paths if p[0] == 2]
     assert len(out_pins) <= cfg.max_factors_per_neuron - 1
 
@@ -358,7 +358,7 @@ def test_update_frozen_paths_pin_cap_per_output():
 def test_update_frozen_paths_skips_constant_series():
     st_ = freezing_structure()
     H = np.ones((50, 3))
-    t = np.ones(50)
+    t = np.ones((50, 1))
     cfg2 = update_frozen_paths(ConstraintConfig(), st_, H, t)
     assert cfg2.frozen_paths == frozenset()
 
@@ -367,7 +367,14 @@ def test_update_frozen_paths_rejects_short_series():
     st_ = freezing_structure()
     with pytest.raises(ShapeError):
         update_frozen_paths(ConstraintConfig(), st_, np.ones((1, 3)),
-                            np.ones(1))
+                            np.ones((1, 1)))
+    # targets come as (N, n_out) rows: a 1-D series or a transposed one is
+    # refused, not read as one output
+    x = np.random.default_rng(0).uniform(1.0, 2.0, 200)
+    H = np.stack([x ** 2, x, x + 1.0], axis=1)
+    for t in (x, x[None, :]):
+        with pytest.raises(ShapeError):
+            update_frozen_paths(ConstraintConfig(), st_, H, t)
 
 
 def replacement_case(other_output_pin):
@@ -441,4 +448,4 @@ def test_update_frozen_paths_with_a_cap_of_one_pins_nothing():
     x = np.random.default_rng(5).uniform(1.0, 2.0, 200)
     H = np.stack([x, 2 * x, 3 * x], axis=1)
     cfg = ConstraintConfig(max_factors_per_neuron=1)
-    assert update_frozen_paths(cfg, st_, H, x) is cfg
+    assert update_frozen_paths(cfg, st_, H, x[:, None]) is cfg

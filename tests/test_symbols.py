@@ -71,7 +71,7 @@ def test_eval_applies_inner_weight():
                                np.array([[1]]))
     w = init_weights(st, 1.0)
     w.inner[0] = 2.5
-    assert forward(st, w, np.array([1.2]))[0] == pytest.approx(np.cos(2.5 * 1.2))
+    assert forward(st, w, np.array([[1.2]]))[0, 0] == pytest.approx(np.cos(2.5 * 1.2))
 
 
 def test_eval_ignores_weight_of_unweighted_op():
@@ -80,7 +80,7 @@ def test_eval_ignores_weight_of_unweighted_op():
                                np.array([[1], [0]]), np.array([[1]]))
     w = init_weights(st, 1.0)
     w.inner[0] = 7.0
-    assert forward(st, w, np.array([1.5]))[0] == 1.5
+    assert forward(st, w, np.array([[1.5]]))[0, 0] == 1.5
 
 
 def test_eval_domain_errors():
