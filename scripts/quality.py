@@ -21,14 +21,16 @@ records nrmse_train, nrmse_test (null without a test split or when the
 prediction leaves a symbol's domain), e_c in percent against the
 generator's truth, the extracted equation, eta and membership of
 `estimate_region` at the final weights (20 directions, seed 0; both null
-when the estimate is degenerate) and wall_s.  The mass-damper rows have no
-test split: the second half of the trajectory has settled (its output
-sigma is 6e-8 to 8e-7, against 0.02 to 0.07 on the first half), so an
-NRMSE on it is noise over a near-zero scale and says nothing about the
-equation.  The summary (`summarize`) counts the rows of each name with
-e_c <= 1 %, sums the Syn1 episodes and sums segment_violations.  Every
-figure but wall_s repeats exactly on a rerun.  One progress line per row
-goes to stderr.
+when the estimate is degenerate), hessian_min_eig, the smallest
+eigenvalue of the fit loss's exact Hessian at the final weights (null when
+a derivative leaves a symbol's domain or is not finite), and wall_s.  The
+mass-damper rows have no test split: the second half of the trajectory
+has settled (its output sigma is 6e-8 to 8e-7, against 0.02 to 0.07 on
+the first half), so an NRMSE on it is noise over a near-zero scale and
+says nothing about the equation.  The summary (`summarize`) counts the
+rows of each name with e_c <= 1 %, sums the Syn1 episodes and sums
+segment_violations.  Every figure but wall_s repeats exactly on a rerun.
+One progress line per row goes to stderr.
 """
 
 import os
@@ -45,13 +47,14 @@ from functools import partial
 import numpy as np
 
 from consol import datasets
-from consol.convexity_probe import (estimate_region, init_sweep,
-                                    loss_second_derivative, segment_convexity_test)
+from consol.convexity_probe import (analytic_directional_derivs, estimate_region,
+                                    init_sweep, loss_second_derivative,
+                                    segment_convexity_test)
 from consol.equations import canonicalize
 from consol.errors import DegenerateError, DomainError
 from consol.icnn import icnn_forward
-from consol.local_net import (TrainConfig, extract_equation, fit_snapped,
-                              forward, three_layer_structure)
+from consol.local_net import (TrainConfig, extract_equation, fit_snapped, forward,
+                              get_weight_vector, three_layer_structure)
 from consol.metrics import e_c, nrmse
 from consol.q_learning import QLearnConfig, run_search, three_layer_space
 from consol.search_mdp import ConstraintConfig
@@ -128,12 +131,36 @@ def _region(structure, weights, train):
     return {"eta": est.eta, "membership": est.membership}
 
 
+def hessian_min_eig(structure, weights, train):
+    """The smallest eigenvalue of the fit loss's exact Hessian H at the
+    weights, or None when a derivative leaves a symbol's domain or is not
+    finite.  The loss's second derivative along v is the quadratic form
+    q(v) = v^T H v = mean over samples of sum(y'^2 + e y''), one batched
+    `analytic_directional_derivs` call on the whole train set; q along the
+    unit vectors and their pairwise sums gives H by polarisation."""
+    try:
+        e = forward(structure, weights, train.X) - train.Y
+
+        def q(v):
+            y1, y2 = analytic_directional_derivs(structure, weights, train.X, v)
+            return float(((y1 ** 2).sum() + (e * y2).sum()) / train.n)
+
+        unit = np.eye(len(get_weight_vector(structure, weights)))
+        H = np.diag([q(u) for u in unit])
+        for i, j in zip(*np.triu_indices(len(unit), 1)):
+            H[i, j] = H[j, i] = (q(unit[i] + unit[j]) - H[i, i] - H[j, j]) / 2.0
+    except DomainError:
+        return None
+    return float(np.linalg.eigvalsh(H)[0]) if np.isfinite(H).all() else None
+
+
 def _scored(row, structure, weights, train, test, truth, t0):
     eq = extract_equation(structure, weights)
     return {**row, "nrmse_train": _nrmse(structure, weights, train),
             "nrmse_test": _nrmse(structure, weights, test),
             "e_c": e_c(truth, eq)[0], "equation": eq.to_text(),
             **_region(structure, weights, train),
+            "hessian_min_eig": hessian_min_eig(structure, weights, train),
             "wall_s": round(time.perf_counter() - t0, 2)}
 
 

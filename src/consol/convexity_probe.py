@@ -117,8 +117,10 @@ def _fd_d2_loss(structure, weights, X, Y, direction, h: float) -> float:
                               + t * direction)
         return local_net._mse(_checked_residuals(structure, w, X, Y))
 
+    centre = 2.0 * at(0.0)
+
     def d2(step):
-        return (at(step) - 2.0 * at(0.0) + at(-step)) / (step * step)
+        return (at(step) - centre + at(-step)) / (step * step)
 
     # Richardson combination of the O(h^2) central stencil
     return (4.0 * d2(h / 2) - d2(h)) / 3.0

@@ -26,6 +26,9 @@ class Dataset:
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
         self.Y = np.asarray(self.Y, dtype=float)
+        if self.X.ndim != 2 or self.Y.ndim != 2 or 0 in (self.X.shape[1], self.Y.shape[1]):
+            raise ValueError(f"X and Y need rows of at least one column, not shapes "
+                             f"{self.X.shape} and {self.Y.shape}")
         if self.X.shape[0] != self.Y.shape[0] or self.X.shape[0] == 0:
             raise ValueError("X and Y need the same positive number of rows")
         if not (np.isfinite(self.X).all() and np.isfinite(self.Y).all()):
@@ -184,23 +187,12 @@ def power_truth(spec: PowerSystemSpec) -> CanonicalEquation:
     for i in range(M):
         p_terms, q_terms = [], []
         for m in range(M):
+            g, b = spec.G[i, m], spec.B[i, m]
             u_i, v_i, u_m, v_m = 2 * i, 2 * i + 1, 2 * m, 2 * m + 1
-            pairs = [
-                (spec.G[i, m], (u_i, u_m)), (spec.G[i, m], (v_i, v_m)),
-                (spec.B[i, m], (v_i, u_m)), (-spec.B[i, m], (u_i, v_m)),
-            ]
-            qairs = [
-                (spec.G[i, m], (v_i, u_m)), (-spec.G[i, m], (u_i, v_m)),
-                (-spec.B[i, m], (u_i, u_m)), (-spec.B[i, m], (v_i, v_m)),
-            ]
-            for coeff, idxs in pairs:
-                if abs(coeff) > TRUTH_COEFF_THRESHOLD:
-                    p_terms.append((coeff, [(a, ("id", None)) for a in idxs]))
-            for coeff, idxs in qairs:
-                if abs(coeff) > TRUTH_COEFF_THRESHOLD:
-                    q_terms.append((coeff, [(a, ("id", None)) for a in idxs]))
-        raw.append(p_terms)
-        raw.append(q_terms)
+            p_terms += [(g, (u_i, u_m)), (g, (v_i, v_m)), (b, (v_i, u_m)), (-b, (u_i, v_m))]
+            q_terms += [(g, (v_i, u_m)), (-g, (u_i, v_m)), (-b, (u_i, u_m)), (-b, (v_i, v_m))]
+        raw += [[(c, [(a, ("id", None)) for a in idxs]) for c, idxs in terms
+                 if abs(c) > TRUTH_COEFF_THRESHOLD] for terms in (p_terms, q_terms)]
     return canonicalize(raw, prune_threshold=TRUTH_COEFF_THRESHOLD)
 
 

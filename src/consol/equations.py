@@ -156,22 +156,15 @@ def canonicalize(raw_outputs, prune_threshold: float = 0.0) -> CanonicalEquation
     """raw_outputs: per output, an iterable of (coefficient, factors)."""
     outputs = []
     for raw_terms in raw_outputs:
-        acc: dict[tuple, tuple[float, tuple[Factor, ...]]] = {}
+        acc: dict[tuple[Factor, ...], float] = {}
         for coeff, factors in raw_terms:
             simplified = canonicalize_term(coeff, factors, prune_threshold)
             if simplified is None:
                 continue
             c, fs = simplified
-            key = fs
-            if key in acc:
-                acc[key] = (acc[key][0] + c, fs)
-            else:
-                acc[key] = (c, fs)
-        terms = [
-            Term(c, fs)
-            for c, fs in acc.values()
-            if abs(c) >= prune_threshold and c != 0.0
-        ]
+            acc[fs] = acc[fs] + c if fs in acc else c
+        terms = [Term(c, fs) for fs, c in acc.items()
+                 if abs(c) >= prune_threshold and c != 0.0]
         terms.sort(key=lambda t: tuple(_sort_key(f) for f in t.factors))
         outputs.append(tuple(terms))
     return CanonicalEquation(outputs=tuple(outputs))

@@ -92,18 +92,15 @@ def _backward(p: IcnnParams, zs, d_out) -> np.ndarray:
     return DA
 
 
-def icnn_forward(params: IcnnParams, s, a=None) -> float | np.ndarray:
-    """Scalar network value; accepts a single concatenated input, separate
-    (state, action) parts, or a batch of rows."""
+def icnn_forward(params: IcnnParams, s, a=None) -> float:
+    """Scalar network value of one input, given whole or as separate
+    (state, action) parts; anything but one (d_in,) input raises ShapeError."""
     u = np.asarray(s, dtype=float)
     if a is not None:
         u = np.concatenate([u, np.asarray(a, dtype=float)], axis=-1)
-    single = u.ndim == 1
-    U = u[None, :] if single else u
-    if U.shape[1] != params.d_in:
-        raise ShapeError(f"input dim {U.shape[1]} != network dim {params.d_in}")
-    vals, _ = _forward(params, U)
-    return float(vals[0]) if single else vals
+    if u.shape != (params.d_in,):
+        raise ShapeError(f"input shape {u.shape} is not one ({params.d_in},) input")
+    return float(_forward(params, u[None, :])[0][0])
 
 
 def icnn_value_and_input_grad(params: IcnnParams, U: np.ndarray):

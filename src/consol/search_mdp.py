@@ -199,7 +199,8 @@ def update_frozen_paths(cfg: ConstraintConfig, structure: LocalStructure,
     freeze a kept neuron's input paths and its path to the output.  Per
     output only the single best correlate above the threshold is kept (on
     narrow input ranges many monomials are near-collinear, so keeping
-    everything above the threshold would exhaust the layer), and a budget
+    everything above the threshold would exhaust the layer), a column with
+    the factors of another, kept neuron is no candidate, and a budget
     always leaves one free neuron per output for further search.  Constant
     series are skipped.  ShapeError unless layer_outputs and targets are
     (N, ·) arrays with the same N >= 2."""
@@ -226,9 +227,13 @@ def update_frozen_paths(cfg: ConstraintConfig, structure: LocalStructure,
             continue
         pins_for_out = {j for fs, j, oo in frozen
                         if fs == out_stage and oo == out}
+        # a column with a kept neuron's factors computes the same product
+        kept = {j for fs, _, j in frozen if fs == feed_stage}
+        twins = {j for j in range(Z.shape[1]) for k in kept
+                 if k != j and (Z[:, j] == Z[:, k]).all()}
         best_j, best_corr = None, cfg.corr_keep_threshold
         for j in range(layer_outputs.shape[1]):
-            if j in pins_for_out:
+            if j in pins_for_out or j in twins:
                 continue
             c = corr_with(j, t)
             if c > best_corr:

@@ -10,7 +10,7 @@ weights (sqrt(w*x) = sqrt(w)*sqrt(x)), so their rows give no derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -19,28 +19,30 @@ from .errors import DomainError
 LOG_DOMAIN_EPS = 1e-12
 
 
-class _OpRow(NamedTuple):
-    domain_lower: float | None
-    value: Callable             # phi(z)
-    d1: Callable | None = None  # phi'(z), given exactly for a weighted op
-    d2: Callable | None = None  # phi''(z), z already a float array
-
-
-_OP_TABLE = {
-    "id": _OpRow(None, lambda z: z),
-    "square": _OpRow(None, lambda z: z * z),
-    "sqrt": _OpRow(0.0, np.sqrt),
-    "log": _OpRow(LOG_DOMAIN_EPS, np.log, lambda z: 1.0 / z, lambda z: -1.0 / (z * z)),
-    "cos": _OpRow(None, np.cos, lambda z: -np.sin(z), lambda z: -np.cos(z)),
-    "sin": _OpRow(None, np.sin, np.cos, lambda z: -np.sin(z)),
-}
-
-
 @dataclass(frozen=True)
 class SymbolOp:
+    """One row of the op table: phi, and phi' and phi'' given exactly for an
+    op with an inner weight (z already a float array for phi'')."""
+
     name: str
-    has_inner_weight: bool
     domain_lower: float | None
+    value: Callable
+    d1: Callable | None = None
+    d2: Callable | None = None
+
+    @property
+    def has_inner_weight(self) -> bool:
+        return self.d1 is not None
+
+
+_OP_TABLE = {op.name: op for op in (
+    SymbolOp("id", None, lambda z: z),
+    SymbolOp("square", None, lambda z: z * z),
+    SymbolOp("sqrt", 0.0, np.sqrt),
+    SymbolOp("log", LOG_DOMAIN_EPS, np.log, lambda z: 1.0 / z, lambda z: -1.0 / (z * z)),
+    SymbolOp("cos", None, np.cos, lambda z: -np.sin(z), lambda z: -np.cos(z)),
+    SymbolOp("sin", None, np.sin, np.cos, lambda z: -np.sin(z)),
+)}
 
 
 @dataclass(frozen=True)
@@ -58,14 +60,10 @@ class SymbolLibrary:
 def make_library(names: list[str]) -> SymbolLibrary:
     """Build a library from op names; the order fixes activation-layer
     neuron indexing for the whole run."""
-    ops = []
     for name in names:
         if name not in _OP_TABLE:
             raise ValueError(f"unknown symbol {name!r}; known: {sorted(_OP_TABLE)}")
-        row = _OP_TABLE[name]
-        ops.append(SymbolOp(name=name, has_inner_weight=row.d1 is not None,
-                            domain_lower=row.domain_lower))
-    return SymbolLibrary(ops=tuple(ops))
+    return SymbolLibrary(ops=tuple(_OP_TABLE[name] for name in names))
 
 
 def check_domain(op: SymbolOp, z) -> None:

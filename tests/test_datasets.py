@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from consol.datasets import (Dataset, add_noise, gen_massdamper, gen_power,
+from consol.datasets import (TRUTH_COEFF_THRESHOLD, Dataset, PowerSystemSpec,
+                             add_noise, gen_massdamper, gen_power,
                              gen_syn, load_dataset, make_massdamper_spec,
                              make_power_spec, massdamper_outputs,
                              massdamper_truth, power_outputs, power_truth,
                              save_dataset, syn_outputs, syn_truth)
+from consol.equations import canonicalize
 
 
 def test_dataset_computes_sigma():
@@ -17,6 +19,18 @@ def test_dataset_computes_sigma():
 def test_dataset_rejects_nan():
     with pytest.raises(ValueError):
         Dataset(np.ones((2, 1)), np.array([[np.nan], [1.0]]))
+
+
+@pytest.mark.parametrize("X, Y", [
+    (np.ones((5, 1)), np.arange(5.0)),             # a 1-D Y
+    (np.arange(5.0), np.ones((5, 1))),             # a 1-D X
+    (np.ones((5, 1)), np.ones((5, 0))),            # outputs with no column
+    (np.ones((5, 0)), np.ones((5, 1))),            # inputs with no column
+])
+def test_dataset_needs_rows_of_at_least_one_column(X, Y):
+    # a fit would refuse such data only later, from inside the network
+    with pytest.raises(ValueError, match="rows of at least one column"):
+        Dataset(X, Y)
 
 
 @pytest.mark.parametrize("scale, meta", [
@@ -110,6 +124,51 @@ def test_power_truth_predicts_outputs():
                     prod *= X[r, inp] ** (2 if op == "square" else 1)
                 val += prod
             assert val == pytest.approx(Y[r, out])
+
+
+def _ref_power_truth(spec):
+    """power_truth with one filter loop per output kind, as it was written
+    before its two term lists were built in one loop."""
+    M = spec.n_nodes
+    raw = []
+    for i in range(M):
+        p_terms, q_terms = [], []
+        for m in range(M):
+            u_i, v_i, u_m, v_m = 2 * i, 2 * i + 1, 2 * m, 2 * m + 1
+            pairs = [
+                (spec.G[i, m], (u_i, u_m)), (spec.G[i, m], (v_i, v_m)),
+                (spec.B[i, m], (v_i, u_m)), (-spec.B[i, m], (u_i, v_m)),
+            ]
+            qairs = [
+                (spec.G[i, m], (v_i, u_m)), (-spec.G[i, m], (u_i, v_m)),
+                (-spec.B[i, m], (u_i, u_m)), (-spec.B[i, m], (v_i, v_m)),
+            ]
+            for coeff, idxs in pairs:
+                if abs(coeff) > TRUTH_COEFF_THRESHOLD:
+                    p_terms.append((coeff, [(a, ("id", None)) for a in idxs]))
+            for coeff, idxs in qairs:
+                if abs(coeff) > TRUTH_COEFF_THRESHOLD:
+                    q_terms.append((coeff, [(a, ("id", None)) for a in idxs]))
+        raw.append(p_terms)
+        raw.append(q_terms)
+    return canonicalize(raw, prune_threshold=TRUTH_COEFF_THRESHOLD)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_power_truth_matches_a_per_term_reference(n_nodes, seed):
+    # diagonal entries, missing lines and coefficients at, just above and
+    # below the threshold
+    rng = np.random.default_rng(seed)
+    picks = np.array([0.0, 1.0, -0.7, TRUTH_COEFF_THRESHOLD, 2 * TRUTH_COEFF_THRESHOLD,
+                      0.5 * TRUTH_COEFF_THRESHOLD, -3e-13])
+    shape = (n_nodes, n_nodes)
+    G, B = (rng.choice(picks, shape) * np.where(rng.random(shape) < 0.5, 1.0,
+                                                 rng.uniform(0.5, 1.5, shape))
+            for _ in range(2))
+    spec = PowerSystemSpec(np.triu(G) + np.triu(G, 1).T, np.triu(B) + np.triu(B, 1).T)
+    truth, ref = power_truth(spec), _ref_power_truth(spec)
+    assert truth == ref and truth.to_json_obj() == ref.to_json_obj()
 
 
 def test_massdamper_chain_matrix():

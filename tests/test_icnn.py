@@ -7,8 +7,8 @@ from hypothesis.extra.numpy import arrays, array_shapes
 
 from consol.convexity_probe import segment_convexity_test
 from consol.errors import DomainError, ShapeError
-from consol.icnn import (BOX_TOL, IcnnParams, _kkt_residual, _sigmoid_of_softplus,
-                         _softplus, icnn_fit, icnn_forward, icnn_value_and_input_grad,
+from consol.icnn import (BOX_TOL, IcnnParams, _forward, _kkt_residual,
+                         _sigmoid_of_softplus, _softplus, icnn_fit, icnn_forward, icnn_value_and_input_grad,
                          init_icnn, minimize_over_box_batch,
                          params_from_json_obj, params_to_json_obj)
 
@@ -41,15 +41,18 @@ def bowl_params(d, center=0.3, scale=10.0):
 def test_forward_shapes():
     p = init_icnn(4)
     assert isinstance(icnn_forward(p, np.zeros(4)), float)
-    assert icnn_forward(p, np.zeros((3, 4))).shape == (3,)
+    assert icnn_value_and_input_grad(p, np.zeros((3, 4)))[0].shape == (3,)
     # separate state/action parts concatenate
     v = icnn_forward(p, np.zeros(2), np.zeros(2))
     assert v == pytest.approx(icnn_forward(p, np.zeros(4)))
 
 
 def test_forward_rejects_wrong_dim():
-    with pytest.raises(ShapeError):
-        icnn_forward(init_icnn(4), np.zeros(3))
+    # one (d_in,) input only: a batch goes through icnn_value_and_input_grad
+    for s, a in [(np.zeros(3), None), (np.zeros((1, 4)), None), (np.zeros((3, 4)), None),
+                 (np.zeros((3, 2)), np.zeros((3, 2)))]:
+        with pytest.raises(ShapeError):
+            icnn_forward(init_icnn(4), s, a)
 
 
 def test_passthrough_weights_stay_nonnegative_through_training():
@@ -69,7 +72,7 @@ def test_input_gradient_matches_finite_difference():
     rng = np.random.default_rng(3)
     U = rng.uniform(0, 1, (7, 5))
     vals, g = icnn_value_and_input_grad(p, U)
-    assert np.allclose(vals, icnn_forward(p, U))
+    assert np.allclose(vals, [icnn_forward(p, u) for u in U])
     h = 1e-6
     for i in range(7):
         for j in range(5):
@@ -85,9 +88,9 @@ def test_fit_reduces_error():
     p = init_icnn(3, (8, 8), seed=4)
     U = rng.uniform(0, 1, (200, 3))
     t = (U ** 2).sum(axis=1)
-    before = np.mean((icnn_forward(p, U) - t) ** 2)
+    before = np.mean((icnn_value_and_input_grad(p, U)[0] - t) ** 2)
     p2 = icnn_fit(p, U, t, lr=1e-2, epochs=350)
-    after = np.mean((icnn_forward(p2, U) - t) ** 2)
+    after = np.mean((icnn_value_and_input_grad(p2, U)[0] - t) ** 2)
     assert after < before
 
 
@@ -277,8 +280,8 @@ def test_value_and_input_grad_match_reference(batch, d_in, widths, seed):
     ref_vals, ref_g = _ref_value_and_input_grad(p, U)
     _assert_close(vals, ref_vals)
     _assert_close(g, ref_g)
-    # the value comes from the one forward pass icnn_forward runs
-    assert np.array_equal(vals, icnn_forward(p, U))
+    # the value comes from the one forward pass that icnn_forward also runs
+    assert np.array_equal(vals, _forward(p, U)[0])
 
 
 @settings(deadline=None, max_examples=60)

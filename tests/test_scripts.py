@@ -6,7 +6,11 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
+
+from consol.local_net import (TrainConfig, _mse, fit_snapped, forward, get_weight_vector,
+                              set_weight_vector)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPTS = sorted(f for f in os.listdir(os.path.join(ROOT, "scripts"))
@@ -37,7 +41,7 @@ def load_quality():
 
 #: the keys of a QUALITY.json row, as scripts/quality.py documents them
 FIT_KEYS = {"name", "seed", "nrmse_train", "nrmse_test", "e_c", "equation", "eta",
-            "membership", "wall_s"}
+            "membership", "hessian_min_eig", "wall_s"}
 SEARCH_KEYS = FIT_KEYS | {"stopped", "episodes", "best_reward", "segment_violations"}
 TOY_KEYS = FIT_KEYS | {"w0_converged", "min_d2"}
 
@@ -55,6 +59,27 @@ def test_quality_fit_recovers_and_repeats(system, seed):
     assert set(first) == row_keys(first["name"]) and first["nrmse_test"] is None
     del first["wall_s"], second["wall_s"]
     assert first == second
+
+
+def test_hessian_min_eig_at_the_toy_fit_is_positive_and_matches_finite_differences():
+    quality = load_quality()
+    train, _, _, structure, _, _ = quality.problem("toy", 0)
+    weights, _ = fit_snapped(structure, TrainConfig(epochs=quality.FIT_EPOCHS["toy"]),
+                             (train.X, train.Y))
+    w0 = get_weight_vector(structure, weights)
+
+    def loss(dw):
+        w = set_weight_vector(structure, weights, w0 + dw)
+        return _mse(forward(structure, w, train.X) - train.Y)
+
+    h, P = 1e-4, len(w0)
+    steps = h * np.eye(P)
+    fd = np.array([[(loss(steps[i] + steps[j]) - loss(steps[i] - steps[j])
+                     - loss(steps[j] - steps[i]) + loss(-steps[i] - steps[j])) / (4 * h * h)
+                    for j in range(P)] for i in range(P)])
+    lam = quality.hessian_min_eig(structure, weights, train)
+    assert lam > 0.0
+    assert lam == pytest.approx(np.linalg.eigvalsh(fd)[0], rel=1e-5)
 
 
 def test_quality_json_has_one_row_per_planned_row():

@@ -413,10 +413,13 @@ def test_update_frozen_paths_keeps_its_guarantees(data):
     series keep each output's pins under the fan-in cap and the kept
     neurons within the budget; every pin's neuron is kept, every kept
     neuron tracks an output, and the product stage pins each kept column
-    whole."""
+    whole.  When every structure keeps the kept columns' pinned patterns,
+    as every action the search fits does, no two kept neurons share a
+    factor column."""
     draw = data.draw
     n_act, n_mult = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     n_out = draw(st.integers(1, 3))
+    follow_pins = draw(st.booleans())
     cfg = ConstraintConfig(max_factors_per_neuron=draw(st.integers(1, 4)),
                            corr_keep_threshold=draw(st.sampled_from([0.5, 0.9, 0.99])))
     lib = make_library(["id"])
@@ -424,6 +427,9 @@ def test_update_frozen_paths_keeps_its_guarantees(data):
     for _ in range(draw(st.integers(1, 6))):
         z_mult = (rng.random((n_act, n_mult)) < 0.5).astype(int)
         z_mult[rng.integers(n_act), :] = 1            # every product has an input
+        if follow_pins:
+            mask, values = stage_pins(cfg, 1, n_act, n_mult, n_act * n_mult)
+            z_mult = np.where(mask, values, z_mult.ravel()).reshape(n_act, n_mult)
         st_ = three_layer_structure(lib, n_act, z_mult, np.ones((n_mult, n_out), dtype=int))
         t = rng.normal(size=(20, n_out))
         # each product tracks an output at some noise level, or is constant
@@ -437,9 +443,39 @@ def test_update_frozen_paths_keeps_its_guarantees(data):
             assert sum(o == out for _, o in pins) <= cfg.max_factors_per_neuron - 1
         assert len(kept) <= max(0, n_mult - n_out)
         assert kept == {j for j, _ in pins}
-        mask, _ = stage_pins(cfg, 1, n_act, n_mult, n_act * n_mult)
+        mask, values = stage_pins(cfg, 1, n_act, n_mult, n_act * n_mult)
         assert (mask.reshape(n_act, n_mult).all(axis=0)
                 == np.isin(np.arange(n_mult), sorted(kept))).all()
+        if follow_pins:
+            columns = [tuple(values.reshape(n_act, n_mult)[:, j]) for j in kept]
+            assert len(set(columns)) == len(columns)
+
+
+def twin_case(kept_j):
+    """Products x1^2, x2, x1^2, x3 for outputs 3 x1^2 and 2 x1^2 (a budget
+    of two kept neurons), with the x1^2 neuron kept_j already kept for
+    output 0."""
+    z_mult = np.zeros((9, 4))
+    z_mult[[1, 3, 1, 6], [0, 1, 2, 3]] = 1
+    st_ = three_layer_structure(make_library(["id", "square", "cos"]), 3, z_mult,
+                                np.ones((4, 2), dtype=int))
+    rng = np.random.default_rng(6)
+    x = rng.uniform(1.0, 2.0, 200)
+    H = np.stack([x ** 2, rng.uniform(1.0, 2.0, 200), x ** 2, rng.uniform(1.0, 2.0, 200)],
+                 axis=1)
+    cfg = ConstraintConfig(frozen_paths=frozenset({(1, 1, kept_j), (2, kept_j, 0)}))
+    return cfg, st_, H, np.stack([3.0 * x ** 2, 2.0 * x ** 2], axis=1)
+
+
+@pytest.mark.parametrize("kept_j", [0, 2])
+def test_update_frozen_paths_keeps_no_second_neuron_with_a_kept_neurons_factors(kept_j):
+    # the other x1^2 column correlates as well as the kept one, but keeping
+    # it would spend the budget on a product the network already has, and
+    # leave the final fit a flat direction: output 1 is pinned to the kept
+    # neuron itself, and output 0 gains no pin
+    cfg, st_, H, t = twin_case(kept_j)
+    assert update_frozen_paths(cfg, st_, H, t).frozen_paths == cfg.frozen_paths | {
+        (2, kept_j, 1)}
 
 
 def test_update_frozen_paths_with_a_cap_of_one_pins_nothing():
