@@ -36,8 +36,15 @@ class Dataset:
         if "sigma_y" not in self.meta:
             with np.errstate(over="ignore"):
                 self.meta["sigma_y"] = np.std(self.Y, axis=0).tolist()
+        # one entry per output: a longer list would broadcast in nrmse
+        try:
+            sigma_y = self.sigma_y
+        except (TypeError, ValueError):
+            sigma_y = None
+        if sigma_y is None or sigma_y.shape != (self.Y.shape[1],):
+            raise ValueError("sigma_y needs one number per output")
         # an infinite scale scores every fit NRMSE 0, a negative one below 0
-        if not (np.isfinite(self.sigma_y).all() and (self.sigma_y >= 0).all()):
+        if not (np.isfinite(sigma_y).all() and (sigma_y >= 0).all()):
             raise ValueError(f"sigma_y must be finite and non-negative, not "
                              f"{self.meta['sigma_y']}")
 
@@ -334,11 +341,4 @@ def load_dataset(path: str) -> Dataset:
                          "into inputs and outputs")
     if not isinstance(meta, dict):
         raise ValueError("meta must be an object")
-    if "sigma_y" in meta:
-        try:
-            sigma_y = np.asarray(meta["sigma_y"], dtype=float)
-        except (TypeError, ValueError):
-            sigma_y = None
-        if sigma_y is None or sigma_y.shape != (data.shape[1] - n_in,):
-            raise ValueError("sigma_y needs one number per output")
     return Dataset(data[:, :n_in], data[:, n_in:], meta)

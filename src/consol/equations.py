@@ -168,8 +168,3 @@ def canonicalize(raw_outputs, prune_threshold: float = 0.0) -> CanonicalEquation
         terms.sort(key=lambda t: tuple(_sort_key(f) for f in t.factors))
         outputs.append(tuple(terms))
     return CanonicalEquation(outputs=tuple(outputs))
-
-
-def term(coefficient: float, factors) -> tuple[float, list[Factor]]:
-    """Test/fixture helper: factors as (input, op, weight) triples."""
-    return coefficient, [(inp, (op, w)) for inp, op, w in factors]

@@ -51,7 +51,7 @@ class QLearnConfig:
     retry_cap: int = 20
     opt_restarts: int = 3
     opt_steps: int = 200
-    # the epochs of the long fit (`local_net.fit_snapped`) in the final
+    # the epochs of the long fit (`_long_fit_and_score`) in the final
     # polish and the trim; for a structure with a live weighted op they cap
     # only the bold-driver warm-up before Levenberg-Marquardt; 0: no polish
     final_polish_epochs: int = 500
@@ -253,6 +253,15 @@ def greedy_action(qnet: IcnnParams, space: SearchSpace, s: StateVec,
     return action_from_array(a)
 
 
+def _long_fit_and_score(structure: LocalStructure, cfg: QLearnConfig, data, epochs: int):
+    """(weights, nrmse) of the long fit, with its snapping of small inner
+    weights, at the given epochs; data is (X, Y, sigma_y).  DomainError
+    where the fit or its prediction leaves the symbol domains."""
+    X, Y, sigma_y = data
+    weights, _ = local_net.fit_snapped(structure, replace(cfg.local_train, epochs=epochs), (X, Y))
+    return weights, nrmse(local_net.forward(structure, weights, X), Y, sigma_y)
+
+
 def _fit_and_score(structure: LocalStructure, cfg: QLearnConfig, X, Y, sigma_y):
     """Short fit; candidates that already score well are promoted to a long
     refit so near-perfect structures can actually reach the stop threshold.
@@ -269,10 +278,8 @@ def _fit_and_score(structure: LocalStructure, cfg: QLearnConfig, X, Y, sigma_y):
         return weights, DOMAIN_FAILURE_NRMSE
     if (cfg.promote_epochs > cfg.local_train.epochs
             and 1.0 / (1.0 + score) >= cfg.promote_threshold):
-        long_cfg = replace(cfg.local_train, epochs=cfg.promote_epochs)
         try:
-            w2, _ = local_net.fit_snapped(structure, long_cfg, (X, Y))
-            s2 = nrmse(local_net.forward(structure, w2, X), Y, sigma_y)
+            w2, s2 = _long_fit_and_score(structure, cfg, (X, Y, sigma_y), cfg.promote_epochs)
             if s2 < score:
                 weights, score = w2, s2
         except DomainError:
@@ -300,7 +307,6 @@ def rollout_episode(qnet: IcnnParams, cfg: QLearnConfig, space: SearchSpace,
             s = transition(s, a, n_k, n_k1)
             indicators.append(indicator_from_action(a, n_k, n_k1))
             continue
-        kind = space.layer_kinds[k]
         used_next = None
         if k + 1 < space.n_stages and (k + 1) not in space.searched_stages:
             used_next = space.indicator_for_fixed(k + 1).sum(axis=1) > 0
@@ -314,11 +320,11 @@ def rollout_episode(qnet: IcnnParams, cfg: QLearnConfig, space: SearchSpace,
                 cand = discretize(relaxed)
             else:
                 cand = propose_random_action(rng, n_k, n_k1, space.n_a,
-                                             constraints, k, kind, s_prev=s)
+                                             constraints, k, s)
                 if relaxed is None:
                     relaxed = cand
-            res = check_constraints(s, cand, constraints, k, kind, n_k, n_k1,
-                                    used_next=used_next)
+            res = check_constraints(s, cand, constraints, k, space.layer_kinds[k],
+                                    n_k, n_k1, used_next=used_next)
             if res:
                 chosen = cand
                 break
@@ -388,9 +394,8 @@ def trim_structure(structure: LocalStructure, cfg: QLearnConfig, data,
     good as the stop threshold (or never gets worse, when the fit was
     already above it); data is (X, Y, sigma_y), as in rollout_episode.
     Returns possibly simplified (structure, weights, nrmse)."""
-    X, Y, sigma_y = data
+    X, _, sigma_y = data
     stop_nrmse = cfg.stop_lambda / (1.0 - cfg.stop_lambda)
-    polish = replace(cfg.local_train, epochs=cfg.final_polish_epochs)
     while True:
         z = structure.indicators[SUMMATION_STAGE]
         try:
@@ -408,7 +413,6 @@ def trim_structure(structure: LocalStructure, cfg: QLearnConfig, data,
                 if share < 0.5:
                     cands.append((share, i, j))
         cands.sort()
-        accepted = False
         for _, i, j in cands:
             new_ind = [m.copy() for m in structure.indicators]
             new_ind[SUMMATION_STAGE][i, j] = 0
@@ -416,15 +420,13 @@ def trim_structure(structure: LocalStructure, cfg: QLearnConfig, data,
                 cand_st = make_structure(structure.library,
                                          structure.layer_sizes,
                                          structure.layer_kinds, new_ind)
-                w2, _ = local_net.fit_snapped(cand_st, polish, (X, Y))
-                s2 = nrmse(local_net.forward(cand_st, w2, X), Y, sigma_y)
+                w2, s2 = _long_fit_and_score(cand_st, cfg, data, cfg.final_polish_epochs)
             except (DomainError, StructureError):
                 continue
             if s2 <= max(stop_nrmse, score):
                 structure, weights, score = cand_st, w2, s2
-                accepted = True
                 break
-        if not accepted:
+        else:
             return structure, weights, score
 
 
@@ -436,10 +438,8 @@ class SearchResult:
     best_nrmse: float
     episodes: list[EpisodeLog]
     qnet: IcnnParams
-    rnet: IcnnParams
-    constraints: ConstraintConfig
     stopped_early: bool
-    icnn_snapshots: list[tuple[str, IcnnParams]] = field(default_factory=list)
+    icnn_snapshots: list[tuple[str, IcnnParams]]
 
 
 def run_search(space: SearchSpace, cfg: QLearnConfig, data,
@@ -447,14 +447,14 @@ def run_search(space: SearchSpace, cfg: QLearnConfig, data,
                seed: int = 0) -> SearchResult:
     """Episode loop with replay, the target network set to the Q network
     every target_update_interval episodes, early stop at |R_t - 1| <=
-    stop_lambda, and a long final refit of the best structure.  A Q update
-    whose fit diverges to a non-finite parameter (DomainError) leaves the Q
-    network as it was.  The networks are kept by reference: a fit returns a
-    new network and never writes its input.  The result's icnn_snapshots
-    hold the Q and R networks at the start and the end and every target
-    network.  Every NRMSE of the search, the episodes' and the
-    polished one's, is normalised by one sigma_y: a Dataset's own, else the
-    std of Y."""
+    stop_lambda, and a long final refit and trim of the best structure that
+    sets best_reward to 1/(1 + its NRMSE).  A Q update whose fit diverges
+    to a non-finite parameter (DomainError) leaves the Q network as it was.
+    The networks are kept by reference: a fit returns a new network and
+    never writes its input.  The result's icnn_snapshots hold the Q and R
+    networks at the start and the end and every target network.  Every
+    NRMSE of the search, the episodes' and the polished one's, is
+    normalised by one sigma_y: a Dataset's own, else the std of Y."""
     rng = np.random.default_rng(seed)
     constraints = constraints or ConstraintConfig()
     X, Y = local_net._as_xy(data)
@@ -505,17 +505,14 @@ def run_search(space: SearchSpace, cfg: QLearnConfig, data,
             break
     best_structure, best_weights, best_reward, best_nrmse = best
     if best_structure is not None and cfg.final_polish_epochs > 0:
-        polish = replace(cfg.local_train, epochs=cfg.final_polish_epochs)
         try:
-            best_weights, _ = local_net.fit_snapped(best_structure, polish, (X, Y))
-            pred = local_net.forward(best_structure, best_weights, X)
-            best_nrmse = nrmse(pred, Y, sigma_y)
+            best_weights, best_nrmse = _long_fit_and_score(
+                best_structure, cfg, (X, Y, sigma_y), cfg.final_polish_epochs)
             best_structure, best_weights, best_nrmse = trim_structure(
                 best_structure, cfg, (X, Y, sigma_y), best_weights, best_nrmse)
-            best_reward = max(best_reward, 1.0 / (1.0 + best_nrmse))
+            best_reward = 1.0 / (1.0 + best_nrmse)
         except DomainError:
             pass
     snapshots += [("final_q", qnet), ("final_r", rnet)]
     return SearchResult(best_structure, best_weights, best_reward, best_nrmse,
-                        episodes, qnet, rnet, constraints, stopped,
-                        snapshots)
+                        episodes, qnet, stopped, snapshots)

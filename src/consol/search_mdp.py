@@ -148,16 +148,14 @@ def check_constraints(s_prev: StateVec, a: ActionVec, cfg: ConstraintConfig,
 
 def propose_random_action(rng, n_k: int, n_k1: int, n_a: int,
                           cfg: ConstraintConfig, stage: int,
-                          layer_kind: str,
-                          s_prev: StateVec | None = None) -> ActionVec:
+                          s_prev: StateVec) -> ActionVec:
     """Draw a structured random discrete action: per target neuron a uniform
     fan-in (within the static cap, net of pinned connections) and uniform
-    source choice among live previous-layer neurons.  A column whose every
-    row is pinned (a kept neuron's) gets exactly its pinned pattern.
-    Constraint checking is the caller's job."""
-    live = np.ones(n_k, dtype=bool)
-    if s_prev is not None:
-        live = s_prev.values[:n_k] > 0
+    source choice among live previous-layer neurons, at least one source
+    per output at the summation stage.  A column whose every row is pinned
+    (a kept neuron's) gets exactly its pinned pattern.  Constraint checking
+    is the caller's job."""
+    live = s_prev.values[:n_k] > 0
     mask, values = stage_pins(cfg, stage, n_k, n_k1, n_k * n_k1)
     mask, Z = mask.reshape(n_k, n_k1), values.reshape(n_k, n_k1)
     for j in range(n_k1):
@@ -168,7 +166,7 @@ def propose_random_action(rng, n_k: int, n_k1: int, n_a: int,
         cap = min(cfg.max_factors_per_neuron - pinned.size, len(avail))
         if cap <= 0:
             continue
-        lo = 1 if (layer_kind == SUMMATION and not pinned.size) else 0
+        lo = 1 if (stage == SUMMATION_STAGE and not pinned.size) else 0
         m = int(rng.integers(lo, cap + 1))
         if m > 0:
             srcs = rng.choice(len(avail), size=m, replace=False)

@@ -492,9 +492,9 @@ def test_probe_sweep_command(tmp_path):
 
 
 def test_eval_command(tmp_path):
-    from consol.equations import canonicalize, term
-    truth = canonicalize([[term(3.0, [(0, "square", None)])]])
-    learned = canonicalize([[term(3.3, [(0, "square", None)])]])
+    from consol.equations import canonicalize
+    truth = canonicalize([[(3.0, [(0, ("square", None))])]])
+    learned = canonicalize([[(3.3, [(0, ("square", None))])]])
     tpath = write_json(tmp_path / "t.json", truth.to_json_obj())
     lpath = write_json(tmp_path / "l.json", learned.to_json_obj())
     rpath = str(tmp_path / "eval.json")

@@ -45,6 +45,15 @@ def test_dataset_rejects_a_sigma_y_that_is_not_finite_and_non_negative(scale, me
         Dataset(x, scale * x, meta)
 
 
+@pytest.mark.parametrize("sigma_y", [[1.0, 1e9], [], 1.0, [[1.0]], "x", ["x"], {}])
+def test_dataset_needs_one_sigma_y_per_output(sigma_y):
+    # [1, 1e9] for one output would broadcast in nrmse and read an error
+    # of 0.1 as 0.05
+    x = np.linspace(1.0, 2.0, 50)[:, None]
+    with pytest.raises(ValueError, match="sigma_y needs one number per output"):
+        Dataset(x, x, {"sigma_y": sigma_y})
+
+
 def test_gen_syn_is_deterministic_and_ranged():
     tr1, te1 = gen_syn(1, 50, 40, 7)
     tr2, te2 = gen_syn(1, 50, 40, 7)

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from consol.equations import (CanonicalEquation, Term, canonicalize,
                               canonicalize_term, equation_from_json_obj,
-                              render_terms, term)
+                              render_terms)
+from test_metrics import term
 
 
 def test_paired_sqrt_factors_merge():

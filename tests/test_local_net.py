@@ -4,7 +4,7 @@ from hypothesis import example, find, given, settings, strategies as hst
 
 from consol import datasets, local_net, symbols
 from consol.convexity_probe import analytic_directional_derivs, loss_second_derivative
-from consol.equations import term, canonicalize
+from consol.equations import canonicalize
 from consol.errors import DomainError, ShapeError, StructureError
 from consol.local_net import (ACTIVATION, MULTIPLICATION, SUMMATION, SUMMATION_STAGE,
                               LocalWeights, TrainConfig, extract_equation,
@@ -14,7 +14,7 @@ from consol.local_net import (ACTIVATION, MULTIPLICATION, SUMMATION, SUMMATION_S
                               three_layer_structure, forward,
                               weights_from_json_obj, weights_to_json_obj)
 from consol.symbols import make_library
-from test_metrics import syn2_true_fit
+from test_metrics import syn2_true_fit, term
 
 
 LIB = make_library(["id", "square", "cos"])

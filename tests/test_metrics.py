@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 
 from consol import datasets
-from consol.equations import canonicalize, term
+from consol.equations import canonicalize
 from consol.errors import DegenerateError
 from consol.local_net import (extract_equation, forward, init_weights,
                               three_layer_structure)
 from consol.metrics import e_c, nrmse, percentage_error
 from consol.symbols import make_library
+
+
+def term(coefficient, factors):
+    """A raw (coefficient, factors) term for `canonicalize`, the factors
+    given as (input, op, weight) triples."""
+    return coefficient, [(inp, (op, w)) for inp, op, w in factors]
 
 
 def test_nrmse_vector_oracle():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -468,6 +470,33 @@ def test_run_search_scores_every_episode_by_the_datasets_sigma_y():
     assert scaled.best_reward == ep4.reward == 1.0 / (1.0 + ep4.nrmse)
 
 
+def test_run_search_reports_the_reward_of_the_network_it_returns(monkeypatch):
+    """The trim may return a worse fit, up to the stop bound; best_reward is
+    then that fit's, not the better episode's."""
+    cfg = replace(TOY_CFG, stop_lambda=0.05)
+    bound = cfg.stop_lambda / (1.0 - cfg.stop_lambda)
+    monkeypatch.setattr(q_learning, "trim_structure",
+                        lambda structure, cfg, data, weights, score:
+                        (structure, weights, bound))
+    res = run_search(toy_space(), cfg, toy_data(),
+                     ConstraintConfig(max_factors_per_neuron=2), seed=1)
+    assert max(ep.reward for ep in res.episodes) > 1.0 / (1.0 + bound)
+    assert res.best_nrmse == bound
+    assert res.best_reward == 1.0 / (1.0 + res.best_nrmse)
+
+
+def test_run_search_keeps_the_best_episode_when_the_polish_leaves_the_domain(
+        monkeypatch):
+    def diverged(*args):
+        raise DomainError("fit left the symbol domains")
+
+    monkeypatch.setattr(q_learning, "_long_fit_and_score", diverged)
+    res = run_search(toy_space(), TOY_CFG, toy_data(),
+                     ConstraintConfig(max_factors_per_neuron=2), seed=1)
+    best = max(res.episodes, key=lambda ep: ep.reward)
+    assert (res.best_reward, res.best_nrmse) == (best.reward, best.nrmse)
+
+
 def test_run_search_keeps_the_q_network_when_its_fit_diverges(monkeypatch):
     """The fitted-Q targets are unbounded, so a Q fit can overflow (power-flow
     searches do); the search keeps its Q network and its episodes."""
@@ -497,7 +526,6 @@ def test_trim_structure_drops_spurious_term():
     cfg = QLearnConfig(final_polish_epochs=400)
     from consol.local_net import fit_snapped
     from consol.metrics import nrmse as _nrmse
-    from dataclasses import replace
     w, _ = fit_snapped(st, replace(cfg.local_train, epochs=400), (X, Y))
     import consol.local_net as ln
     score = _nrmse(ln.forward(st, w, X), Y, Y.std(axis=0))
@@ -517,7 +545,6 @@ def test_trim_structure_keeps_needed_terms():
     cfg = QLearnConfig(final_polish_epochs=400)
     from consol.local_net import fit_snapped
     from consol.metrics import nrmse as _nrmse
-    from dataclasses import replace
     import consol.local_net as ln
     w, _ = fit_snapped(st, replace(cfg.local_train, epochs=400), (X, Y))
     score = _nrmse(ln.forward(st, w, X), Y, Y.std(axis=0))

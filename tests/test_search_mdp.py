@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from consol.errors import ShapeError
-from consol.local_net import (ACTIVATION, MULTIPLICATION, SUMMATION,
+from consol.local_net import (ACTIVATION, MULTIPLICATION, SUMMATION, SUMMATION_STAGE,
                               fanout_indicator, three_layer_structure)
 from consol.search_mdp import (ActionVec, CheckResult, ConstraintConfig, StateVec,
                                action_from_array, action_from_indicator,
@@ -173,10 +173,10 @@ def test_random_proposals_pass_their_own_check(seed, n_k, n_k1, cap, kind):
     if not counts.any():
         counts[0] = 1
     s = StateVec(counts, stage=1)
-    a = propose_random_action(rng, n_k, n_k1, n_k * n_k1, cfg, 1, kind,
-                              s_prev=s)
+    stage = SUMMATION_STAGE if kind == SUMMATION else 1
+    a = propose_random_action(rng, n_k, n_k1, n_k * n_k1, cfg, stage, s)
     assert np.isin(a.values, (0.0, 1.0)).all()
-    res = check_constraints(s, a, cfg, 1, kind, n_k, n_k1)
+    res = check_constraints(s, a, cfg, stage, kind, n_k, n_k1)
     if kind == SUMMATION:
         # dead-output rejections can still occur when every source is dead
         live = sum(v > 0 for v in s.values[:n_k])
@@ -190,8 +190,7 @@ def test_random_proposal_respects_frozen_column():
     cfg = ConstraintConfig(frozen_paths=frozenset({(1, 1, 0)}))
     rng = np.random.default_rng(3)
     for _ in range(20):
-        a = propose_random_action(rng, 3, 2, 6, cfg, 1, MULTIPLICATION,
-                                  s_prev=StateVec((1, 1, 1), stage=1))
+        a = propose_random_action(rng, 3, 2, 6, cfg, 1, StateVec((1, 1, 1), stage=1))
         Z = indicator_from_action(a, 3, 2)
         assert Z[:, 0].tolist() == [0.0, 1.0, 0.0]
 
@@ -235,9 +234,10 @@ def _ref_check(s, a, cfg, stage, kind, n_k, n_k1):
     return free
 
 
-def _ref_propose(rng, n_k, n_k1, cfg, stage, kind, s_prev):
+def _ref_propose(rng, n_k, n_k1, cfg, stage, s_prev):
     """The random proposal with the pinned rows read per column from the
-    frozen paths, in ascending order."""
+    frozen paths, in ascending order; at least one source per summation
+    output."""
     live = s_prev.values[:n_k] > 0
     Z = np.zeros((n_k, n_k1))
     for j in range(n_k1):
@@ -249,7 +249,7 @@ def _ref_propose(rng, n_k, n_k1, cfg, stage, kind, s_prev):
         cap = min(cfg.max_factors_per_neuron - len(pinned), len(avail))
         if cap <= 0:
             continue
-        lo = 1 if (kind == SUMMATION and not pinned) else 0
+        lo = 1 if (stage == SUMMATION_STAGE and not pinned) else 0
         m = int(rng.integers(lo, cap + 1))
         if m > 0:
             for s_i in rng.choice(len(avail), size=m, replace=False):
@@ -288,8 +288,8 @@ def test_pins_give_the_frozen_sets_verdict_and_proposal(case):
     assert (check_constraints(s, a, cfg, stage, kind, n_k, n_k1)
             == _ref_check(s, a, cfg, stage, kind, n_k, n_k1))
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    prop = propose_random_action(rng, n_k, n_k1, n_a, cfg, stage, kind, s_prev=s)
-    ref = _ref_propose(ref_rng, n_k, n_k1, cfg, stage, kind, s)
+    prop = propose_random_action(rng, n_k, n_k1, n_a, cfg, stage, s)
+    ref = _ref_propose(ref_rng, n_k, n_k1, cfg, stage, s)
     assert np.array_equal(indicator_from_action(prop, n_k, n_k1), ref)
     assert not prop.values[n_k * n_k1:].any()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
