@@ -12,8 +12,9 @@ segment-test violations of every Q/R snapshot of the run (the negated
 networks must be convex), summed over the snapshots, each tested with
 1,000 triples on the unit box at tol 1e-9 and seed 0.  A fit row fits the
 generating structure with `fit_snapped`; its seed draws the data alone, and
-the system is always the seed-0 one.  The toy row fits
-y = 3 x1^2 cos(2.5 x2) (N = 200, inputs uniform on [0, 1]) and also records
+the system is always the seed-0 one.  Every row's targets are its truth
+evaluated (`equations.evaluate`).  The toy row fits TOY_TRUTH,
+y = 3 x1^2 cos(2.5 x2) (N = 200, inputs uniform on [0, 1]), and also records
 w0_converged, the starts of the -10..10 grid whose 1,000-epoch
 `init_sweep` fit reaches a loss below 1e-6, and min_d2, the smallest
 `loss_second_derivative` at the fit over 100 unit directions.  Every row
@@ -50,7 +51,7 @@ from consol import datasets
 from consol.convexity_probe import (analytic_directional_derivs, estimate_region,
                                     init_sweep, loss_second_derivative,
                                     segment_convexity_test)
-from consol.equations import canonicalize
+from consol.equations import canonicalize, evaluate
 from consol.errors import DegenerateError, DomainError
 from consol.icnn import icnn_forward
 from consol.local_net import (TrainConfig, extract_equation, fit_snapped, forward,
@@ -86,7 +87,7 @@ def problem(name, seed):
         z_mult[[1, 5], 0] = 1  # x1^2 and cos(w x2)
         structure = three_layer_structure(make_library(["id", "square", "cos"]), 2,
                                           z_mult, np.ones((1, 1), dtype=int))
-        train = datasets.Dataset(X, (3.0 * X[:, 0] ** 2 * np.cos(2.5 * X[:, 1]))[:, None])
+        train = datasets.Dataset(X, evaluate(TOY_TRUTH, X))
         return train, None, TOY_TRUTH, structure, None, None
     if name == "power":
         # one fan-in-2 product per voltage pair of the truth

@@ -291,7 +291,9 @@ def cmd_search(args) -> int:
               "best_reward": result.best_reward,
               "nrmse_train": result.best_nrmse}
     if result.best_structure is None:
-        report.update({"equations": None, "nrmse_test": None, "e_c_percent": None})
+        # no episode built a structure: the figures are -inf and inf, not JSON
+        report.update({"best_reward": None, "nrmse_train": None, "equations": None,
+                       "nrmse_test": None, "e_c_percent": None})
         atomic_write(os.path.join(out_dir, "equations.txt"), "no structure found\n")
     else:
         eq = local_net.extract_equation(result.best_structure, result.best_weights)

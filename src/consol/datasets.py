@@ -1,9 +1,9 @@
 """Benchmark dataset generators, SNR-controlled noise injection and CSV
 persistence.
 
-The power-flow and mass-damper generators sample states and evaluate the
-closed-form system equations directly, on seeded synthetic topologies; the
-matching ground-truth equations are exposed for coefficient scoring.
+Each generator's targets are its ground-truth equation, the one that
+coefficient scoring reads, evaluated on the sampled inputs; the power-flow
+and mass-damper systems are seeded synthetic topologies.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equations import CanonicalEquation, canonicalize
+from .equations import CanonicalEquation, canonicalize, evaluate
 
 
 @dataclass
@@ -62,24 +62,6 @@ class Dataset:
 SYN_LIBRARIES = {1: ["id", "square", "cos"], 2: ["sqrt", "id", "square", "log", "sin"]}
 
 
-def syn_outputs(which: int, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
-    if which == 1:
-        return np.column_stack([
-            3.0 * x1 ** 2 * np.cos(2.5 * x2),
-            4.0 * x1 * x3,
-            3.0 * x3 ** 2,
-        ])
-    if which == 2:
-        return np.column_stack([
-            np.sqrt(2.2 * x1) * x2 + x1 * x2 ** 2,
-            np.sin(1.8 * x1) * (np.log(3.0 * x2) + np.sqrt(x3)),
-            np.sqrt(3.7 * x3) * np.log(1.6 * x1) + x1 ** 2,
-        ])
-    raise ValueError("which must be 1 or 2")
-
-
 def syn_truth(which: int) -> CanonicalEquation:
     if which == 1:
         raw = [
@@ -102,18 +84,18 @@ def syn_truth(which: int) -> CanonicalEquation:
 
 
 def gen_syn(which: int, n_train: int, n_test: int, seed: int):
-    """Train inputs ~ U(1,2), test inputs ~ U(3,4), outputs from the closed
-    forms; deterministic under the seed."""
+    """Train inputs ~ U(1,2), test inputs ~ U(3,4), outputs from the truth
+    equation; deterministic under the seed."""
     if n_train <= 0 or n_test <= 0:
         raise ValueError("sample counts must be positive")
     rng = np.random.default_rng(seed)
     Xtr = rng.uniform(1.0, 2.0, size=(n_train, 3))
     Xte = rng.uniform(3.0, 4.0, size=(n_test, 3))
-    name = f"syn{which}"
-    train = Dataset(Xtr, syn_outputs(which, Xtr),
+    name, truth = f"syn{which}", syn_truth(which)
+    train = Dataset(Xtr, evaluate(truth, Xtr),
                     {"name": name, "split": "train", "input_range": [1.0, 2.0],
                      "seed": seed, "snr": None})
-    test = Dataset(Xte, syn_outputs(which, Xte),
+    test = Dataset(Xte, evaluate(truth, Xte),
                    {"name": name, "split": "test", "input_range": [3.0, 4.0],
                     "seed": seed, "snr": None})
     return train, test
@@ -171,22 +153,6 @@ def make_power_spec(n_nodes: int, seed: int) -> PowerSystemSpec:
     return PowerSystemSpec(G, B)
 
 
-def power_outputs(spec: PowerSystemSpec, X: np.ndarray) -> np.ndarray:
-    """X rows are (u_1, v_1, ..., u_M, v_M); returns (p_1, q_1, ..., p_M, q_M)
-    from the power-flow sums."""
-    X = np.asarray(X, dtype=float)
-    M = spec.n_nodes
-    U = X[:, 0::2]
-    V = X[:, 1::2]
-    Y = np.zeros((X.shape[0], 2 * M))
-    for i in range(M):
-        uu_vv = U[:, i:i + 1] * U + V[:, i:i + 1] * V          # u_i u_m + v_i v_m
-        vu_uv = V[:, i:i + 1] * U - U[:, i:i + 1] * V          # v_i u_m - u_i v_m
-        Y[:, 2 * i] = (spec.G[i] * uu_vv + spec.B[i] * vu_uv).sum(axis=1)
-        Y[:, 2 * i + 1] = (spec.G[i] * vu_uv - spec.B[i] * uu_vv).sum(axis=1)
-    return Y
-
-
 def power_truth(spec: PowerSystemSpec) -> CanonicalEquation:
     """Ground-truth injections as sums of voltage products (library {x})."""
     M = spec.n_nodes
@@ -209,7 +175,7 @@ def gen_power(spec: PowerSystemSpec, n: int, voltage_range, seed: int) -> Datase
     rng = np.random.default_rng(seed)
     lo, hi = voltage_range
     X = rng.uniform(lo, hi, size=(n, 2 * spec.n_nodes))
-    return Dataset(X, power_outputs(spec, X),
+    return Dataset(X, evaluate(power_truth(spec), X),
                    {"name": "pow", "n_nodes": spec.n_nodes,
                     "voltage_range": [float(lo), float(hi)], "seed": seed, "snr": None})
 
@@ -256,11 +222,6 @@ def make_massdamper_spec(n_nodes: int, seed: int, step: float = 0.01,
                           step, duration)
 
 
-def massdamper_outputs(spec: MassDamperSpec, Q: np.ndarray) -> np.ndarray:
-    """Instantaneous momentum derivatives A q for each state row."""
-    return np.asarray(Q, dtype=float) @ spec.system_matrix.T
-
-
 def massdamper_truth(spec: MassDamperSpec) -> CanonicalEquation:
     A = spec.system_matrix
     raw = []
@@ -271,8 +232,9 @@ def massdamper_truth(spec: MassDamperSpec) -> CanonicalEquation:
 
 
 def gen_massdamper(spec: MassDamperSpec, seed: int):
-    """Forward-Euler trajectory from a random initial state; targets are the
-    exact instantaneous derivatives A q(t).  First half is the train split."""
+    """Forward-Euler trajectory of dq/dt = A q from a random initial state;
+    targets are the truth equation's derivatives A q(t) at each state.
+    First half is the train split."""
     rng = np.random.default_rng(seed)
     n_steps = int(round(spec.duration / spec.step))
     A = spec.system_matrix
@@ -281,7 +243,7 @@ def gen_massdamper(spec: MassDamperSpec, seed: int):
     for t in range(n_steps):
         states[t] = q
         q = q + spec.step * (A @ q)
-    Y = massdamper_outputs(spec, states)
+    Y = evaluate(massdamper_truth(spec), states)
     half = n_steps // 2
     meta = {"name": "mas", "n_nodes": spec.n_nodes, "step": spec.step,
             "duration": spec.duration, "seed": seed, "snr": None}

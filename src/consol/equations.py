@@ -14,7 +14,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .symbols import make_library
+import numpy as np
+
+from .errors import ShapeError
+from .symbols import check_domain, make_library, op_value
 
 # A factor is (input_index, (op_name, inner_weight-or-None)).
 Factor = tuple[int, tuple[str, float | None]]
@@ -54,6 +57,14 @@ class CanonicalEquation:
         return {"outputs": [[t.to_json_obj() for t in terms] for terms in self.outputs]}
 
 
+def _finite(x, what: str) -> float:
+    """float(x), or ValueError if that is NaN or infinite (canonicalize would
+    drop a NaN term unseen)."""
+    if not np.isfinite(x := float(x)):
+        raise ValueError(f"{what} must be finite, not {x}")
+    return x
+
+
 def _factor_from_json_obj(f) -> Factor:
     """One factor object, checked against the symbol table."""
     try:
@@ -66,16 +77,37 @@ def _factor_from_json_obj(f) -> Factor:
     inp = f["input"]
     if type(inp) is not int or inp < 0:
         raise ValueError(f"factor {f}: input must be a non-negative integer")
-    return inp, (op.name, None if w is None else float(w))
+    return inp, (op.name, None if w is None else _finite(w, f"factor {f}: inner weight"))
 
 
 def equation_from_json_obj(obj) -> CanonicalEquation:
     """Read an equation object into canonical form; a factor whose op is no
-    symbol, or that weights x or x^2, raises ValueError."""
+    symbol, that weights x or x^2, or a coefficient or inner weight that is
+    not finite raises ValueError."""
     return canonicalize([
-        [(t["coefficient"], [_factor_from_json_obj(f) for f in t["factors"]])
-         for t in tl]
+        [(_finite(t["coefficient"], f"term {t}: coefficient"),
+          [_factor_from_json_obj(f) for f in t["factors"]]) for t in tl]
         for tl in obj["outputs"]])
+
+
+def evaluate(eq: CanonicalEquation, X) -> np.ndarray:
+    """The (N, n_outputs) value of eq on an (N, n_in) batch of rows: per term
+    the coefficient times each factor, left to right, the terms added to a
+    zero column, all in canonical order.  DomainError for a factor argument
+    outside its symbol's domain."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ShapeError(f"input batch must be (N, n_in), not shape {X.shape}")
+    Y = np.zeros((X.shape[0], eq.n_outputs))
+    for j, terms in enumerate(eq.outputs):
+        for t in terms:
+            value = t.coefficient
+            for inp, (op, w) in t.factors:
+                z = X[:, inp] if w is None else w * X[:, inp]
+                check_domain(make_library([op]).ops[0], z)
+                value = value * op_value(op, z)
+            Y[:, j] += value
+    return Y
 
 
 def _render_factor(inp: int, op: str, w: float | None) -> str:

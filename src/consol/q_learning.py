@@ -108,6 +108,9 @@ class SearchSpace:
         K = len(self.layer_kinds)
         if len(self.layer_sizes) != K + 1:
             raise ValueError("layer_sizes must have one more entry than layer_kinds")
+        for kind, size in zip(("input", *LAYER_KINDS), self.layer_sizes):
+            if size < 1:  # 0 aborts every episode, below 0 fails in numpy
+                raise ValueError(f"the {kind} layer needs at least 1 neuron, not {size}")
         for k in self.searched_stages:
             if not 1 <= k < K:
                 raise ValueError(f"stage {k} cannot be searched")
@@ -212,8 +215,6 @@ class EpisodeOutcome:
     u_relaxed: np.ndarray
     s_next: np.ndarray
     stage_next: np.ndarray
-    reward: float
-    nrmse: float
     log: EpisodeLog
 
 
@@ -345,16 +346,14 @@ def rollout_episode(qnet: IcnnParams, cfg: QLearnConfig, space: SearchSpace,
     except StructureError as exc:  # constraints should prevent this
         raise EpisodeAborted(f"invalid structure assembled: {exc}") from exc
     weights, score = _fit_and_score(structure, cfg, X, Y, sigma_y)
-    reward = 1.0 / (1.0 + score)
-    log = EpisodeLog(t=t, reward=reward, nrmse=score, actions=log_actions,
+    log = EpisodeLog(t=t, reward=1.0 / (1.0 + score), nrmse=score, actions=log_actions,
                      rejections=rejections)
 
     d = space.q_input_dim
     return EpisodeOutcome(structure, weights, np.reshape(u, (-1, d)),
                           np.reshape(u_relaxed, (-1, d)),
                           np.reshape([s1.values for s1 in nexts], (-1, space.n_s)),
-                          np.array([s1.stage for s1 in nexts], dtype=np.int64),
-                          reward, score, log)
+                          np.array([s1.stage for s1 in nexts], dtype=np.int64), log)
 
 
 def reward_net_update(rnet: IcnnParams, U: np.ndarray, r_t: float,
@@ -477,9 +476,10 @@ def run_search(space: SearchSpace, cfg: QLearnConfig, data,
                                        actions=[], rejections=cfg.retry_cap,
                                        aborted=str(exc)))
             continue
-        rnet = reward_net_update(rnet, out.u, out.reward, cfg)
+        log = out.log
+        rnet = reward_net_update(rnet, out.u, log.reward, cfg)
         buffer.push(out.u, out.s_next, out.stage_next,
-                    np.full(len(out.u), out.reward))
+                    np.full(len(out.u), log.reward))
         # one forward call per relaxed row: a batched call may round
         # differently, and these rewards feed the Q fit
         buffer.push(out.u_relaxed, out.s_next, out.stage_next,
@@ -491,16 +491,16 @@ def run_search(space: SearchSpace, cfg: QLearnConfig, data,
         if t % cfg.target_update_interval == 0:
             target = qnet
             snapshots.append((f"target_t{t}", target))
-        if out.reward > cfg.freeze_reward_threshold:
+        if log.reward > cfg.freeze_reward_threshold:
             try:
                 prods = local_net._all_products(out.structure, out.weights, X)
                 constraints = update_frozen_paths(constraints, out.structure, prods, Y)
             except DomainError:
                 pass
-        episodes.append(out.log)
-        if out.reward > best[2]:
-            best = (out.structure, out.weights, out.reward, out.nrmse)
-        if abs(out.reward - 1.0) <= cfg.stop_lambda:
+        episodes.append(log)
+        if log.reward > best[2]:
+            best = (out.structure, out.weights, log.reward, log.nrmse)
+        if abs(log.reward - 1.0) <= cfg.stop_lambda:
             stopped = True
             break
     best_structure, best_weights, best_reward, best_nrmse = best

@@ -6,10 +6,12 @@ import shlex
 import numpy as np
 import pytest
 
+from consol import q_learning
 from consol.cli import (ConfigError, _load_or_generate, _qlearn_config, _search_space,
                         atomic_write, build_dataset, build_parser, default_config,
                         load_config, main, parse_grid)
 from consol.datasets import load_dataset
+from consol.errors import EpisodeAborted
 from consol.icnn import IcnnParams, init_icnn, params_to_json_obj
 from consol.local_net import TrainConfig, three_layer_structure
 from consol.q_learning import QLearnConfig, run_search
@@ -208,6 +210,29 @@ def test_search_command_end_to_end(tmp_path):
     if report["equations"] is not None:
         assert (out / "structure.json").exists()
         assert (out / "weights.json").exists()
+
+
+def test_search_that_builds_no_structure_writes_strict_json(tmp_path, monkeypatch):
+    """With every episode aborted there is no best reward or training
+    NRMSE; the report says null, not -Infinity and Infinity, which strict
+    JSON readers refuse."""
+    def abort(*args, **kwargs):
+        raise EpisodeAborted("stage 2: no valid action within 20 retries")
+
+    monkeypatch.setattr(q_learning, "rollout_episode", abort)
+    cfg = {"version": 1, "dataset": {"name": "syn1", "n_train": 50},
+           "search": {"max_episodes": 3}, "out_dir": str(tmp_path / "run")}
+    assert main(["search", "--config", write_json(tmp_path / "c.json", cfg)]) == 0
+
+    def no_constant(name):
+        raise ValueError(f"report.json holds {name}")
+
+    report = json.loads((tmp_path / "run" / "report.json").read_text(),
+                        parse_constant=no_constant)
+    assert report["episodes"] == 3
+    for key in ("best_reward", "nrmse_train", "equations", "nrmse_test", "e_c_percent"):
+        assert report[key] is None
+    assert (tmp_path / "run" / "equations.txt").read_text() == "no structure found\n"
 
 
 def test_version1_config_naming_random_action_cap_still_runs(tmp_path):
@@ -574,6 +599,27 @@ def test_eval_rejects_a_bad_factor(tmp_path, capsys, op, weight, message):
         assert f"'op': '{op}'" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("terms, message", [
+    (((float("nan"), [(0, "id", None)]), (2.0, [(1, "cos", 1.0)])),
+     "coefficient must be finite"),
+    (((1.0, [(0, "id", None)]), (2.0, [(1, "cos", float("inf"))])),
+     "inner weight must be finite"),
+    (((float("-inf"), [(0, "id", None)]),), "coefficient must be finite"),
+    (((1.0, [(0, "log", float("nan"))]),), "inner weight must be finite"),
+])
+def test_eval_rejects_an_equation_file_with_a_non_finite_number(tmp_path, capsys, terms,
+                                                                message):
+    """A NaN term was dropped unseen (so E_c covered fewer slots than the
+    file holds) and cos(inf*x2) was kept; both exit 3 naming the file."""
+    good = equation_obj((1.0, [(0, "id", None)]), (2.0, [(1, "cos", 1.0)]))
+    bad = equation_obj(*terms)
+    for truth, learned, named in ((bad, good, "t.json"), (good, bad, "l.json")):
+        rc, _ = run_eval(tmp_path, truth, learned)
+        err = capsys.readouterr().err
+        assert rc == 3 and message in err and str(tmp_path / named) in err
+        assert len(err.strip().splitlines()) == 1
+
+
 def valid_inputs(tmp_path):
     """A valid structure, weights, dataset, equation and ICNN parameter file,
     by the option that names each."""
@@ -651,6 +697,10 @@ _ICNN_FINITE = {"wy": [{"shape": [2, 3], "data": [0.0] * 6},
      "sigma_y must be finite and non-negative"),
     ("eval", "sidecar", {"n_inputs": 1, "meta": {"sigma_y": [float("inf")]}},
      "sigma_y must be finite and non-negative"),
+    ("eval", "learned", equation_obj((float("nan"), [(0, "square", None)])),
+     "coefficient must be finite"),
+    ("eval", "learned", equation_obj((1.0, [(0, "cos", float("-inf"))])),
+     "inner weight must be finite"),
 ])
 def test_input_file_of_the_wrong_shape_exits_3(tmp_path, capsys, command, option,
                                                content, message):
@@ -895,13 +945,16 @@ def test_probe_option_of_another_kind_is_a_usage_error(tmp_path, capsys, kind, o
     ({"train": {"init_value": float("nan")}}, "init_value must be finite, not nan"),
     ({"search": {"promote_threshold": float("nan")}},
      "promote_threshold must be finite, not nan"),
+    ({"mult_neurons": 0}, "the multiplication layer needs at least 1 neuron, not 0"),
+    ({"mult_neurons": -2}, "the multiplication layer needs at least 1 neuron, not -2"),
 ])
 def test_search_with_an_out_of_range_rate_or_stop_lambda_exits_3(tmp_path, capsys,
                                                                   block, message):
     """A lambda of 1 divided by zero in the trim; a NaN learning rate rejected
     every step, so each scoring fit returned its start; a retry_cap of -1
     aborted every episode; a NaN init_value scored every episode NRMSE 1e12;
-    a NaN promote_threshold never promoted.  Each exits 3 before any episode
+    a NaN promote_threshold never promoted; mult_neurons 0 aborted every
+    episode and -2 failed inside numpy.  Each exits 3 before any episode
     runs."""
     out = tmp_path / "run"
     cfg = {"version": 1, "dataset": {"name": "syn1", "n_train": 60},

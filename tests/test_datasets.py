@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from consol.cli import DATASET_NAMES, build_dataset
 from consol.datasets import (TRUTH_COEFF_THRESHOLD, Dataset, PowerSystemSpec,
                              add_noise, gen_massdamper, gen_power,
                              gen_syn, load_dataset, make_massdamper_spec,
-                             make_power_spec, massdamper_outputs,
-                             massdamper_truth, power_outputs, power_truth,
-                             save_dataset, syn_outputs, syn_truth)
-from consol.equations import canonicalize
+                             make_power_spec, massdamper_truth, power_truth,
+                             save_dataset, syn_truth)
+from consol.equations import canonicalize, evaluate
 
 
 def test_dataset_computes_sigma():
@@ -63,9 +63,42 @@ def test_gen_syn_is_deterministic_and_ranged():
     assert tr1.n == 50 and te1.n == 40
 
 
+def _syn_formula(which, X):
+    """The Syn1/Syn2 systems written out as closed forms."""
+    x1, x2, x3 = X.T
+    if which == 1:
+        return np.column_stack([3.0 * x1 ** 2 * np.cos(2.5 * x2), 4.0 * x1 * x3,
+                                3.0 * x3 ** 2])
+    return np.column_stack([
+        np.sqrt(2.2 * x1) * x2 + x1 * x2 ** 2,
+        np.sin(1.8 * x1) * (np.log(3.0 * x2) + np.sqrt(x3)),
+        np.sqrt(3.7 * x3) * np.log(1.6 * x1) + x1 ** 2,
+    ])
+
+
+def _power_sums(spec, X):
+    """The active and reactive injections (p_1, q_1, ..., p_M, q_M), summed
+    node by node over the lines."""
+    Y = np.zeros((len(X), 2 * spec.n_nodes))
+    u, v = X[:, 0::2], X[:, 1::2]
+    for i in range(spec.n_nodes):
+        for m in range(spec.n_nodes):
+            uu_vv = u[:, i] * u[:, m] + v[:, i] * v[:, m]
+            vu_uv = v[:, i] * u[:, m] - u[:, i] * v[:, m]
+            Y[:, 2 * i] += spec.G[i, m] * uu_vv + spec.B[i, m] * vu_uv
+            Y[:, 2 * i + 1] += spec.G[i, m] * vu_uv - spec.B[i, m] * uu_vv
+    return Y
+
+
+def _assert_columns_close(Y, ref):
+    """Each column within 1e-14 of its largest magnitude."""
+    assert Y.shape == ref.shape
+    assert (np.abs(Y - ref) <= 1e-14 * np.abs(ref).max(axis=0)).all()
+
+
 def test_syn1_outputs_closed_form():
     X = np.array([[1.0, 2.0, 3.0]])
-    y = syn_outputs(1, X)[0]
+    y = evaluate(syn_truth(1), X)[0]
     assert y[0] == pytest.approx(3.0 * np.cos(5.0))
     assert y[1] == pytest.approx(12.0)
     assert y[2] == pytest.approx(27.0)
@@ -73,11 +106,17 @@ def test_syn1_outputs_closed_form():
 
 def test_syn2_outputs_closed_form():
     X = np.array([[1.5, 1.2, 1.8]])
-    x1, x2, x3 = X[0]
-    y = syn_outputs(2, X)[0]
-    assert y[0] == pytest.approx(np.sqrt(2.2 * x1) * x2 + x1 * x2 ** 2)
-    assert y[1] == pytest.approx(np.sin(1.8 * x1) * (np.log(3.0 * x2) + np.sqrt(x3)))
-    assert y[2] == pytest.approx(np.sqrt(3.7 * x3) * np.log(1.6 * x1) + x1 ** 2)
+    y = evaluate(syn_truth(2), X)[0]
+    assert y == pytest.approx(_syn_formula(2, X)[0])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gen_syn_targets_are_the_closed_forms(seed):
+    # Syn1's truth evaluates in the formula's order, so every bit agrees
+    for split in gen_syn(1, 2000, 2000, seed):
+        assert np.array_equal(split.Y, _syn_formula(1, split.X))
+    for split in gen_syn(2, 2000, 2000, seed):
+        _assert_columns_close(split.Y, _syn_formula(2, split.X))
 
 
 def test_syn_truth_term_counts():
@@ -99,40 +138,12 @@ def test_power_spec_symmetric_and_seeded():
 
 
 def test_power_outputs_match_per_node_sums():
-    spec = make_power_spec(3, seed=0)
-    rng = np.random.default_rng(1)
-    X = rng.uniform(1.0, 2.0, (5, 6))
-    Y = power_outputs(spec, X)
-    # brute-force re-evaluation of the active/reactive sums
-    for r in range(5):
-        u = X[r, 0::2]
-        v = X[r, 1::2]
-        for i in range(3):
-            p = sum(spec.G[i, m] * (u[i] * u[m] + v[i] * v[m])
-                    + spec.B[i, m] * (v[i] * u[m] - u[i] * v[m]) for m in range(3))
-            q = sum(spec.G[i, m] * (v[i] * u[m] - u[i] * v[m])
-                    - spec.B[i, m] * (u[i] * u[m] + v[i] * v[m]) for m in range(3))
-            assert Y[r, 2 * i] == pytest.approx(p)
-            assert Y[r, 2 * i + 1] == pytest.approx(q)
-
-
-def test_power_truth_predicts_outputs():
-    spec = make_power_spec(3, seed=0)
-    truth = power_truth(spec)
-    assert truth.n_outputs == 6
-    rng = np.random.default_rng(2)
-    X = rng.uniform(1.0, 2.0, (4, 6))
-    Y = power_outputs(spec, X)
-    for r in range(4):
-        for out, terms in enumerate(truth.outputs):
-            val = 0.0
-            for t in terms:
-                prod = t.coefficient
-                for inp, (op, w) in t.factors:
-                    assert op in ("id", "square") and w is None
-                    prod *= X[r, inp] ** (2 if op == "square" else 1)
-                val += prod
-            assert val == pytest.approx(Y[r, out])
+    for n_nodes in (3, 4, 5):
+        for seed in (0, 1, 2):
+            spec = make_power_spec(n_nodes, seed)
+            for voltage_range in ((1.0, 2.0), (3.0, 4.0), (-1.0, 1.0)):
+                ds = gen_power(spec, 200, voltage_range, seed)
+                _assert_columns_close(ds.Y, _power_sums(spec, ds.X))
 
 
 def _ref_power_truth(spec):
@@ -204,8 +215,26 @@ def test_massdamper_truth_matches_matrix():
 def test_gen_massdamper_targets_are_exact_derivatives():
     spec = make_massdamper_spec(3, seed=2, duration=2.0)
     train, test = gen_massdamper(spec, seed=0)
-    assert np.allclose(train.Y, massdamper_outputs(spec, train.X))
+    A = spec.system_matrix
+    for split in (train, test):
+        _assert_columns_close(split.Y, split.X @ A.T)
     assert train.n == test.n == 100
+
+
+@pytest.mark.parametrize("n_nodes", [2, 4, 5])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_massdamper_targets_are_a_q_along_the_transient(n_nodes, seed):
+    # the settled test half holds only rounding, so the train half is checked
+    spec = make_massdamper_spec(n_nodes, seed)
+    train, _ = gen_massdamper(spec, seed)
+    _assert_columns_close(train.Y, train.X @ spec.system_matrix.T)
+
+
+@pytest.mark.parametrize("name", DATASET_NAMES)
+def test_built_dataset_targets_are_the_truth_evaluated(name):
+    train, test, truth = build_dataset(name, 3, n=50)
+    for split in (train, test):
+        assert np.array_equal(split.Y, evaluate(truth, split.X))
 
 
 def test_gen_massdamper_splits_own_their_data():

@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from consol.equations import (CanonicalEquation, Term, canonicalize,
                               canonicalize_term, equation_from_json_obj,
-                              render_terms)
+                              evaluate, render_terms)
+from consol.errors import DomainError, ShapeError
 from test_metrics import term
 
 
@@ -123,3 +125,57 @@ def test_recanonicalize_is_idempotent(spec):
                           for terms in eq.outputs], prune_threshold=0.01)
     assert again == eq
     assert equation_from_json_obj(json.loads(json.dumps(eq.to_json_obj()))) == eq
+
+
+@pytest.mark.parametrize("coefficient, weight, message", [
+    (float("nan"), 2.0, "coefficient must be finite"),
+    (float("inf"), 2.0, "coefficient must be finite"),
+    (1.0, float("inf"), "inner weight must be finite"),
+    (1.0, float("-inf"), "inner weight must be finite"),
+    (1.0, float("nan"), "inner weight must be finite"),
+])
+def test_equation_from_json_obj_rejects_non_finite_numbers(coefficient, weight, message):
+    # canonicalize drops a NaN term, since abs(nan) >= threshold is False
+    obj = json.loads(json.dumps({"outputs": [[
+        {"coefficient": coefficient,
+         "factors": [{"input": 0, "op": "id", "inner_weight": None}]},
+        {"coefficient": 2.0, "factors": [{"input": 1, "op": "cos", "inner_weight": weight}]},
+    ]]}))
+    with pytest.raises(ValueError, match=message):
+        equation_from_json_obj(obj)
+
+
+def test_evaluate_multiplies_each_term_left_to_right_in_canonical_order():
+    X = np.random.default_rng(0).uniform(1.0, 2.0, (50, 3))
+    x1, x2, x3 = X.T
+    eq = canonicalize([[term(3.0, [(1, "cos", 2.5), (0, "square", None)])],
+                       [term(-0.5, [(2, "id", None), (0, "log", 1.6)]),
+                        term(2.0, [(1, "sin", -1.8)])]])
+    Y = evaluate(eq, X)
+    assert np.array_equal(Y[:, 0], 3.0 * x1 ** 2 * np.cos(2.5 * x2))
+    # sin(-1.8*x2) folds to -sin(1.8*x2); the terms add in canonical order
+    assert np.array_equal(Y[:, 1], 0.0 + -0.5 * np.log(1.6 * x1) * x3
+                          + -2.0 * np.sin(1.8 * x2))
+
+
+def test_evaluate_gives_a_constant_term_and_an_empty_output():
+    eq = canonicalize([[term(2.0, [(0, "cos", 0.001)])], []], prune_threshold=0.01)
+    assert eq.outputs[0][0].factors == ()
+    assert np.array_equal(evaluate(eq, np.ones((4, 1))), [[2.0, 0.0]] * 4)
+
+
+@pytest.mark.parametrize("factor, x", [
+    ((0, "log", 1.0), 0.0),
+    ((0, "log", 2.0), -1.0),
+    ((0, "sqrt", None), -1e-9),
+    ((0, "sqrt", None), float("nan")),
+])
+def test_evaluate_outside_a_symbols_domain_raises(factor, x):
+    eq = canonicalize([[term(1.0, [factor])]])
+    with pytest.raises(DomainError):
+        evaluate(eq, np.array([[1.0], [x]]))
+
+
+def test_evaluate_takes_rows():
+    with pytest.raises(ShapeError):
+        evaluate(canonicalize([[term(1.0, [(0, "id", None)])]]), np.ones(3))

@@ -4,7 +4,7 @@ from hypothesis import example, find, given, settings, strategies as hst
 
 from consol import datasets, local_net, symbols
 from consol.convexity_probe import analytic_directional_derivs, loss_second_derivative
-from consol.equations import canonicalize
+from consol.equations import canonicalize, evaluate
 from consol.errors import DomainError, ShapeError, StructureError
 from consol.local_net import (ACTIVATION, MULTIPLICATION, SUMMATION, SUMMATION_STAGE,
                               LocalWeights, TrainConfig, extract_equation,
@@ -625,6 +625,39 @@ def test_gradients_match_reference_kernel(case, shift):
         assert _same_weights(cut_grad, ref_grad)
     else:
         assert cut_grad is None
+
+
+@hst.composite
+def faithful_case(draw):
+    """A random valid structure over the full library, in a random order,
+    with its weights and inputs: every input in [0.2, 2] and every log
+    weight positive, so that each activation stays inside its domain;
+    summation weights in [0.5, 1.5] and inner weights with |w| in [0.5, 2],
+    so that the extraction prunes no term and no factor."""
+    lib = make_library(list(draw(hst.permutations(ALL_OPS))))
+    n_in = draw(hst.integers(1, 3))
+    z_mult, z_sum = _draw_block(draw, n_in * len(lib))
+    st = three_layer_structure(lib, n_in, z_mult, z_sum)
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    X = rng.uniform(0.2, 2.0, (draw(hst.integers(1, 20)), n_in))
+    w = init_weights(st, 1.0)
+    sign = [1.0 if st.act_op(j).name == "log" else rng.choice([-1.0, 1.0])
+            for j in range(len(w.inner))]
+    w.inner[:] = sign * rng.uniform(0.5, 2.0, w.inner.shape)
+    z_sum = st.indicators[SUMMATION_STAGE]
+    w.summations[SUMMATION_STAGE] = z_sum * rng.uniform(0.5, 1.5, z_sum.shape)
+    return st, w, X
+
+
+@settings(max_examples=300, deadline=None)
+@given(faithful_case())
+def test_an_extracted_equation_evaluates_to_its_network(case):
+    """Canonicalization moves signs and scales (sin's sign, sqrt's scale)
+    and merges like products; none of it may change the value."""
+    st, w, X = case
+    y = forward(st, w, X)
+    eq = extract_equation(st, w)
+    assert np.abs(evaluate(eq, X) - y).max() <= 1e-12 * np.abs(y).max()
 
 
 def test_kernel_writes_nothing_into_read_only_data():

@@ -319,8 +319,8 @@ def test_rollout_episode_returns_valid_structure():
                           ConstraintConfig(max_factors_per_neuron=2),
                           np.random.default_rng(0), t=1)
     assert out.structure.layer_sizes == (1, 2, 1, 1)
-    assert 0.0 < out.reward <= 1.0
-    assert out.reward == pytest.approx(1.0 / (1.0 + out.nrmse))
+    assert 0.0 < out.log.reward <= 1.0
+    assert out.log.reward == pytest.approx(1.0 / (1.0 + out.log.nrmse))
     # one searched stage: one row of s || a, its discrete action is 0/1
     assert out.u.shape == out.u_relaxed.shape == (1, sp.q_input_dim)
     assert np.isin(out.u[0, sp.n_s:], (0.0, 1.0)).all()
@@ -403,8 +403,8 @@ def test_rollout_domain_failure_reward_is_tiny():
     qnet = init_icnn(sp.q_input_dim, (8, 8), seed=0)
     out = rollout_episode(qnet, TOY_CFG, sp, scored(X, Y), ConstraintConfig(),
                           rng, t=1)
-    assert out.nrmse == DOMAIN_FAILURE_NRMSE
-    assert out.reward < 1e-11
+    assert out.log.nrmse == DOMAIN_FAILURE_NRMSE
+    assert out.log.reward < 1e-11
 
 
 def test_non_finite_nrmse_scores_as_domain_failure(monkeypatch):
@@ -414,8 +414,8 @@ def test_non_finite_nrmse_scores_as_domain_failure(monkeypatch):
     out = rollout_episode(qnet, TOY_CFG, sp, scored(*toy_data()),
                           ConstraintConfig(max_factors_per_neuron=2),
                           np.random.default_rng(0), t=1)
-    assert out.nrmse == DOMAIN_FAILURE_NRMSE
-    assert np.isfinite(out.reward)
+    assert out.log.nrmse == DOMAIN_FAILURE_NRMSE
+    assert np.isfinite(out.log.reward)
 
 
 def test_reward_net_learns_episode_reward():
