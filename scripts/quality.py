@@ -77,10 +77,9 @@ def problem(name, seed):
     """(train, test or None, truth, generating structure or None, search
     space, constraints) of a dataset; the seed draws the data alone."""
     if name.startswith("syn"):
-        which = int(name[3])
-        train, test = datasets.gen_syn(which, 2000, 2000, seed)
-        space = three_layer_space(make_library(datasets.SYN_LIBRARIES[which]), 3, 3)
-        return train, test, datasets.syn_truth(which), None, space, ConstraintConfig()
+        train, test, truth = datasets.build_dataset(name, seed)
+        space = three_layer_space(make_library(datasets.SYSTEMS[name].library), 3, 3)
+        return train, test, truth, None, space, ConstraintConfig()
     if name == "toy":
         X = np.random.default_rng(seed).uniform(0.0, 1.0, (200, 2))
         z_mult = np.zeros((6, 1), dtype=int)

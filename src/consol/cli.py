@@ -152,60 +152,10 @@ def atomic_json(path: str, obj) -> None:
 
 # --- dataset plumbing ------------------------------------------------------
 
-DATASET_NAMES = ("syn1", "syn2", "pow", "mas")
-
-
-#: the fewest n_nodes of a system with a line in it; with fewer, the power
-#: grid has no outputs and the mass-damper chain only zero ones
-MIN_NODES = {"pow": 2, "mas": 1}
-
-
-def build_dataset(name: str, seed: int, n: int = 2000, n_nodes: int = 3,
-                  snr_db=None):
-    """Generate (train, test, truth) for a named benchmark system: n rows per
-    split, except for mas, whose splits are the halves of one trajectory."""
-    if name in MIN_NODES and n_nodes < MIN_NODES[name]:
-        raise ConfigError(f"n_nodes must be at least {MIN_NODES[name]} for {name}, "
-                          f"not {n_nodes}")
-    if name in ("syn1", "syn2"):
-        which = int(name[-1])
-        train, test = datasets.gen_syn(which, n, n, seed)
-        truth = datasets.syn_truth(which)
-    elif name == "pow":
-        spec = datasets.make_power_spec(n_nodes, seed)
-        train = datasets.gen_power(spec, n, (1.0, 2.0), seed)
-        test = datasets.gen_power(spec, n, (3.0, 4.0), seed + 1)
-        train.meta["split"], test.meta["split"] = "train", "test"
-        truth = datasets.power_truth(spec)
-    elif name == "mas":
-        spec = datasets.make_massdamper_spec(n_nodes + 1, seed)
-        train, test = datasets.gen_massdamper(spec, seed)
-        truth = datasets.massdamper_truth(spec)
-    else:
-        raise ConfigError(f"unknown dataset {name!r}")
-    if snr_db is not None:
-        train = datasets.add_noise(train, snr_db, seed + 7919)
-    return train, test, truth
-
-
-def default_library(name: str):
-    if name == "syn1":
-        return datasets.SYN_LIBRARIES[1]
-    if name == "syn2":
-        return datasets.SYN_LIBRARIES[2]
-    return ["id"]
-
-
-#: the gen-data size options each dataset reads (mas's splits are the halves
-#: of a trajectory of fixed length); an option left out keeps
-#: build_dataset's default
-GEN_DATA_OPTIONS = {"syn1": ("n",), "syn2": ("n",), "pow": ("n", "n_nodes"),
-                    "mas": ("n_nodes",)}
-
 
 def cmd_gen_data(args) -> int:
     sizes = {k: v for k in ("n", "n_nodes") if (v := getattr(args, k)) is not None}
-    train, test, truth = build_dataset(args.name, args.seed, snr_db=args.snr, **sizes)
+    train, test, truth = datasets.build_dataset(args.name, args.seed, snr_db=args.snr, **sizes)
     os.makedirs(args.out, exist_ok=True)
     datasets.save_dataset(train, os.path.join(args.out, f"{args.name}_train.csv"))
     datasets.save_dataset(test, os.path.join(args.out, f"{args.name}_test.csv"))
@@ -217,16 +167,16 @@ def cmd_gen_data(args) -> int:
 def _check_dataset_keys(ds: dict) -> None:
     """ConfigError for an unknown dataset name, and for a dataset key that
     the chosen data never reads set to other than its default."""
-    if ds["name"] not in DATASET_NAMES:
+    if ds["name"] not in datasets.SYSTEMS:
         raise ConfigError(f"config key 'dataset.name' must be one of "
-                          f"{', '.join(DATASET_NAMES)}, not {ds['name']!r}")
+                          f"{', '.join(datasets.SYSTEMS)}, not {ds['name']!r}")
     if ds["train_path"] is not None:
         source = "data read from dataset.train_path"
         unread = ["n_train", "n_nodes", "snr_db"]
     else:
         source = f"the generated {ds['name']} data"
         unread = [key for key, option in (("n_train", "n"), ("n_nodes", "n_nodes"))
-                  if option not in GEN_DATA_OPTIONS[ds["name"]]] + ["test_path"]
+                  if option not in datasets.SYSTEMS[ds["name"]].options] + ["test_path"]
     default = default_config()["dataset"]
     for key in unread:
         if ds[key] != default[key]:
@@ -242,13 +192,12 @@ def _load_or_generate(cfg: dict):
             raise ConfigError("dataset.train_path needs dataset.test_path")
         return (_read_input("dataset", ds["train_path"]),
                 _read_input("dataset", ds["test_path"]), None)
-    return build_dataset(ds["name"], cfg["seeds"]["data"], n=ds["n_train"],
-                         n_nodes=ds["n_nodes"], snr_db=ds["snr_db"])
+    return datasets.build_dataset(ds["name"], cfg["seeds"]["data"], n=ds["n_train"],
+                                  n_nodes=ds["n_nodes"], snr_db=ds["snr_db"])
 
 
 def _search_space(cfg: dict, train) -> SearchSpace:
-    lib_names = cfg["library"] or default_library(cfg["dataset"]["name"])
-    library = make_library(lib_names)
+    library = make_library(cfg["library"] or datasets.SYSTEMS[cfg["dataset"]["name"]].library)
     n_in, n_out = train.X.shape[1], train.Y.shape[1]
     return three_layer_space(library, n_in, n_out, cfg["mult_neurons"])
 
@@ -517,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate a benchmark dataset")
-    g.add_argument("name", choices=DATASET_NAMES)
+    g.add_argument("name", choices=datasets.SYSTEMS)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--snr", type=float, default=None, help="train-split SNR in dB")
     g.add_argument("--out", default="data")
@@ -561,7 +510,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "gen-data":
         for key in ("n", "n_nodes"):
-            if getattr(args, key) is not None and key not in GEN_DATA_OPTIONS[args.name]:
+            if getattr(args, key) is not None and key not in datasets.SYSTEMS[args.name].options:
                 parser.error(f"gen-data {args.name} takes no --{key.replace('_', '-')}")
     if args.command == "eval":
         missing = [f"--{name}" for name in FITTED_INPUTS if getattr(args, name) is None]

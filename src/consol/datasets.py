@@ -1,5 +1,5 @@
-"""Benchmark dataset generators, SNR-controlled noise injection and CSV
-persistence.
+"""Benchmark dataset generators, the table of named benchmark systems,
+SNR-controlled noise injection and CSV persistence.
 
 Each generator's targets are its ground-truth equation, the one that
 coefficient scoring reads, evaluated on the sampled inputs; the power-flow
@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,8 +60,6 @@ class Dataset:
 
 
 # --- synthetic equation systems -------------------------------------------
-
-SYN_LIBRARIES = {1: ["id", "square", "cos"], 2: ["sqrt", "id", "square", "log", "sin"]}
 
 
 def syn_truth(which: int) -> CanonicalEquation:
@@ -251,6 +251,61 @@ def gen_massdamper(spec: MassDamperSpec, seed: int):
     train = Dataset(states[:half].copy(), Y[:half].copy(), {**meta, "split": "train"})
     test = Dataset(states[half:].copy(), Y[half:].copy(), {**meta, "split": "test"})
     return train, test
+
+
+# --- named benchmark systems ----------------------------------------------
+
+
+def _syn(which: int, seed: int, n: int, n_nodes: int):
+    return (*gen_syn(which, n, n, seed), syn_truth(which))
+
+
+def _power(seed: int, n: int, n_nodes: int):
+    spec = make_power_spec(n_nodes, seed)
+    train = gen_power(spec, n, (1.0, 2.0), seed)
+    test = gen_power(spec, n, (3.0, 4.0), seed + 1)
+    train.meta["split"], test.meta["split"] = "train", "test"
+    return train, test, power_truth(spec)
+
+
+def _mass(seed: int, n: int, n_nodes: int):
+    """A chain of n_nodes lines; each split is the transient first half of a
+    trajectory, the test one started from a state drawn with seed + 1 (the
+    second half has settled to rounding)."""
+    spec = make_massdamper_spec(n_nodes + 1, seed)
+    train, _ = gen_massdamper(spec, seed)
+    test, _ = gen_massdamper(spec, seed + 1)
+    test.meta["split"] = "test"
+    return train, test, massdamper_truth(spec)
+
+
+class System(NamedTuple):
+    """What the code knows of one named benchmark system."""
+
+    library: tuple[str, ...]    # default search library; its order fixes activation indexing
+    options: tuple[str, ...]    # the size options of build_dataset that its builder reads
+    min_nodes: int              # fewer nodes leave a power grid no outputs, a chain zero ones
+    build: Callable             # (seed, n, n_nodes) -> (train, test, truth)
+
+
+SYSTEMS = {
+    "syn1": System(("id", "square", "cos"), ("n",), 0, partial(_syn, 1)),
+    "syn2": System(("sqrt", "id", "square", "log", "sin"), ("n",), 0, partial(_syn, 2)),
+    "pow": System(("id",), ("n", "n_nodes"), 2, _power),
+    "mas": System(("id",), ("n_nodes",), 1, _mass),
+}
+
+
+def build_dataset(name: str, seed: int, n: int = 2000, n_nodes: int = 3, snr_db=None):
+    """(train, test, truth) of the named system in SYSTEMS, noise at snr_db on
+    the train split; ValueError for fewer than its min_nodes nodes."""
+    system = SYSTEMS[name]
+    if n_nodes < system.min_nodes:
+        raise ValueError(f"n_nodes must be at least {system.min_nodes} for {name}, not {n_nodes}")
+    train, test, truth = system.build(seed, n, n_nodes)
+    if snr_db is not None:
+        train = add_noise(train, snr_db, seed + 7919)
+    return train, test, truth
 
 
 # --- noise and persistence ------------------------------------------------

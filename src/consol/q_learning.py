@@ -111,12 +111,29 @@ class SearchSpace:
         for kind, size in zip(("input", *LAYER_KINDS), self.layer_sizes):
             if size < 1:  # 0 aborts every episode, below 0 fails in numpy
                 raise ValueError(f"the {kind} layer needs at least 1 neuron, not {size}")
+        n_act = self.layer_sizes[0] * len(self.library)
+        if self.layer_sizes[1] != n_act:  # the fixed fan-out would not fit
+            raise ValueError(f"the activation layer needs n_inputs*|library| = {n_act} "
+                             f"neurons, not {self.layer_sizes[1]}")
         for k in self.searched_stages:
             if not 1 <= k < K:
                 raise ValueError(f"stage {k} cannot be searched")
+        # a fixed block that no structure can take would abort every episode
         for k in range(1, K):
-            if k not in self.searched_stages and k not in self.fixed_indicators:
+            if k in self.searched_stages:
+                continue
+            if k not in self.fixed_indicators:
                 raise ValueError(f"stage {k} is neither searched nor fixed")
+            z = np.asarray(self.fixed_indicators[k])
+            if z.shape != self.stage_shape(k):
+                raise ValueError(f"the fixed indicator of stage {k} has shape {z.shape}, "
+                                 f"not {self.stage_shape(k)}")
+            if not ((z == 0) | (z == 1)).all():
+                raise ValueError(f"the fixed indicator of stage {k} has an entry "
+                                 f"other than 0 or 1")
+            if k == SUMMATION_STAGE and not z.any(axis=0).all():
+                raise ValueError("the fixed summation block leaves an output "
+                                 "without a connection")
 
     @property
     def n_stages(self) -> int:

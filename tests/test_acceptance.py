@@ -38,7 +38,7 @@ from consol.symbols import make_library
 def syn1_run():
     """Noiseless Syn1 search with default hyperparameters, snapshots kept."""
     train, _ = datasets.gen_syn(1, 2000, 2000, 0)
-    library = make_library(datasets.SYN_LIBRARIES[1])
+    library = make_library(datasets.SYSTEMS["syn1"].library)
     space = three_layer_space(library, 3, 3)
     res = run_search(space, QLearnConfig(), train, ConstraintConfig(), seed=4)
     return space, res
@@ -164,7 +164,7 @@ def test_toy_search_converges_within_fifteen_episodes():
 def syn1_noisy_search(snr_db, seed):
     train, _ = datasets.gen_syn(1, 2000, 2000, 0)
     train = datasets.add_noise(train, snr_db, seed=0)
-    library = make_library(datasets.SYN_LIBRARIES[1])
+    library = make_library(datasets.SYSTEMS["syn1"].library)
     space = three_layer_space(library, 3, 3)
     return run_search(space, QLearnConfig(), train, ConstraintConfig(),
                       seed=seed)

@@ -8,9 +8,9 @@ import pytest
 
 from consol import q_learning
 from consol.cli import (ConfigError, _load_or_generate, _qlearn_config, _search_space,
-                        atomic_write, build_dataset, build_parser, default_config,
+                        atomic_write, build_parser, default_config,
                         load_config, main, parse_grid)
-from consol.datasets import load_dataset
+from consol.datasets import SYSTEMS, build_dataset, load_dataset
 from consol.errors import EpisodeAborted
 from consol.icnn import IcnnParams, init_icnn, params_to_json_obj
 from consol.local_net import TrainConfig, three_layer_structure
@@ -128,11 +128,11 @@ def test_load_config_missing_file():
 
 
 def test_build_dataset_names():
-    for name in ("syn1", "syn2", "pow", "mas"):
+    for name in SYSTEMS:
         train, test, truth = build_dataset(name, 0, n=20)
         assert train.n == 20 or name == "mas"  # trajectory length is fixed
         assert truth.n_outputs == train.Y.shape[1]
-    with pytest.raises(ConfigError):
+    with pytest.raises(KeyError):
         build_dataset("nope", 0)
 
 

@@ -370,7 +370,7 @@ def _syn1_truth(n=1000):
     z_mult[[1, 5], 0] = 1  # x1^2 cos(2.5 x2)
     z_mult[[0, 6], 1] = 1  # x1 x3
     z_mult[7, 2] = 1       # x3^2
-    st = three_layer_structure(make_library(datasets.SYN_LIBRARIES[1]), 3, z_mult,
+    st = three_layer_structure(make_library(datasets.SYSTEMS["syn1"].library), 3, z_mult,
                                np.eye(3, dtype=int))
     w = init_weights(st, 1.0)
     w.inner[5] = 2.5

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from consol.cli import DATASET_NAMES, build_dataset
-from consol.datasets import (TRUTH_COEFF_THRESHOLD, Dataset, PowerSystemSpec,
-                             add_noise, gen_massdamper, gen_power,
+from consol.datasets import (SYSTEMS, TRUTH_COEFF_THRESHOLD, Dataset, PowerSystemSpec,
+                             add_noise, build_dataset, gen_massdamper, gen_power,
                              gen_syn, load_dataset, make_massdamper_spec,
                              make_power_spec, massdamper_truth, power_truth,
                              save_dataset, syn_truth)
 from consol.equations import canonicalize, evaluate
+from consol.q_learning import three_layer_space
+from consol.symbols import make_library
 
 
 def test_dataset_computes_sigma():
@@ -230,11 +231,30 @@ def test_massdamper_targets_are_a_q_along_the_transient(n_nodes, seed):
     _assert_columns_close(train.Y, train.X @ spec.system_matrix.T)
 
 
-@pytest.mark.parametrize("name", DATASET_NAMES)
+@pytest.mark.parametrize("name", SYSTEMS)
 def test_built_dataset_targets_are_the_truth_evaluated(name):
     train, test, truth = build_dataset(name, 3, n=50)
     for split in (train, test):
         assert np.array_equal(split.Y, evaluate(truth, split.X))
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_each_systems_library_builds_a_search_space_for_its_data(name):
+    train, _, _ = build_dataset(name, 0, n=20)
+    library = make_library(SYSTEMS[name].library)
+    n_in, n_out = train.X.shape[1], train.Y.shape[1]
+    space = three_layer_space(library, n_in, n_out)
+    assert space.layer_sizes == (n_in, n_in * len(library), 3 * n_out, n_out)
+
+
+@pytest.mark.parametrize("n_nodes", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mas_test_split_is_a_transient(n_nodes, seed):
+    # the tail of the train trajectory has settled to rounding (max|Y| < 5e-6)
+    train, test, _ = build_dataset("mas", seed, n_nodes=n_nodes)
+    assert (test.sigma_y > 1e-3).all()
+    assert test.meta["split"] == "test" and test.meta["seed"] == seed + 1
+    assert test.X.shape == train.X.shape
 
 
 def test_gen_massdamper_splits_own_their_data():

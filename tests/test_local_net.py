@@ -977,7 +977,7 @@ def test_long_fit_recovers_the_true_syn1_structure():
     z_mult[[1, 5], 0] = 1  # x1^2 cos(w x2)
     z_mult[[0, 6], 1] = 1  # x1 x3
     z_mult[7, 2] = 1       # x3^2
-    st = three_layer_structure(make_library(datasets.SYN_LIBRARIES[1]), 3, z_mult,
+    st = three_layer_structure(make_library(datasets.SYSTEMS["syn1"].library), 3, z_mult,
                                np.eye(3, dtype=int))
     w, loss = fit_snapped(st, TrainConfig(epochs=500), (train.X, train.Y))
     assert w.inner[5] == pytest.approx(2.5, rel=1e-12)

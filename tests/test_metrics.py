@@ -131,7 +131,7 @@ def syn2_true_fit(c: float = 1.0):
     inner weight, so the summation weights hold sqrt's scale
     (sqrt(2.2*x1) == sqrt(2.2)*sqrt(x1)); each sqrt neuron's inner entry
     holds c, which the network ignores."""
-    lib = make_library(datasets.SYN_LIBRARIES[2])   # sqrt id square log sin
+    lib = make_library(datasets.SYSTEMS["syn2"].library)   # sqrt id square log sin
     act = {(i, op): 5 * i + lib.names.index(op) for i in range(3) for op in lib.names}
     products = [                                     # per product: its factors
         [(0, "sqrt"), (1, "id")], [(0, "id"), (1, "square")],

@@ -109,6 +109,28 @@ def test_space_rejects_another_layer_layout():
                     searched_stages=(1, 2, 3, 4))
 
 
+@pytest.mark.parametrize("sizes,fixed,match", [
+    # each of these searched silently another structure, aborted every
+    # episode or raised ShapeError at the first
+    ((2, 4, 2, 1), {2: [[1]]}, r"stage 2 has shape \(1, 1\), not \(2, 1\)"),
+    ((1, 2, 1, 1), {2: [[2]]}, "other than 0 or 1"),
+    ((1, 2, 1, 1), {2: [[0.5]]}, "other than 0 or 1"),
+    ((1, 2, 1, 1), {2: [[0]]}, "output without a connection"),
+    ((1, 2, 2, 2), {2: [[1, 0], [1, 0]]}, "output without a connection"),
+    ((2, 5, 1, 1), {2: [[1]]}, r"n_inputs\*\|library\| = 4 neurons, not 5"),
+])
+def test_space_rejects_what_no_structure_can_take(sizes, fixed, match):
+    with pytest.raises(ValueError, match=match):
+        SearchSpace(LIB2, sizes, (ACTIVATION, MULTIPLICATION, SUMMATION),
+                    searched_stages=(1,), fixed_indicators=fixed)
+
+
+def test_space_checks_a_fixed_product_block_too():
+    with pytest.raises(ValueError, match="stage 1 has an entry other than 0 or 1"):
+        SearchSpace(LIB2, (1, 2, 1, 1), (ACTIVATION, MULTIPLICATION, SUMMATION),
+                    searched_stages=(2,), fixed_indicators={1: np.array([[0.5], [1.0]])})
+
+
 def test_three_layer_space_defaults():
     sp = three_layer_space(LIB2, 3, 2)
     assert sp.layer_sizes == (3, 6, 6, 2)
