@@ -44,7 +44,8 @@ TRACED_RUNS = 5
 #: the per-layer metrics recorded from the traced seed-0 runs
 LAYERS = ("local_net.gradients.", "local_net.fit_trace.self_s", "local_net.fit_snapped.",
           "q_learning.phase.polish_s", "icnn.icnn_fit.", "icnn.minimize_over_box_batch.",
-          "icnn.icnn_value_and_input_grad.calls", "q_learning.phase.action_s")
+          "icnn.icnn_value_and_input_grad.calls", "q_learning.phase.action_s",
+          "local_net.make_structure.")
 
 
 def run_once(checkout, workload, seed, seconds, trace=0):

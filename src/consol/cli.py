@@ -81,11 +81,14 @@ _NULL_DEFAULT_TYPES = {"dataset.snr_db": float, "dataset.train_path": str,
                        "dataset.test_path": str, "library": list, "mult_neurons": int}
 
 
-def _check_type(key: str, default, value) -> None:
+def _check_type(key: str, default, value):
+    """The value, checked to have its default's type; an int given for a
+    float key comes back as a float, so that no int too large for int64
+    reaches numpy."""
     kind = type(default)
     if default is None:
         if value is None:
-            return
+            return value
         kind = _NULL_DEFAULT_TYPES[key]
     accepted = _ACCEPTED_TYPES[kind]
     ok = isinstance(value, accepted) and (type(value) is bool) == (bool in accepted)
@@ -95,6 +98,13 @@ def _check_type(key: str, default, value) -> None:
         name = "list of str" if kind is list else kind.__name__
         raise ConfigError(f"config key {key!r} must be {name}, "
                           f"not {type(value).__name__} {value!r}")
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"config key {key!r} is an integer too large "
+                              f"for a float") from None
+    return value
 
 
 def _merge(defaults: dict, given: dict, path: str = "") -> dict:
@@ -107,8 +117,7 @@ def _merge(defaults: dict, given: dict, path: str = "") -> dict:
                 raise ConfigError(f"config key {path + key!r} must be an object")
             out[key] = _merge(defaults[key], value, path + key + ".")
         else:
-            _check_type(path + key, defaults[key], value)
-            out[key] = value
+            out[key] = _check_type(path + key, defaults[key], value)
     return out
 
 

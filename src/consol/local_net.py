@@ -122,36 +122,69 @@ class LocalStructure:
         }
 
 
-def make_structure(library: SymbolLibrary, layer_sizes, layer_kinds, indicators) -> LocalStructure:
-    """Validate and build a structure of the one layer sequence LAYER_KINDS;
-    the indicators are stored as read-only int64 copies, so the cached plan
-    cannot go stale."""
+def _check_sizes(library: SymbolLibrary, layer_sizes, layer_kinds) -> tuple[int, ...]:
+    """The four layer sizes as ints: StructureError unless the kinds are
+    LAYER_KINDS, ShapeError unless each size is a whole number of at least 1
+    (not a bool) and the activation layer has n_inputs*|library| neurons."""
     layer_kinds = tuple(layer_kinds)
     if layer_kinds != LAYER_KINDS:
         raise StructureError(f"layer kinds must be {list(LAYER_KINDS)}, "
                              f"not {list(layer_kinds)}")
+    layer_sizes = tuple(layer_sizes)
+    if len(layer_sizes) != 4:
+        raise ShapeError(f"layer_sizes must have 4 entries, not {len(layer_sizes)}")
+    for kind, n in zip(("input", *LAYER_KINDS), layer_sizes):
+        # a float is checked as given: int() would read 1.5 as 1 and raise
+        # OverflowError on inf
+        whole = isinstance(n, (int, np.integer)) or (isinstance(n, float) and n.is_integer())
+        if not whole or isinstance(n, bool):
+            raise ShapeError(f"the {kind} layer size must be a whole number, not {n!r}")
+        if n < 1:  # 0 aborts every episode, below 0 fails in numpy
+            raise ShapeError(f"the {kind} layer needs at least 1 neuron, not {n}")
     layer_sizes = tuple(int(n) for n in layer_sizes)
-    indicators = tuple(np.array(z, dtype=np.int64) for z in indicators)
-    for z in indicators:
-        z.flags.writeable = False
-    if len(layer_sizes) != 4 or len(indicators) != 3:
-        raise ShapeError("layer_sizes must have 4 entries and indicators 3")
-    if any(n <= 0 for n in layer_sizes):
-        raise ShapeError("layer sizes must be positive")
-    for k, z in enumerate(indicators):
-        if z.shape != (layer_sizes[k], layer_sizes[k + 1]):
-            raise ShapeError(f"indicator {k} has shape {z.shape}, expected "
-                             f"({layer_sizes[k]}, {layer_sizes[k + 1]})")
-        if not np.isin(z, (0, 1)).all():
-            raise StructureError(f"indicator {k} entries must be 0 or 1")
-    if layer_sizes[1] != layer_sizes[0] * len(library):
-        raise ShapeError("activation layer must have n_inputs*|library| neurons")
+    n_act = layer_sizes[0] * len(library)
+    if layer_sizes[1] != n_act:
+        raise ShapeError(f"the activation layer needs n_inputs*|library| = {n_act} "
+                         f"neurons, not {layer_sizes[1]}")
+    return layer_sizes
+
+
+def _check_block(k: int, z, shape: tuple[int, int]) -> np.ndarray:
+    """Stage k's indicator as a read-only int64 copy: ShapeError unless it
+    has the given shape, StructureError unless every given entry is exactly
+    0 or 1 (read before the cast, which would take 0.5 for 0 and overflow
+    past int64) and, at the summation stage, every output has a connection.
+    Nested lists are read as Python objects, so a large integer keeps its
+    value."""
+    z = z if isinstance(z, np.ndarray) else np.array(z, dtype=object)
+    if z.shape != shape:
+        raise ShapeError(f"the indicator of stage {k} has shape {z.shape}, not {shape}")
+    ok = (z == 0) | (z == 1)
+    if not ok.all():
+        raise StructureError(f"the indicator of stage {k} has an entry other than "
+                             f"0 or 1: {z[~ok].tolist()[0]!r}")
+    if k == SUMMATION_STAGE and not z.any(axis=0).all():
+        raise StructureError(f"the indicator of stage {k} leaves an output "
+                             "without a connection")
+    z = np.array(z, dtype=np.int64)
+    z.flags.writeable = False
+    return z
+
+
+def make_structure(library: SymbolLibrary, layer_sizes, layer_kinds, indicators) -> LocalStructure:
+    """Validate and build a structure of the one layer sequence LAYER_KINDS;
+    the indicators are stored as read-only int64 copies, so the cached plan
+    cannot go stale."""
+    layer_sizes = _check_sizes(library, layer_sizes, layer_kinds)
+    indicators = tuple(indicators)
+    if len(indicators) != 3:
+        raise ShapeError(f"indicators must have 3 entries, not {len(indicators)}")
+    indicators = tuple(_check_block(k, z, layer_sizes[k:k + 2])
+                       for k, z in enumerate(indicators))
     if not np.array_equal(indicators[0], fanout_indicator(layer_sizes[0], len(library))):
-        raise StructureError("input->activation indicator must be the fixed block fan-out")
-    s = LocalStructure(layer_sizes, layer_kinds, indicators, library)
+        raise StructureError("the indicator of stage 0 must be the fixed block fan-out")
+    s = LocalStructure(layer_sizes, LAYER_KINDS, indicators, library)
     s.plan  # built now: it rejects a used product neuron without inputs
-    if not indicators[SUMMATION_STAGE].any(axis=0).all():
-        raise StructureError("every output neuron needs at least one incoming connection")
     return s
 
 
@@ -160,15 +193,13 @@ def structure_from_json_obj(obj) -> LocalStructure:
         make_library(obj["library"]),
         obj["layer_sizes"],
         obj["layer_kinds"],
-        [np.asarray(z) for z in obj["indicators"]],
+        obj["indicators"],
     )
 
 
 def three_layer_structure(library: SymbolLibrary, n_inputs: int, z_mult, z_sum) -> LocalStructure:
     """The structure with these multiplication and summation connections."""
-    z_mult = np.asarray(z_mult, dtype=np.int64)
-    z_sum = np.asarray(z_sum, dtype=np.int64)
-    sizes = (n_inputs, n_inputs * len(library), z_mult.shape[1], z_sum.shape[1])
+    sizes = (n_inputs, n_inputs * len(library), np.shape(z_mult)[1], np.shape(z_sum)[1])
     return make_structure(
         library, sizes, LAYER_KINDS,
         (fanout_indicator(n_inputs, len(library)), z_mult, z_sum),

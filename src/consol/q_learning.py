@@ -102,38 +102,19 @@ class SearchSpace:
     fixed_indicators: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if tuple(self.layer_kinds) != LAYER_KINDS:
-            raise ValueError(f"layer_kinds must be {list(LAYER_KINDS)}, "
-                             f"not {list(self.layer_kinds)}")
-        K = len(self.layer_kinds)
-        if len(self.layer_sizes) != K + 1:
-            raise ValueError("layer_sizes must have one more entry than layer_kinds")
-        for kind, size in zip(("input", *LAYER_KINDS), self.layer_sizes):
-            if size < 1:  # 0 aborts every episode, below 0 fails in numpy
-                raise ValueError(f"the {kind} layer needs at least 1 neuron, not {size}")
-        n_act = self.layer_sizes[0] * len(self.library)
-        if self.layer_sizes[1] != n_act:  # the fixed fan-out would not fit
-            raise ValueError(f"the activation layer needs n_inputs*|library| = {n_act} "
-                             f"neurons, not {self.layer_sizes[1]}")
+        # local_net owns the structure rules; a fixed block that no structure
+        # can take would abort every episode
+        object.__setattr__(self, "layer_sizes", local_net._check_sizes(
+            self.library, self.layer_sizes, self.layer_kinds))
         for k in self.searched_stages:
-            if not 1 <= k < K:
+            if not 1 <= k < self.n_stages:
                 raise ValueError(f"stage {k} cannot be searched")
-        # a fixed block that no structure can take would abort every episode
-        for k in range(1, K):
+        for k in range(1, self.n_stages):
             if k in self.searched_stages:
                 continue
             if k not in self.fixed_indicators:
                 raise ValueError(f"stage {k} is neither searched nor fixed")
-            z = np.asarray(self.fixed_indicators[k])
-            if z.shape != self.stage_shape(k):
-                raise ValueError(f"the fixed indicator of stage {k} has shape {z.shape}, "
-                                 f"not {self.stage_shape(k)}")
-            if not ((z == 0) | (z == 1)).all():
-                raise ValueError(f"the fixed indicator of stage {k} has an entry "
-                                 f"other than 0 or 1")
-            if k == SUMMATION_STAGE and not z.any(axis=0).all():
-                raise ValueError("the fixed summation block leaves an output "
-                                 "without a connection")
+            local_net._check_block(k, self.fixed_indicators[k], self.stage_shape(k))
 
     @property
     def n_stages(self) -> int:
@@ -200,7 +181,9 @@ class ReplayBuffer:
                 new[:len(old)] = old
             self._cols = tuple(grown)
         keep = slice(max(0, m - self.capacity), m)
-        pos = (self._pushed + np.arange(m)[keep]) % self.capacity
+        # need is the capacity once the ring wraps, and past every position
+        # before that, so a capacity past int64 never reaches numpy
+        pos = (self._pushed + np.arange(m)[keep]) % need
         for col, c in zip(self._cols, cols):
             col[pos] = c[keep]
         self._pushed += m

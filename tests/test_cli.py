@@ -5,6 +5,7 @@ import shlex
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as hst
 
 from consol import q_learning
 from consol.cli import (ConfigError, _load_or_generate, _qlearn_config, _search_space,
@@ -13,7 +14,7 @@ from consol.cli import (ConfigError, _load_or_generate, _qlearn_config, _search_
 from consol.datasets import SYSTEMS, build_dataset, load_dataset
 from consol.errors import EpisodeAborted
 from consol.icnn import IcnnParams, init_icnn, params_to_json_obj
-from consol.local_net import TrainConfig, three_layer_structure
+from consol.local_net import TrainConfig, structure_from_json_obj, three_layer_structure
 from consol.q_learning import QLearnConfig, run_search
 from consol.search_mdp import ConstraintConfig
 from consol.symbols import make_library
@@ -783,6 +784,151 @@ def test_structure_of_another_shape_exits_3(tmp_path, capsys, kinds, sizes, indi
                    f"'summation'], not {kinds} (in structure file {paths['structure']})\n")
 
 
+@pytest.mark.parametrize("leaf, value, message", [
+    (("indicators", 1, 0, 0), 0.5, "the indicator of stage 1 has an entry other than 0 or 1: 0.5"),
+    (("indicators", 1, 0, 0), 1.7, "the indicator of stage 1 has an entry other than 0 or 1: 1.7"),
+    (("indicators", 2, 0, 0), 2 ** 63,
+     "the indicator of stage 2 has an entry other than 0 or 1: 9223372036854775808"),
+    (("layer_sizes", 2), 1.5, "the multiplication layer size must be a whole number, not 1.5"),
+    (("layer_sizes", 2), float("inf"),
+     "the multiplication layer size must be a whole number, not inf"),
+], ids=["indicator-0.5", "indicator-1.7", "indicator-2**63", "size-1.5", "size-Infinity"])
+def test_structure_value_that_a_cast_would_change_exits_3(tmp_path, capsys, leaf, value,
+                                                          message):
+    """An int64 cast read 0.5 and 1.7 as 0 and 1 and fitted another
+    structure, 1.5 as 1, and raised OverflowError on 2**63 and Infinity;
+    each value is checked as the file gives it."""
+    paths = valid_inputs(tmp_path)
+    with open(paths["structure"]) as fh:
+        obj = json.load(fh)
+    *parents, last = leaf
+    node = obj
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    write_json(paths["structure"], obj)
+    assert main([paths.get(a, a) for a in INPUT_COMMANDS["fit"]]) == 3
+    assert capsys.readouterr().err == (f"error: {message} "
+                                       f"(in structure file {paths['structure']})\n")
+
+
+@pytest.mark.parametrize("block, key", [
+    ("search", "promote_threshold"), ("search", "freeze_reward_threshold"),
+    ("train", "init_value"), ("dataset", "snr_db"),
+])
+def test_an_integer_for_a_float_key_is_read_as_a_float(tmp_path, capsys, block, key):
+    """A 20-digit integer for a float key reached np.isfinite as a Python int
+    past int64 and raised TypeError; it is read as the float 1e20, and an
+    integer too large for a float is a config error."""
+    out = tmp_path / "run"
+    cfg = {"version": 1, "dataset": {"name": "syn1", "n_train": 60},
+           "search": {"max_episodes": 1}, "train": {}, "out_dir": str(out)}
+    cfg[block][key] = 10 ** 20
+    assert main(["search", "--config", write_json(tmp_path / "c.json", cfg)]) == 0
+    with open(out / "report.json") as fh:
+        assert json.load(fh)["config"][block][key] == 1e20
+    cfg[block][key] = 10 ** 400
+    assert main(["search", "--config", write_json(tmp_path / "c.json", cfg)]) == 3
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == f"error: config key '{block}.{key}' is an integer too large for a float"
+
+
+#: values that a hand-edited or corrupted input file may hold
+_HOSTILE = (None, "x", float("inf"), -float("inf"), float("nan"), 10 ** 20, 0.5, 1.5,
+            [], {}, True)
+_DELETE = object()
+#: config keys that 10**20, or deleting them for their default, only makes
+#: long to run, not wrong: each counts episodes, epochs, steps or rows
+_COUNT_KEYS = {("search", "max_episodes"), ("search", "q_epochs"), ("search", "r_epochs"),
+               ("search", "opt_steps"), ("search", "final_polish_epochs"),
+               ("search", "promote_epochs"), ("train", "epochs")}
+
+
+def _leaf_paths(obj, path=()):
+    """The path of every leaf of a JSON object: a scalar or an empty
+    container."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    paths = [p for key, child in items for p in _leaf_paths(child, path + (key,))]
+    return paths or [path]
+
+
+def _set_leaf(obj, path, value):
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+
+
+def _property_inputs(tmp_path):
+    """valid_inputs, with an equation truth file and a one-episode search
+    config, by the kind of file: (path, the argv that reads it)."""
+    paths = valid_inputs(tmp_path)
+    paths["truth"] = write_json(tmp_path / "truth.json",
+                                equation_obj((1.0, [(0, "square", None)])))
+    cfg = default_config()
+    cfg["dataset"]["n_train"] = 40
+    cfg["search"].update(max_episodes=2, final_polish_epochs=20, promote_epochs=20)
+    cfg["out_dir"] = str(tmp_path / "run")
+    paths["config"] = write_json(tmp_path / "c.json", cfg)
+    eval_argv = ["eval", "--learned", paths["learned"], "--truth", paths["truth"],
+                 "--structure", paths["structure"], "--weights", paths["weights"],
+                 "--data", paths["data"]]
+    return {
+        "structure": (paths["structure"], eval_argv),
+        "weights": (paths["weights"], eval_argv),
+        "equation": (paths["learned"], eval_argv),
+        "sidecar": (paths["data"][:-4] + ".meta.json", eval_argv),
+        "ICNN": (paths["target"], ["probe", "segment", "--target", paths["target"],
+                                   "--n", "5"]),
+        "config": (paths["config"], ["search", "--config", paths["config"]]),
+    }
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=hst.sampled_from(["structure", "weights", "equation", "sidecar", "ICNN",
+                              "config"]),
+       picks=hst.lists(hst.tuples(hst.integers(0, 10 ** 6),
+                                  hst.sampled_from(_HOSTILE + (_DELETE,))),
+                       min_size=1, max_size=2))
+def test_a_file_with_hostile_leaves_exits_0_3_or_4(tmp_path, monkeypatch, capsys, kind,
+                                                   picks):
+    """One or two leaves of a valid input file replaced by a hostile value
+    or deleted: the command exits 0, 3 or 4 and never raises, and a
+    structure file that builds gives exactly its file's layer sizes and
+    indicator values."""
+    monkeypatch.chdir(tmp_path)  # a relative out_dir such as "x" is written here
+    path, argv = _property_inputs(tmp_path)[kind]
+    with open(path) as fh:
+        obj = json.load(fh)
+    for index, value in picks:
+        leaves = _leaf_paths(obj)
+        leaf = leaves[index % len(leaves)]
+        if leaf == ():
+            obj = value if value is not _DELETE else {}
+            continue
+        if kind == "config" and leaf in _COUNT_KEYS and (value is _DELETE
+                                                         or value == 10 ** 20):
+            continue
+        _set_leaf(obj, leaf, value)
+    write_json(path, obj)
+    assert main(argv) in (0, 3, 4)
+    capsys.readouterr()
+    if kind == "structure":
+        with open(path) as fh:
+            read = json.load(fh)
+        try:
+            st = structure_from_json_obj(read)
+        except Exception:  # the exit code above is the property for a bad file
+            return
+        assert list(st.layer_sizes) == read["layer_sizes"]
+        assert [z.tolist() for z in st.indicators] == read["indicators"]
+
+
 @pytest.mark.parametrize("kind", ["segment", "region", "second-deriv"])
 @pytest.mark.parametrize("n", ["0", "-5"])
 def test_probe_count_below_1_is_a_usage_error(tmp_path, capsys, kind, n):
@@ -935,7 +1081,7 @@ def test_probe_option_of_another_kind_is_a_usage_error(tmp_path, capsys, kind, o
 @pytest.mark.parametrize("block, message", [
     ({"search": {"stop_lambda": 1.0}}, "stop_lambda must be in (0, 1), not 1.0"),
     ({"search": {"stop_lambda": float("nan")}}, "stop_lambda must be in (0, 1), not nan"),
-    ({"search": {"q_lr": 0}}, "q_lr must be finite and positive, not 0"),
+    ({"search": {"q_lr": 0}}, "q_lr must be finite and positive, not 0.0"),
     ({"search": {"r_lr": float("inf")}}, "r_lr must be finite and positive, not inf"),
     ({"train": {"learning_rate": float("nan")}},
      "learning_rate must be finite and positive, not nan"),

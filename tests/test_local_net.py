@@ -87,6 +87,18 @@ def test_make_structure_rejects_used_empty_product():
                        (fanout_indicator(2, 3), z_mult, np.array([[1]])))
 
 
+@pytest.mark.parametrize("z_mult, z_sum, bad", [
+    ([[0.5], [1], [0], [0], [0], [0]], [[1]], 0.5),
+    (np.array([[1.0], [0], [0], [0], [0], [0]]), [[1.7]], 1.7),
+    ([[2 ** 63], [1], [0], [0], [0], [0]], [[1]], 2 ** 63),
+])
+def test_three_layer_structure_checks_the_given_entries(z_mult, z_sum, bad):
+    """An int64 cast took 0.5 for 0 and 1.7 for 1, and raised OverflowError
+    on 2**63."""
+    with pytest.raises(StructureError, match=f"other than 0 or 1: {bad}$"):
+        three_layer_structure(LIB, 2, z_mult, z_sum)
+
+
 def test_forward_matches_closed_form():
     st, w = toy_weights()
     X = np.array([[1.2, 0.7], [0.4, 1.9]])

@@ -8,14 +8,14 @@ import consol.q_learning as q_learning
 
 from consol.local_net import (ACTIVATION, MULTIPLICATION, SUMMATION,
                               TrainConfig, extract_equation, fanout_indicator,
-                              three_layer_structure, init_weights)
+                              init_weights, make_structure, three_layer_structure)
 from consol.q_learning import (DOMAIN_FAILURE_NRMSE, QLearnConfig,
                                ReplayBuffer, SearchSpace, greedy_action,
                                q_net_update, reward_net_update, reward_of,
                                rollout_episode, run_search, three_layer_space,
                                trim_structure)
 from consol.datasets import Dataset
-from consol.errors import DomainError, EpisodeAborted
+from consol.errors import DomainError, EpisodeAborted, ShapeError, StructureError
 from consol.search_mdp import (ActionVec, ConstraintConfig, StateVec,
                                action_from_indicator, check_constraints,
                                initial_state, stage_pins, transition)
@@ -103,7 +103,7 @@ def test_space_rejects_unassigned_stage():
 
 def test_space_rejects_another_layer_layout():
     # a five-stage space would abort every episode at make_structure
-    with pytest.raises(ValueError, match="layer_kinds must be"):
+    with pytest.raises(StructureError, match="layer kinds must be"):
         SearchSpace(LIB2, (1, 2, 1, 1, 1, 1),
                     (ACTIVATION, MULTIPLICATION, SUMMATION, MULTIPLICATION, SUMMATION),
                     searched_stages=(1, 2, 3, 4))
@@ -120,15 +120,54 @@ def test_space_rejects_another_layer_layout():
     ((2, 5, 1, 1), {2: [[1]]}, r"n_inputs\*\|library\| = 4 neurons, not 5"),
 ])
 def test_space_rejects_what_no_structure_can_take(sizes, fixed, match):
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises((ShapeError, StructureError), match=match):
         SearchSpace(LIB2, sizes, (ACTIVATION, MULTIPLICATION, SUMMATION),
                     searched_stages=(1,), fixed_indicators=fixed)
 
 
 def test_space_checks_a_fixed_product_block_too():
-    with pytest.raises(ValueError, match="stage 1 has an entry other than 0 or 1"):
+    with pytest.raises(StructureError, match="stage 1 has an entry other than 0 or 1"):
         SearchSpace(LIB2, (1, 2, 1, 1), (ACTIVATION, MULTIPLICATION, SUMMATION),
                     searched_stages=(2,), fixed_indicators={1: np.array([[0.5], [1.0]])})
+
+
+@pytest.mark.parametrize("sizes, block", [
+    ((1, 2, 1, 1), [[0.5]]),
+    ((1, 2, 1, 1), [[2 ** 63]]),
+    ((1, 2, 1, 1), [[0]]),
+    ((1, 2, 2, 1), [[1, 1]]),
+    ((1, 2, 1, 2), np.array([[1.0, 0.0]])),
+])
+def test_space_and_make_structure_reject_a_bad_block_alike(sizes, block):
+    """Both read the rules of a summation block from local_net, so they
+    raise the same error with the same message."""
+    errors = []
+    for build in (
+        lambda: SearchSpace(LIB2, sizes, (ACTIVATION, MULTIPLICATION, SUMMATION),
+                            searched_stages=(1,), fixed_indicators={2: block}),
+        lambda: make_structure(LIB2, sizes, (ACTIVATION, MULTIPLICATION, SUMMATION),
+                               (fanout_indicator(1, 2), np.ones((2, sizes[2])), block)),
+    ):
+        with pytest.raises((ShapeError, StructureError)) as exc:
+            build()
+        errors.append((type(exc.value), str(exc.value)))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("size", [1.5, float("inf"), float("nan"), True, "2", None])
+def test_space_and_make_structure_reject_a_size_that_is_no_whole_number(size):
+    sizes = (1, 2, size, 1)
+    with pytest.raises(ShapeError, match=f"the multiplication layer size must be a "
+                                         f"whole number, not {size!r}"):
+        SearchSpace(LIB2, sizes, (ACTIVATION, MULTIPLICATION, SUMMATION), (1, 2))
+    with pytest.raises(ShapeError, match=f"whole number, not {size!r}"):
+        make_structure(LIB2, sizes, (ACTIVATION, MULTIPLICATION, SUMMATION),
+                       (fanout_indicator(1, 2), [[1], [1]], [[1]]))
+
+
+def test_space_keeps_whole_float_sizes_as_ints():
+    sp = SearchSpace(LIB2, [1.0, 2, 3.0, 1], (ACTIVATION, MULTIPLICATION, SUMMATION), (1, 2))
+    assert sp.layer_sizes == (1, 2, 3, 1) and all(type(n) is int for n in sp.layer_sizes)
 
 
 def test_three_layer_space_defaults():
@@ -182,6 +221,16 @@ def test_replay_buffer_samples_like_a_list_ring(capacity, pushes, n, seed):
     idx = np.random.default_rng(seed).integers(0, len(ref), size=n)
     _, _, _, R = buf.sample(n)
     assert R.tolist() == [float(ref[i]) for i in idx]
+
+
+def test_replay_buffer_takes_a_capacity_past_int64():
+    """The ring's positions were taken modulo the capacity, which raised
+    OverflowError in numpy for a config's buffer_capacity of 10**20."""
+    buf = ReplayBuffer(10 ** 20, seed=0)
+    push_rows(buf, [0, 1])
+    push_rows(buf, [2])
+    assert len(buf) == 3
+    assert set(buf.sample(20)[3].tolist()) == {0.0, 1.0, 2.0}
 
 
 def test_replay_buffer_rejects_zero_capacity():
